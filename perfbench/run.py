@@ -4,10 +4,23 @@
         --seed N --seconds S --trace 0|1
 
 Run from the root of a source checkout; afflat is imported from ./src.
-Inputs come from the seed alone.  Each operation starts when the previous
-one has returned; there are no threads, queues or worker processes, so no
-operation ever waits and no waiting time is reported.  Every result is
+Inputs come from the seed and from fixed per-round corpus generators
+(workloads.py).  Each operation starts when the previous one has returned;
+there are no threads, queues or worker processes, so no operation ever
+waits and no waiting time is reported.  Every result is
 checked by the benchmark's own oracles (oracles.py).
+
+Times are scaled to a nominal machine speed.  The host is shared, and its
+speed for pure-Python work switches between a fast and a slow state (about
+1.6 times slower) every few tens of milliseconds, and the share of time in
+the slow state drifts over tens of seconds.  Between operations the loop
+times a fixed stdlib-only reference task (SpeedReference) about twenty times
+a second; each operation's wall time is multiplied by REF_NOMINAL_S over the
+mean reference time within REF_WINDOW_S around its start (a mean, because
+with two states a median jumps between them), and set-up time likewise.
+afflat never runs inside the reference, so a change to afflat moves the
+scaled times as it moves wall time.  The unscaled wall-clock figures are in
+the detailed record.
 
 --trace 0 measures for --seconds and reports the end-to-end metrics.
 --trace 1 runs a fixed prefix of the batch twice, untraced and then traced
@@ -17,6 +30,8 @@ record under perfbench/out/.
 """
 
 import argparse
+import bisect
+import gc
 import json
 import math
 import os
@@ -29,6 +44,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -38,8 +54,16 @@ sys.path.insert(0, HERE)
 
 WORKLOADS = ("invariants", "polyhedra", "long_inputs")
 SETUP_PROBES = 7
+SETUP_REF_TASKS = 5
 WARMUP_SEED = 12345
 WARMUP_OPS = 2
+# speed reference: one task about every REF_PERIOD_S of the loop; an
+# operation is scaled by the mean of the tasks within REF_WINDOW_S / 2 of
+# its start.  REF_NOMINAL_S is a constant near the task's mean time on a
+# 2-vCPU VM; it sets the units only.
+REF_PERIOD_S = 0.05
+REF_WINDOW_S = 2.0
+REF_NOMINAL_S = 0.0015
 # rounds in the fixed prefix of a traced run: 5-15 s a pass on a 2-vCPU VM
 TRACE_ROUNDS = {"invariants": 10, "polyhedra": 12, "long_inputs": 4}
 
@@ -61,8 +85,8 @@ def import_afflat():
 
 
 class Batch:
-    """Rounds of operations, generated on demand from the seed (outside the
-    timed region) so that a run never repeats an input."""
+    """Rounds of operations, generated on demand (outside the timed region)
+    so that a run never repeats an input."""
 
     def __init__(self, workload, seed, afflat, workdir):
         import workloads as W
@@ -89,6 +113,57 @@ class Batch:
         while i >= len(self.ops):
             self.add_round()
         return self.ops[i]
+
+
+def reference_task():
+    """Fixed pure-Python work of the kind afflat does (fractions, gcds,
+    tuples, dicts); its time tracks the speed the host gives this process."""
+    acc = Fraction(0)
+    seen = {}
+    for i in range(1, 120):
+        acc += Fraction(i, i + 1) * Fraction(2 * i + 1, 3 * i + 7)
+        t = tuple(math.gcd(i * j + 1, 720720) for j in range(6))
+        seen[t] = seen.get(t, 0) + 1
+    return acc, sorted(seen.items())
+
+
+class SpeedReference:
+    """Times of reference_task taken along a run, and the scale factor they
+    give each moment of it."""
+
+    def __init__(self):
+        self.starts = []
+        self.times = []
+        self.last = -math.inf
+
+    def sample(self):
+        enabled = gc.isenabled()
+        gc.disable()  # a collection of afflat's garbage is not machine speed
+        try:
+            t0 = time.perf_counter()
+            reference_task()
+            t1 = time.perf_counter()
+        finally:
+            if enabled:
+                gc.enable()
+        self.starts.append(t0)
+        self.times.append(t1 - t0)
+        self.last = t1
+
+    def tick(self):
+        if time.perf_counter() - self.last >= REF_PERIOD_S:
+            self.sample()
+
+    def scale(self, t):
+        """REF_NOMINAL_S / the mean reference time near moment t."""
+        lo = bisect.bisect_left(self.starts, t - REF_WINDOW_S / 2)
+        hi = bisect.bisect_right(self.starts, t + REF_WINDOW_S / 2)
+        near = self.times[lo:hi] or self.times
+        return REF_NOMINAL_S / statistics.fmean(near)
+
+    def warm(self, n=20):
+        for _ in range(n):
+            reference_task()
 
 
 def execute(op):
@@ -131,9 +206,14 @@ def probe_setup(workload):
 
 def measure_setup(workload):
     """Median wall time from spawning a fresh interpreter to the point where
-    it would start timing (afflat imported, warm-up done)."""
-    samples = []
+    it would start timing (afflat imported, warm-up done), each probe scaled
+    by reference tasks run just before and after it."""
+    speed = SpeedReference()
+    speed.warm()
+    starts, walls = [], []
     for _ in range(SETUP_PROBES):
+        for _ in range(SETUP_REF_TASKS):
+            speed.sample()
         t0 = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), "--setup-probe",
@@ -143,8 +223,12 @@ def measure_setup(workload):
         proc.stdout.close()
         if proc.wait() != 0 or line.strip() != b"ready":
             die("set-up probe failed")
-        samples.append(t1 - t0)
-    return statistics.median(samples), samples
+        starts.append(t0)
+        walls.append(t1 - t0)
+    for _ in range(SETUP_REF_TASKS):
+        speed.sample()
+    scaled = [w * speed.scale(t) for t, w in zip(starts, walls)]
+    return statistics.median(scaled), {"wall_s": walls, "scaled_s": scaled}
 
 
 def make_workdir(workload, tag):
@@ -203,28 +287,35 @@ def input_properties(workload, kinds, sizes):
     return props
 
 
-def run_loop(batch, count=None, seconds=None, tracer=None):
+def run_loop(batch, speed, count=None, seconds=None, tracer=None):
     """Closed loop from the start of the batch: either `count` ops or until
-    `seconds` of wall time have passed.  Returns per-op records."""
+    `seconds` of wall time have passed.  Returns per-op records whose
+    seconds are scaled by `speed` (the wall-clock seconds are kept last)."""
     recs = []
+    starts = []
+    speed.sample()
     deadline = None if seconds is None else time.perf_counter() + seconds
     i = 0
     while True:
         op = batch[i]
         if tracer is not None:
             tracer.op = i
+        starts.append(time.perf_counter())
         ok, dt, res = execute(op)
         code = res[0] if isinstance(res, tuple) and len(res) == 2 and \
             isinstance(res[0], int) else None
         # keep a result only for the failure report: holding every chain
         # would make peak RSS grow with the number of operations run
         recs.append((op.kind, dt, ok, code, op.size, None if ok else res))
+        speed.tick()
         i += 1
         if count is not None and i >= count:
             break
         if deadline is not None and time.perf_counter() >= deadline:
             break
-    return recs
+    speed.sample()
+    return [(k, dt * speed.scale(t), ok, code, size, res, dt)
+            for (k, dt, ok, code, size, res), t in zip(recs, starts)]
 
 
 def summarize(recs):
@@ -333,10 +424,21 @@ def result_record(recs, metrics):
             "metrics": metrics}
 
 
+def complete_rounds(recs, round_of):
+    """The records of the rounds the run finished, so that latency
+    quantiles see every stratum equally often."""
+    size = Counter(round_of)
+    seen = Counter(round_of[:len(recs)])
+    return [r for r, k in zip(recs, round_of) if seen[k] == size[k]] or recs
+
+
 def timed_run(args, batch, setup_s, setup_samples):
-    recs = run_loop(batch, seconds=args.seconds)
-    s = summarize(recs)
+    speed = SpeedReference()
+    speed.warm()
+    recs = run_loop(batch, speed, seconds=args.seconds)
+    s = summarize(complete_rounds(recs, batch.round_of))
     lat = s["lat"]
+    wall = sorted(r[6] for r in recs)
     per_round = round_throughputs(recs, batch.round_of) or [s["ops_per_s"]]
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     metrics = {
@@ -349,12 +451,23 @@ def timed_run(args, batch, setup_s, setup_samples):
     kinds = [r[0] for r in recs]
     details = {
         "metrics": metrics,
-        "samples": {"ops": len(recs), "above_p90": sum(
+        "samples": {"ops": len(recs), "ops_in_quantiles": len(lat),
+                    "above_p90": sum(
             1 for x in lat if x > percentile(lat, 0.9)),
             "rounds_completed": len(per_round),
             "setup_probes": setup_samples},
         "ops_per_busy_s_overall": s["ops_per_s"],
         "ops_per_s_by_round": per_round,
+        "unscaled_wall_clock": {
+            "ops_per_busy_s": len(wall) / sum(wall),
+            "latency_p50_ms": 1000 * percentile(wall, 0.5),
+            "latency_p90_ms": 1000 * percentile(wall, 0.9),
+            "setup_s": statistics.median(setup_samples["wall_s"])},
+        "speed_reference": {
+            "nominal_ms": 1000 * REF_NOMINAL_S, "tasks": len(speed.times),
+            "mean_ms": 1000 * statistics.fmean(speed.times),
+            "quartiles_ms": [1000 * q for q in
+                             statistics.quantiles(speed.times, n=4)]},
         "rounds_generated": batch.rounds,
         "input_properties": input_properties(args.workload, kinds,
                                              [r[4] for r in recs]),
@@ -402,11 +515,13 @@ def traced_run(args, batch):
     for _ in range(TRACE_ROUNDS[args.workload]):
         batch.add_round()
     n_ops = len(batch.ops)
-    plain = run_loop(batch, count=n_ops)
+    speed = SpeedReference()
+    speed.warm()
+    plain = run_loop(batch, speed, count=n_ops)
     tracer = Tracer()
     tracer.install()
     try:
-        traced = run_loop(batch, count=n_ops, tracer=tracer)
+        traced = run_loop(batch, speed, count=n_ops, tracer=tracer)
     finally:
         tracer.uninstall()
     fast, slow = summarize(plain), summarize(traced)

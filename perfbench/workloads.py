@@ -2,8 +2,12 @@
 
 Each workload is a list of rounds; a round holds one operation of every
 stratum (kind and size class) in a seeded order, so any prefix of the batch
-has nearly the same mix.  The seed picks the concrete objects; the strata
-are fixed, which keeps the cost of a round steady from seed to seed.
+has nearly the same mix.  The objects of round r (segments, triangles,
+conics, polyhedra, sizes) come from a generator seeded by the workload's
+name and r alone, the same for every seed, because their cost is
+heavy-tailed and a seed's own draw moved the latency quantiles by up to a
+sixth.  The seed draws the unimodular maps that present the objects to
+afflat, and the order of each round.
 
 Every operation carries its own check, built from the benchmark's oracles
 when the inputs are generated.  afflat receives only the generated objects.
@@ -14,6 +18,7 @@ import io
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import oracles as O
@@ -129,7 +134,7 @@ class CliRunner:
 
 # --- invariants: the everyday CLI path --------------------------------------
 
-def canonical_segment(rng, n):
+def canonical_segment(rng, maps, n):
     """A segment on a coordinate line at integer height, mapped by g; its
     side invariant is known in closed form."""
     while True:
@@ -137,17 +142,17 @@ def canonical_segment(rng, n):
         if alpha != beta:
             break
     z = tuple(rng.randint(-2, 2) for _ in range(n - 1))
-    g = O.rand_unimodular(rng, n)
+    g = O.rand_unimodular(maps, n)
     a, b = O.apply(g, (alpha,) + z), O.apply(g, (beta,) + z)
     return a, b, alpha, beta
 
 
-def inv_equiv_segment(run, rng, neg):
+def inv_equiv_segment(run, rng, maps, neg):
     n = rng.choice((1, 2))
     a, b = rand_point(rng, n, 6, 3), rand_point(rng, n, 6, 3)
     while b == a:
         b = rand_point(rng, n, 6, 3)
-    g = O.rand_unimodular(rng, n)
+    g = O.rand_unimodular(maps, n)
     src = (tuple(2 * c for c in a), tuple(2 * c for c in b)) if neg else (a, b)
     a2, b2 = O.apply(g, src[0]), O.apply(g, src[1])
     if neg and O.lattice_length(a, b) == O.lattice_length(a2, b2):
@@ -164,12 +169,12 @@ def inv_equiv_segment(run, rng, neg):
     return run.op("equiv_segment", ["equiv", "--kind", "segment", f1, f2], check)
 
 
-def inv_equiv_triangle(run, rng, neg):
+def inv_equiv_triangle(run, rng, maps, neg):
     while True:
         t = [rand_point(rng, 2, 4, 1) for _ in range(3)]
         if O.triangle_area2(*t):
             break
-    g = O.rand_unimodular(rng, 2)
+    g = O.rand_unimodular(maps, 2)
     src = [tuple(2 * c for c in p) for p in t] if neg else t
     t2 = [O.apply(g, p) for p in src]
     if neg and O.triangle_area2(*t) == O.triangle_area2(*t2):
@@ -196,10 +201,10 @@ def small_ellipse(rng):
             return o, u, v
 
 
-def inv_equiv_ellipse(run, rng, neg):
+def inv_equiv_ellipse(run, rng, maps, neg):
     o, u, v = small_ellipse(rng)
     co1 = O.ellipse_from_semidiameters(o, u, v)
-    g = O.rand_unimodular(rng, 2)
+    g = O.rand_unimodular(maps, 2)
     k = 2 if neg else 1
     o2 = O.apply(g, tuple(k * c for c in o))
     u2, v2 = (O.apply(linear_part(g), tuple(k * c for c in w)) for w in (u, v))
@@ -223,11 +228,11 @@ def inv_equiv_ellipse(run, rng, neg):
     return run.op("equiv_ellipse", ["equiv", "--kind", "ellipse", f1, f2], check)
 
 
-def inv_equiv_polyhedron(run, rng):
+def inv_equiv_polyhedron(run, rng, maps):
     """A small 1-D polyhedron and its image: the CLI's polyhedron verb at
     desk scale, a small share of this workload."""
     P = [rand_simplex(rng, 1, d) for d in (1, 1)]
-    g = O.rand_unimodular(rng, 1, tmax=2)
+    g = O.rand_unimodular(maps, 1, tmax=2)
     Q = [tuple(O.apply(g, v) for v in s) for s in P]
     f1 = run.write({"simplexes": [[pj(v) for v in s] for s in P]})
     f2 = run.write({"simplexes": [[pj(v) for v in s] for s in Q]})
@@ -246,9 +251,9 @@ def inv_equiv_polyhedron(run, rng):
                   check)
 
 
-def inv_invariant_segment(run, rng):
+def inv_invariant_segment(run, rng, maps):
     n = rng.choice((1, 2))
-    a, b, alpha, beta = canonical_segment(rng, n)
+    a, b, alpha, beta = canonical_segment(rng, maps, n)
     want = {"c": 1, "lambda1": fs(abs(beta - alpha)), "den_a": O.den((alpha,)),
             "den_x1": O.first_chain_den(alpha, beta)}
     f = run.write({"a": pj(a), "b": pj(b)})
@@ -268,7 +273,7 @@ def plane_c(n, v, d1, d2):
     return O.codim_one_c(sum(x * y for x, y in zip(a, v)))
 
 
-def inv_invariant_angles(run, rng, memo, gid):
+def inv_invariant_angles(run, rng, maps, memo, gid):
     """Two ops: an angle and its image under a random map; both outputs
     must agree, besides the closed-form components."""
     n = rng.choice((2, 3))
@@ -277,7 +282,7 @@ def inv_invariant_angles(run, rng, memo, gid):
         d1, d2 = rand_dir(rng, n, 3), rand_dir(rng, n, 3)
         if O.rank([d1, d2]) == 2:
             break
-    g = O.rand_unimodular(rng, n)
+    g = O.rand_unimodular(maps, n)
     ops = []
     for image in (False, True):
         pts = [v, tuple(x + y for x, y in zip(v, d1)),
@@ -301,7 +306,7 @@ def inv_invariant_angles(run, rng, memo, gid):
     return ops
 
 
-def inv_invariant_affine(run, rng):
+def inv_invariant_affine(run, rng, maps):
     n = rng.randint(1, 3)
     e = rng.randint(0, n)
     fixed = [rand_point(rng, 1, 6, 2)[0] for _ in range(n - e)]
@@ -310,7 +315,7 @@ def inv_invariant_affine(run, rng):
         if O.rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
                   or [[0] * n]) == e:
             break
-    g = O.rand_unimodular(rng, n)
+    g = O.rand_unimodular(maps, n)
     pts = [O.apply(g, p) for p in pts]
     d = O.den(fixed) if fixed else 1
     c = O.codim_one_c(fixed[0]) if n - e == 1 else 1
@@ -341,8 +346,8 @@ def inv_hj(run, rng):
     return run.op("hj", ["hj", f], check)
 
 
-def inv_lambda1(run, rng):
-    a, b, alpha, beta = canonical_segment(rng, rng.choice((1, 2)))
+def inv_lambda1(run, rng, maps):
+    a, b, alpha, beta = canonical_segment(rng, maps, rng.choice((1, 2)))
     f = run.write({"a": pj(a), "b": pj(b)})
     want = {"lambda1": fs(abs(beta - alpha))}
     return run.op("lambda1", ["lambda1", f],
@@ -352,8 +357,8 @@ def inv_lambda1(run, rng):
 NO_POINT_PRIMES = (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
 
 
-def inv_classify(run, rng, which):
-    g = O.rand_unimodular(rng, 2)
+def inv_classify(run, rng, maps, which):
+    g = O.rand_unimodular(maps, 2)
     if which == "ellipse":
         co = O.ellipse_from_semidiameters(*small_ellipse(rng))
         want_code, want = 0, "ellipse-in-E"
@@ -370,7 +375,7 @@ def inv_classify(run, rng, which):
                   lambda code, doc: code == want_code and doc == {"class": want})
 
 
-def inv_desingularize(run, rng, three_d):
+def inv_desingularize(run, rng, maps, three_d):
     if three_d:
         while True:
             m = rng.randint(2, 5)
@@ -381,7 +386,7 @@ def inv_desingularize(run, rng, three_d):
         rays = None
     else:
         k = rng.randint(2, 6)
-        a = O.rand_unimodular(rng, 2)[0]
+        a = O.rand_unimodular(maps, 2)[0]
         gens = [O.apply((a, (0, 0)), (1, 0)), O.apply((a, (0, 0)), (1, k))]
         rays = sorted(O.apply((a, (0, 0)), (1, j)) for j in range(k + 1))
     f = run.write({"generators": [list(x) for x in gens]})
@@ -399,18 +404,24 @@ def inv_desingularize(run, rng, three_d):
 
 
 def invariants_round(run, rng, memo, r):
+    """Round r of the invariants batch.  Its objects come from the round's
+    own corpus generator, the same for every seed, so that the mix of cheap
+    and dear cases (which sets the median latency) does not move with the
+    seed; the seed's `rng` draws the unimodular maps and the order."""
+    corpus = random.Random("invariants-corpus/%d" % r)
     makers = []
     for kind in (inv_equiv_segment, inv_equiv_triangle, inv_equiv_ellipse):
         for neg in (False, False, False, True):
-            makers.append(lambda kind=kind, neg=neg: kind(run, rng, neg))
-    makers += [lambda: inv_equiv_polyhedron(run, rng)]
-    makers += [lambda: inv_invariant_segment(run, rng)] * 2
-    makers += [lambda: inv_invariant_angles(run, rng, memo, r)]
-    makers += [lambda: inv_invariant_affine(run, rng)] * 2
-    makers += [lambda: inv_hj(run, rng), lambda: inv_lambda1(run, rng)]
-    makers += [lambda w=w: inv_classify(run, rng, w)
+            makers.append(lambda kind=kind, neg=neg: kind(run, corpus, rng, neg))
+    makers += [lambda: inv_equiv_polyhedron(run, corpus, rng)]
+    makers += [lambda: inv_invariant_segment(run, corpus, rng)] * 2
+    makers += [lambda: inv_invariant_angles(run, corpus, rng, memo, r)]
+    makers += [lambda: inv_invariant_affine(run, corpus, rng)] * 2
+    makers += [lambda: inv_hj(run, corpus), lambda: inv_lambda1(run, corpus, rng)]
+    makers += [lambda w=w: inv_classify(run, corpus, rng, w)
                for w in ("ellipse", "no_point", "not_ellipse")]
-    makers += [lambda t=t: inv_desingularize(run, rng, t) for t in (False, True)]
+    makers += [lambda t=t: inv_desingularize(run, corpus, rng, t)
+               for t in (False, True)]
     ops = []
     for make in makers:
         op = None
@@ -449,9 +460,11 @@ def rand_simplex(rng, n, d):
             return tuple(pts)
 
 
-def poly_case(api, rng, n, dims, neg):
+def poly_case(api, rng, maps, n, dims, neg):
+    """P and, for a negative, the moved vertex come from `rng`; the map g
+    that presents the pair comes from `maps`."""
     P = [rand_simplex(rng, n, d) for d in dims]
-    g = O.rand_unimodular(rng, n, tmax=2)
+    g = O.rand_unimodular(maps, n, tmax=2)
     src = P
     if neg:
         # move one vertex; keep the pair only when the count of points of
@@ -488,6 +501,10 @@ def poly_case(api, rng, n, dims, neg):
 
 
 def polyhedra_round(api, rng, r):
+    """Round r of the polyhedra batch: polyhedra from the round's corpus
+    generator, the same for every seed; the seed's `rng` draws the
+    unimodular maps and the order."""
+    corpus = random.Random("polyhedra-corpus/%d" % r)
     negs = [POLY_NEG_SHAPES[(POLY_NEGATIVES_PER_ROUND * r + j)
                             % len(POLY_NEG_SHAPES)]
             for j in range(POLY_NEGATIVES_PER_ROUND)]
@@ -496,7 +513,7 @@ def polyhedra_round(api, rng, r):
     for (n, dims), neg in cases:
         op = None
         while op is None:
-            op = poly_case(api, rng, n, dims, neg)
+            op = poly_case(api, corpus, rng, n, dims, neg)
         ops.append(op)
     rng.shuffle(ops)
     return ops
@@ -530,7 +547,7 @@ def jitter(rng, x):
     return max(1, int(x * (1 + rng.uniform(-0.05, 0.05))))
 
 
-def long_segment(rng, n, length):
+def long_segment(rng, maps, n, length):
     """A canonical segment of lattice length about `length` (its chain has
     about that many vertices), mapped by a random g in R^n."""
     alpha = rand_point(rng, 1, 9, 1)[0]
@@ -538,7 +555,7 @@ def long_segment(rng, n, length):
     if rng.random() < 0.5:
         alpha, beta = beta, alpha
     z = tuple(rng.randint(-2, 2) for _ in range(n - 1))
-    g = O.rand_unimodular(rng, n)
+    g = O.rand_unimodular(maps, n)
     return O.apply(g, (alpha,) + z), O.apply(g, (beta,) + z), alpha, beta
 
 
@@ -555,9 +572,9 @@ def prime_3mod4_near(rng, x):
     return p
 
 
-def long_chain_op(api, rng, kind, n, nominal):
+def long_chain_op(api, rng, maps, kind, n, nominal):
     size = jitter(rng, nominal)
-    a, b, alpha, beta = long_segment(rng, n, size)
+    a, b, alpha, beta = long_segment(rng, maps, n, size)
     label = "%s_%dd_%d" % (kind, n, nominal)
     if kind == "hj_chain":
         return Op(label, lambda: api.hj_chain(a, b),
@@ -571,7 +588,7 @@ def long_chain_op(api, rng, kind, n, nominal):
                 O.first_chain_den(alpha, beta))
         return Op(label, lambda: api.side_invariant(a, b),
                   lambda inv: tuple(inv) == want, size)
-    g = O.rand_unimodular(rng, n)
+    g = O.rand_unimodular(maps, n)
     a2, b2 = O.apply(g, a), O.apply(g, b)
     return Op(label, lambda: api.segment_equivalence((a, b), (a2, b2)),
               lambda m: m is not None and maps_onto(
@@ -616,13 +633,13 @@ def long_conic_op(api, rng, kind, size):
               lambda cls: cls == "ellipse-no-rational-point")
 
 
-def long_poly_op(api, rng, size):
+def long_poly_op(api, rng, maps, size):
     """A 1-D polyhedron of two segments far apart: the candidate filter walks
     chains of length about `size`."""
     x0, x1 = rand_point(rng, 1, 4, 1)[0], rand_point(rng, 1, 4, 1)[0] + size
     P = [((x0,), (x0 + 1 + rng.randint(0, 3),)),
          ((x1,), (x1 + 2 + rng.randint(0, 3),))]
-    g = O.rand_unimodular(rng, 1)
+    g = O.rand_unimodular(maps, 1)
     Q = [tuple(O.apply(g, v) for v in s) for s in P]
     verts = [(v, O.apply(g, v)) for s in P for v in s]
 
@@ -637,11 +654,16 @@ def long_poly_op(api, rng, size):
 
 
 def long_round(api, rng, r):
-    ops = [long_chain_op(api, rng, kind, n, size)
+    """Round r of the long_inputs batch: sizes, segments, cones and
+    coefficients come from the round's own corpus generator, the same for
+    every seed; the seed's `rng` draws the unimodular maps and the order."""
+    corpus = random.Random("long_inputs-corpus/%d" % r)
+    ops = [long_chain_op(api, corpus, rng, kind, n, size)
            for kind, n, size in CHAIN_STRATA]
     for k, m in zip(CONE_K, CONE3_M):
-        ops += long_cone_ops(api, rng, k, m)
-    ops += [long_conic_op(api, rng, kind, size) for kind, size in CONIC_STRATA]
-    ops.append(long_poly_op(api, rng, jitter(rng, POLY_FAR)))
+        ops += long_cone_ops(api, corpus, k, m)
+    ops += [long_conic_op(api, corpus, kind, size)
+            for kind, size in CONIC_STRATA]
+    ops.append(long_poly_op(api, corpus, rng, jitter(corpus, POLY_FAR)))
     rng.shuffle(ops)
     return ops
