@@ -3,7 +3,7 @@ desingularization over JSON files or stdin.
 
 Exit codes: 0 success, 2 malformed input, 3 not in the operation's class,
 4 internal assertion failure, 5 resource bound exceeded.  AFFLAT_MAX_DEN
-(default 64) caps enumeration-based searches.
+(default 64, a positive integer) caps enumeration-based searches.
 """
 
 import argparse
@@ -158,10 +158,23 @@ def build_parser():
     return ap
 
 
+def _max_den():
+    """The search cap from AFFLAT_MAX_DEN (default 64): a positive integer."""
+    raw = os.environ.get("AFFLAT_MAX_DEN", "64")
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InputError("AFFLAT_MAX_DEN must be a positive integer, got %r"
+                         % raw)
+    return value
+
+
 def run(argv):
     args = build_parser().parse_args(argv)
-    budget.set_max_den(int(os.environ.get("AFFLAT_MAX_DEN", "64")))
     try:
+        budget.set_max_den(_max_den())
         if args.verb == "invariant":
             result = _invariant(args.kind, _read_json(args.file))
         elif args.verb == "equiv":

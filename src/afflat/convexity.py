@@ -1,16 +1,25 @@
 """Exact convex geometry: affine hulls, polytopes, cells, triangulations.
 
-Everything works over Fractions.  Facets are enumerated by brute force over
-vertex subsets, which is fine at the scale this package targets and keeps
-every predicate exact.
+Hulls and facets are built exactly over Fractions, once per object.  The
+predicates the polyhedron decision asks at every grid point and cell
+vertex are fraction-free, on homogeneous integer lifts (num, k) of num/k:
+polytopes and simplexes are cached as integer rows r, and num/k is inside
+iff r.(num, k) == 0 for every equation row and r.(num, k) <= 0 for every
+inequality row; simplex clipping takes its signs and edge crossings from
+the same lifts.  Facets are enumerated by brute force over vertex subsets,
+which is fine at the scale this package targets and keeps every predicate
+exact.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import InputError
-from .intlinalg import rational_nullspace, rational_rank, rational_solve
-from .rationals import canon_primitive, point, primitive, rat, vadd, vdot, vsub
+from .intlinalg import (adjugate, det_int, rational_nullspace, rational_rank,
+                        rational_solve)
+from .rationals import (canon_primitive, content, lift, point, primitive, rat,
+                        vadd, vdot, vsub)
 
 
 class AffineHull:
@@ -59,11 +68,9 @@ class AffineHull:
         return p
 
     def contains(self, p):
-        # integer equations reject off-hull points without a solve
-        for (a, c) in self.equations():
-            if vdot(a, p) != c:
-                return False
-        return self.coords(p) is not None
+        # the equations cut out exactly the hull, so no solve is needed
+        p = point(p)
+        return all(vdot(a, p) == c for (a, c) in self.equations())
 
     def equations(self):
         """Integer equations (a, c) with the hull equal to {x : a.x = c}."""
@@ -127,8 +134,6 @@ def _facets_in_coords(pts, e):
     cross product (fraction-free) after clearing denominators once.
     """
     from math import lcm as _lcm
-    from .intlinalg import det_int
-    from .rationals import content
     scale = 1
     for p in pts:
         for c in p:
@@ -178,6 +183,7 @@ class Polytope:
         self.hull = AffineHull(pts)
         self.dim = self.hull.dim
         self._pts = pts
+        self._rows = None
         self._coords = [self.hull.coords(p) for p in pts]
         if self.dim == 0:
             self.facets = []
@@ -191,14 +197,17 @@ class Polytope:
                 verts.append(p)
         self.vertices = verts
 
+    def contains_lift(self, q):
+        """Membership of num/k for q = (num_1, ..., num_n, k), k > 0, by
+        integer rows from the hull's equations and the ambient facets,
+        built on first use."""
+        if self._rows is None:
+            self._rows = ([_lift_row(a, c) for (a, c) in self.hull.equations()],
+                          [_lift_row(a, c) for (a, c) in self.ambient_facets()])
+        return _rows_hold(*self._rows, q)
+
     def contains(self, p):
-        for (a, c) in self.hull.equations():
-            if vdot(a, p) != c:
-                return False
-        c = self.hull.coords(p)
-        if c is None:
-            return False
-        return all(vdot(g, c) <= h for (g, h) in self.facets)
+        return self.contains_lift(lift(p))
 
     def ambient_facets(self):
         """Facet inequalities (a, c) in ambient coordinates (a integer,
@@ -223,12 +232,22 @@ class Polytope:
             out.append((scaled, off * factor))
         return sorted(out)
 
-    def barycenter(self):
-        n = len(self.vertices)
-        acc = self.vertices[0]
-        for v in self.vertices[1:]:
-            acc = vadd(acc, v)
-        return tuple(c / n for c in acc)
+
+def _lift_row(a, c):
+    """Primitive integer row r over lifts: r.(num, k) is a positive multiple
+    of k (a.x - c) for x = num/k."""
+    return primitive(tuple(a) + (-rat(c),))
+
+
+def _rows_hold(eqs, ineqs, q):
+    """r.q == 0 for every equation row and r.q <= 0 for every inequality."""
+    for r in eqs:
+        if sum(map(mul, r, q)):
+            return False
+    for r in ineqs:
+        if sum(map(mul, r, q)) > 0:
+            return False
+    return True
 
 
 def simplex_barycentric(vertices, x):
@@ -252,43 +271,47 @@ def simplex_contains(vertices, x):
 
 
 def simplex_tester(vertices):
-    """Membership predicate for one simplex with the barycentric functionals
-    precomputed; much cheaper than solving per query point."""
-    verts = [point(v) for v in vertices]
-    n = len(verts[0])
-    d = len(verts) - 1
-    rows = [list(col) for col in zip(*verts)] + [[Fraction(1)] * (d + 1)]
-    chosen, idx = [], []
-    for i, r in enumerate(rows):
-        if rational_rank(chosen + [r]) > len(chosen):
-            chosen.append(r)
-            idx.append(i)
-        if len(chosen) == d + 1:
-            break
-    funcs = []
-    for i in range(d + 1):
-        e = [1 if t == i else 0 for t in range(d + 1)]
-        coeff = rational_solve(list(zip(*chosen)), e)
-        w = [Fraction(0)] * n
-        beta = Fraction(0)
-        for c, j in zip(coeff, idx):
-            if j < n:
-                w[j] += c
-            else:
-                beta += c
-        funcs.append((tuple(w), beta))
+    """Membership predicate for one simplex, over homogeneous lifts:
+    tester((num_1, ..., num_n, k)) is True iff num/k (k > 0) lies in it.
 
-    def contains(x):
-        lam = [vdot(w, x) + beta for (w, beta) in funcs]
-        if any(l < 0 for l in lam):
-            return False
-        # the functionals only solve a row subset; verify x is on the hull
-        if sum(lam) != 1:
-            return False
-        for j in range(n):
-            if sum(lam[i] * verts[i][j] for i in range(d + 1)) != x[j]:
-                return False
-        return True
+    A point is in the simplex iff its lift q is a nonnegative combination
+    q = sum_i mu_i L_i of the vertex lifts L_i.  With A the vertex-lift
+    matrix restricted to independent coordinate rows S, mu = adj(A) q_S /
+    det(A), and the other rows of q must follow from q_S: so the predicate
+    is integer rows built once, and a query costs integer dot products only.
+    """
+    lifts = [lift(v) for v in vertices]
+    m = len(lifts[0])
+    size = len(lifts)
+    coord = list(zip(*lifts))  # coord[j][i]: coordinate j of lift i
+    for sel in combinations(range(m), size):
+        a = [coord[j] for j in sel]
+        delta = det_int(a)
+        if delta:
+            break
+    else:
+        raise InputError("vertices are not affinely independent")
+    adj = adjugate(a)
+    sign = 1 if delta > 0 else -1
+    ineqs = []
+    for i in range(size):
+        r = [0] * m
+        for t, j in enumerate(sel):
+            r[j] = -sign * adj[i][t]
+        ineqs.append(primitive(r))
+    eqs = []
+    for j in range(m):
+        if j in sel:
+            continue
+        # q_j = sum_i coord[j][i] mu_i
+        r = [0] * m
+        r[j] = delta
+        for t, jj in enumerate(sel):
+            r[jj] -= sum(coord[j][i] * adj[i][t] for i in range(size))
+        eqs.append(primitive(r))
+
+    def contains(q):
+        return _rows_hold(eqs, ineqs, q)
 
     return contains
 
@@ -301,40 +324,55 @@ def clip_simplex(simp, g, h, side):
     facets not containing w.  Every output is a simplex of the input's
     dimension with vertices among the input vertices and edge crossings.
     """
-    vals = [side * (vdot(g, v) - h) for v in simp]
+    lifts = [lift(v) for v in simp]
+    row = _lift_row(g, h)
+    vals = [side * sum(map(mul, row, q)) for q in lifts]
+    return _clip(tuple(simp), lifts, vals)
+
+
+def _clip(simp, lifts, vals):
+    """clip_simplex on the vertex lifts and the integer values
+    side*row.lift (signed like side*(g.v - h)), which the facet recursion
+    and the slice take from here instead of recomputing."""
     if all(v >= 0 for v in vals):
-        return [tuple(simp)]
+        return [simp]
     if all(v <= 0 for v in vals):
         return []
     w = min(v for v, val in zip(simp, vals) if val > 0)
     wi = simp.index(w)
     pieces = set()
-    slice_pts = _slice_points(simp, g, h)
-    if slice_pts:
+    slice_pts = _slice_points(simp, lifts, vals)
+    # the hyperplane crosses simp, so the slice has one dimension less: with
+    # that many + 1 points it is a simplex, its own placing triangulation
+    if len(slice_pts) == len(simp) - 1:
+        pieces.add(tuple(sorted((w,) + slice_pts)))
+    else:
         for t in placing_triangulation(slice_pts):
             if len(t) == len(simp) - 1:
                 pieces.add(tuple(sorted((w,) + t)))
     for j in range(len(simp)):
         if j == wi:
             continue
-        facet = simp[:j] + simp[j + 1:]
-        for t in clip_simplex(facet, g, h, side):
+        facet = _clip(simp[:j] + simp[j + 1:], lifts[:j] + lifts[j + 1:],
+                      vals[:j] + vals[j + 1:])
+        for t in facet:
             pieces.add(tuple(sorted((w,) + t)))
     return sorted(pieces)
 
 
-def _slice_points(simp, g, h):
-    """Vertices of simp /\\ {g.x = h}: zero vertices plus edge crossings."""
-    vals = [vdot(g, v) - h for v in simp]
+def _slice_points(simp, lifts, vals):
+    """Vertices of simp /\\ {val = 0}, sorted: zero vertices plus edge
+    crossings.  vals are a linear function of the lifts, so the crossing on
+    edge ij is the point of the lift s_i L_j - s_j L_i."""
     pts = [v for v, s in zip(simp, vals) if s == 0]
     for i in range(len(simp)):
         for j in range(i + 1, len(simp)):
             si, sj = vals[i], vals[j]
             if (si > 0 > sj) or (si < 0 < sj):
-                t = si / (si - sj)
-                pts.append(tuple(a + t * (b - a)
-                                 for a, b in zip(simp[i], simp[j])))
-    return sorted(set(pts))
+                c = [si * b - sj * a for a, b in zip(lifts[i], lifts[j])]
+                k = c.pop()
+                pts.append(tuple(Fraction(x, k) for x in c))
+    return tuple(sorted(set(pts)))
 
 
 def split_spanning(pts, g, h):

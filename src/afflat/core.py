@@ -8,27 +8,13 @@ extend to a basis of Z^{n+1}.  All other modules build on these notions.
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from . import convexity
 from .errors import InputError, InternalCheckError
 from .intlinalg import (complete_basis, integer_kernel, invert_unimodular,
                         is_part_of_basis, mat_mul, mat_vec, rational_solve)
-from .rationals import content, intvec, lcm, point, vadd
-
-
-def den(x):
-    """Least common denominator of the coordinates of a rational point."""
-    d = 1
-    for c in point(x):
-        d = lcm(d, c.denominator)
-    return d
-
-
-def lift(x):
-    """Homogeneous correspondent (den(x)*x_1, ..., den(x)*x_n, den(x))."""
-    p = point(x)
-    d = den(p)
-    return tuple(int(c * d) for c in p) + (d,)
+from .rationals import content, den, intvec, lift, point, vadd
 
 
 def unlift(q):
@@ -142,6 +128,13 @@ class UniAffMap:
         t = tuple(-a for a in mat_vec(inv, self.translation))
         return UniAffMap(inv, t)
 
+    def map_lift(self, q):
+        """Image (A num + t k, k) of a homogeneous lift q = (num, k); it is
+        the lift of the image point, primitive when q is."""
+        k = q[-1]
+        return tuple(sum(map(mul, r, q)) + t * k
+                     for r, t in zip(self.matrix, self.translation)) + (k,)
+
     def map_direction(self, v):
         """Image of a direction vector (no translation)."""
         return mat_vec(self.matrix, v)
@@ -207,7 +200,10 @@ def lattice_points_in(region, max_den):
     """All rational points of denominator <= max_den inside conv(region).
 
     region: finite set of rational points (its convex hull is the region).
-    Returns points sorted by (denominator, coordinates).
+    Returns points sorted by (denominator, coordinates).  Each grid vector
+    combo/k is tested on its lift (combo, k) by the hull's integer rows; a
+    combo with gcd(k, *combo) > 1 is skipped, since its point has a smaller
+    denominator and was found at that one.
     """
     if max_den < 1:
         raise InputError("max_den must be positive")
@@ -216,15 +212,15 @@ def lattice_points_in(region, max_den):
     n = len(pts[0])
     lo = [min(p[i] for p in pts) for i in range(n)]
     hi = [max(p[i] for p in pts) for i in range(n)]
-    found = set()
+    found = []
     for k in range(1, max_den + 1):
         ranges = [range(math.ceil(lo[i] * k), math.floor(hi[i] * k) + 1)
                   for i in range(n)]
+        # product order is coordinate order within one denominator
         for combo in product(*ranges):
-            p = tuple(Fraction(c, k) for c in combo)
-            if p not in found and poly.contains(p):
-                found.add(p)
-    return sorted(found, key=lambda p: (den(p), p))
+            if math.gcd(k, *combo) == 1 and poly.contains_lift(combo + (k,)):
+                found.append(tuple(Fraction(c, k) for c in combo))
+    return found
 
 
 def saturated_span_basis(vectors):

@@ -49,6 +49,20 @@ def det_int(rows):
     return sign * a[-1][-1]
 
 
+def adjugate(rows):
+    """Adjugate of a square integer matrix (adj(A) A = det(A) I), from
+    fraction-free cofactors."""
+    n = len(rows)
+    adj = [[0] * n for _ in range(n)]
+    for t in range(n):
+        minor_rows = rows[:t] + rows[t + 1:]
+        for i in range(n):
+            minor = [r[:i] + r[i + 1:] for r in minor_rows]
+            c = det_int(minor)
+            adj[i][t] = c if (i + t) % 2 == 0 else -c
+    return adj
+
+
 def rational_rank(rows):
     """Rank over Q of a matrix given as a list of row sequences."""
     m = [[rat(x) for x in r] for r in rows]

@@ -6,7 +6,6 @@ serialize as JSON ints.
 """
 
 from .conics import conic
-from .core import UniAffMap
 from .errors import InputError
 from .rationals import rat
 
@@ -50,15 +49,6 @@ def map_json(g):
             "translation": list(g.translation)}
 
 
-def parse_map(d):
-    _require(d, ("matrix", "translation"), "map")
-    try:
-        return UniAffMap(tuple(tuple(r) for r in d["matrix"]),
-                         tuple(d["translation"]))
-    except (TypeError, ValueError) as exc:
-        raise InputError("bad map: %s" % exc)
-
-
 def parse_affine(d):
     _require(d, ("points",), "affine space")
     pts = [parse_point(p) for p in d["points"]]
@@ -87,20 +77,12 @@ def parse_conic(d):
     return conic(*(parse_frac(d[k]) for k in "abcdef"))
 
 
-def conic_json(co):
-    return {k: frac_str(v) for k, v in zip("abcdef", co)}
-
-
 def parse_polyhedron(d):
     _require(d, ("simplexes",), "polyhedron")
     simps = d["simplexes"]
     if not isinstance(simps, list) or not simps:
         raise InputError("polyhedron needs a nonempty simplex list")
     return [tuple(parse_point(p) for p in s) for s in simps]
-
-
-def polyhedron_json(P):
-    return {"simplexes": [[point_json(v) for v in s] for s in P]}
 
 
 def parse_cone(d):

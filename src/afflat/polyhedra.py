@@ -18,7 +18,7 @@ from .complexes import Triangulation
 from .cones import desingularize, fan_rays
 from .convexity import (AffineHull, Polytope, affine_rank, clip_simplex,
                         placing_triangulation, simplex_barycentric,
-                        simplex_contains, simplex_tester, split_spanning)
+                        simplex_tester, split_spanning)
 from .core import (UniAffMap, den, is_regular, lattice_points_in, lift,
                    simplex, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
@@ -48,10 +48,6 @@ def poly_vertices(P):
     for s in P:
         out.update(s)
     return sorted(out)
-
-
-def point_in_polyhedron(P, x):
-    return any(simplex_contains(s, x) for s in P)
 
 
 class Hull(NamedTuple):
@@ -175,21 +171,30 @@ def poly_set_equal(P, Q):
     family = _face_hulls([P, Q], facets_only=True)
 
     def covered(pieces, other_tests):
+        # cells of one input simplex share its hull object and many vertices
+        done = set()
         for hull, cell in pieces:
             k = len(cell)
             bary = hull.embed(tuple(sum(c) / k for c in zip(*cell)))
-            if not any(t(bary) for t in other_tests):
+            if not _covers(other_tests, lift(bary)):
                 return False
             for p in cell:
-                q = hull.embed(p)
-                if not any(t(q) for t in other_tests):
+                if (hull, p) in done:
+                    continue
+                if not _covers(other_tests, lift(hull.embed(p))):
                     return False
+                done.add((hull, p))
         return True
 
     tests_q = [simplex_tester(s) for s in Q]
     tests_p = [simplex_tester(s) for s in P]
     return covered(_refined_simplex_cells(P, family), tests_q) and \
         covered(_refined_simplex_cells(Q, family), tests_p)
+
+
+def _covers(tests, q):
+    """Some simplex tester accepts the lift q."""
+    return any(t(q) for t in tests)
 
 
 def triangulate(P):
@@ -291,10 +296,14 @@ def polyhedron_equivalence(P, Q):
     _, ext = extend_frame(frame)
     V = frame + ext
     g_rest = tuple(gamma(p) for p in ext)
-    vertsP = poly_vertices(P)
-    vertsQ = poly_vertices(Q)
     hullP = set(CP.vertices)
     hullQ = sorted(CQ.vertices)
+    tests_p = [simplex_tester(s) for s in P]
+    tests_q = [simplex_tester(s) for s in Q]
+    lifts_p = [lift(v) for v in poly_vertices(P)]
+    lifts_q = [lift(w) for w in poly_vertices(Q)]
+    hull_lifts_p = [lift(v) for v in hullP]
+    hull_lifts_q = {lift(u) for u in hullQ}
     n = len(V[0])
     lv = [lift(v) for v in V]
     mv_inv = invert_unimodular([[lv[j][i] for j in range(n + 1)]
@@ -352,12 +361,12 @@ def polyhedron_equivalence(P, Q):
         phi = build_map(tuple(s) + g_rest)
         if phi is None:
             return None
-        if {phi(v) for v in hullP} != set(hullQ):
+        if {phi.map_lift(q) for q in hull_lifts_p} != hull_lifts_q:
             return None
         phi_inv = phi.inverse()
-        if not all(point_in_polyhedron(Q, phi(v)) for v in vertsP):
+        if not all(_covers(tests_q, phi.map_lift(q)) for q in lifts_p):
             return None
-        if not all(point_in_polyhedron(P, phi_inv(w)) for w in vertsQ):
+        if not all(_covers(tests_p, phi_inv.map_lift(q)) for q in lifts_q):
             return None
         imP = [tuple(phi(v) for v in sx) for sx in P]
         if not poly_set_equal(imP, Q):

@@ -1,7 +1,8 @@
 """Exact scalar and vector helpers shared by every module.
 
 Points are plain tuples of Fraction; integer vectors are tuples of int.
-No floating point anywhere.
+A point x also has a homogeneous integer lift (den(x)*x, den(x)), which
+the fraction-free kernels work on.  No floating point anywhere.
 """
 
 import math
@@ -55,6 +56,18 @@ def lcm(a, b):
     return a * b // math.gcd(a, b)
 
 
+def den(x):
+    """Least common denominator of the coordinates of a rational point."""
+    return math.lcm(*(c.denominator for c in point(x)))
+
+
+def lift(x):
+    """Homogeneous correspondent (den(x)*x_1, ..., den(x)*x_n, den(x))."""
+    p = point(x)
+    d = math.lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (d // c.denominator) for c in p) + (d,)
+
+
 def content(v):
     """gcd of the entries of an integer vector (0 for the zero vector)."""
     g = 0
@@ -66,10 +79,9 @@ def content(v):
 def primitive(v):
     """Scale a nonzero rational vector to the primitive integer vector with
     the same direction (orientation preserved)."""
-    den = 1
-    for c in v:
-        den = lcm(den, rat(c).denominator)
-    w = [int(rat(c) * den) for c in v]
+    fs = point(v)
+    den = math.lcm(*(c.denominator for c in fs))
+    w = [c.numerator * (den // c.denominator) for c in fs]
     g = content(w)
     if g == 0:
         raise InputError("zero vector has no primitive form")

@@ -7,7 +7,7 @@ chain, Legendre solvability by a plain triple loop.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from afflat.core import UniAffMap, den, lift
 
@@ -68,7 +68,6 @@ def parallelepiped_extends(vectors):
     Coefficients come from an integer adjugate of k independent coordinate
     rows, with exact reconstruction of the remaining rows; no fractions.
     """
-    from itertools import combinations
     k = len(vectors)
     m = len(vectors[0])
     corners = []
@@ -115,6 +114,44 @@ def parallelepiped_extends(vectors):
 
 def regular_by_parallelepiped(simplex):
     return parallelepiped_extends([lift(v) for v in simplex])
+
+
+# --- hull membership oracle (Caratheodory + Cramer sign tests) ------------
+
+def _simplex_has(verts, x):
+    """x in conv(verts) for affinely independent verts (False when they are
+    dependent): x - v0 must kill every (d+1)-minor against the edge vectors,
+    and its Cramer coefficients in a projection onto d coordinates where
+    the simplex stays nondegenerate must be >= 0 and sum to <= 1."""
+    n = len(x)
+    d = len(verts) - 1
+    diffs = [[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]
+    px = [a - b for a, b in zip(x, verts[0])]
+    for cols in combinations(range(n), d):
+        base = _tiny_det([[r[c] for c in cols] for r in diffs])
+        if base:
+            break
+    else:
+        return False
+    for cols2 in combinations(range(n), d + 1):
+        if _tiny_det([[r[c] for c in cols2] for r in diffs + [px]]):
+            return False
+    nums = []
+    for i in range(d):
+        rows = [[r[c] for c in cols] for r in diffs]
+        rows[i] = [px[c] for c in cols]
+        nums.append(_tiny_det(rows))
+    s = 1 if base > 0 else -1
+    return all(t * s >= 0 for t in nums) and sum(nums) * s <= abs(base)
+
+
+def in_hull_by_dets(points, x):
+    """x in conv(points), by Caratheodory: x lies in the simplex of some
+    affinely independent subset of the points."""
+    pts = sorted(set(points))
+    return any(_simplex_has(sub, x)
+               for r in range(1, len(pts) + 1)
+               for sub in combinations(pts, r))
 
 
 # --- chain step oracle ----------------------------------------------------

@@ -96,6 +96,17 @@ def test_budget_exit_5(tmp_path):
     assert "error" in json.loads(proc.stdout)
 
 
+def test_bad_max_den_exit_2(tmp_path):
+    f = write(tmp_path, "f.json", {"a": ["0"], "b": ["2/5"]})
+    for bad in ("abc", "0", "-3", "1.5", ""):
+        proc = run_cli(["hj", f], env_extra={"AFFLAT_MAX_DEN": bad})
+        assert proc.returncode == 2, bad
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert "AFFLAT_MAX_DEN" in json.loads(lines[0])["error"]
+
+
 def test_stdin_input():
     proc = run_cli(["lambda1", "-"], inp=json.dumps({"a": ["0"], "b": ["2/5"]}))
     assert proc.returncode == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -10,7 +11,8 @@ from afflat.core import (UniAffMap, apply, complete_to_lattice_basis, den,
 from afflat.errors import InputError
 from afflat.intlinalg import det_int
 
-from helpers import parallelepiped_extends, rand_point, rand_unimodular
+from helpers import (in_hull_by_dets, parallelepiped_extends, rand_point,
+                     rand_unimodular)
 
 F = Fraction
 
@@ -228,24 +230,31 @@ def test_lattice_points_in_examples():
 
 
 def test_lattice_points_in_grid_oracle():
+    # oracle: plain grid sweep, membership by hand-rolled determinant sign
+    # tests (helpers.in_hull_by_dets), never the package's hull code.
+    # Lower-dimensional hulls (a segment in R^2, a triangle in R^3) exercise
+    # the equation rows; the R^2 quadrilaterals and collinear triples have
+    # non-simplex hulls.
     rng = random.Random(6)
-    for _ in range(20):
-        n = rng.randint(1, 2)
-        pts = [rand_point(rng, n, 3, 1) for _ in range(n + 1)]
-        d = rng.randint(1, 4)
-        got = set(lattice_points_in(pts, d))
-        # oracle: plain grid sweep with simplex-wise barycentric membership
-        from afflat.convexity import Polytope
-        poly = Polytope(pts)
+    configs = [(1, 2), (2, 3)] * 10 + [(2, 2)] * 6 + [(2, 4)] * 4 + \
+        [(3, 3)] * 6 + [(3, 2)] * 3
+    for n, npts in configs:
+        dmax, dens = (2, (2, 3)) if n == 3 else (3, (1, 4))
+        pts = [rand_point(rng, n, dmax, 1) for _ in range(npts)]
+        if n == 2 and npts == 3 and rng.random() < 0.3:
+            pts[2] = tuple(a + 2 * (b - a) for a, b in zip(pts[0], pts[1]))
+        d = rng.randint(*dens)
+        got = lattice_points_in(pts, d)
+        assert got == sorted(got, key=lambda p: (den(p), p))
         lo = [min(p[i] for p in pts) for i in range(n)]
         hi = [max(p[i] for p in pts) for i in range(n)]
         expect = set()
         for k in range(1, d + 1):
-            import math
             ranges = [range(math.ceil(lo[i] * k), math.floor(hi[i] * k) + 1)
                       for i in range(n)]
             for combo in product(*ranges):
                 p = tuple(F(c, k) for c in combo)
-                if poly.contains(p):
+                if in_hull_by_dets(pts, p):
                     expect.add(p)
-        assert got == expect
+        assert len(got) == len(set(got))
+        assert set(got) == expect

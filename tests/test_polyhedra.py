@@ -11,7 +11,7 @@ from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
                               triangulate)
 from afflat.segments import hj_chain, lambda1
 
-from helpers import rand_point, rand_unimodular
+from helpers import _tiny_det, in_hull_by_dets, rand_point, rand_unimodular
 
 F = Fraction
 
@@ -252,6 +252,62 @@ def test_polyhedron_equivalence_deterministic():
     m1 = polyhedron_equivalence(sq, shear)
     m2 = polyhedron_equivalence(sq, shear)
     assert m1 == m2
+
+
+def witness_corpus():
+    """24 small R^1/R^2 pairs: P and its image under a random map; every
+    fourth image has its last simplex replaced by a random one."""
+    rng = random.Random(7)
+    cases = []
+    for i in range(24):
+        n = 1 if i % 4 == 0 else 2
+        P = [rand_simplex(rng, n, 4, 1) for _ in range(rng.randint(1, 3))]
+        g = rand_unimodular(rng, n, tmax=2)
+        image = P[:-1] + [rand_simplex(rng, n, 4, 1)] if i % 4 == 3 else P
+        cases.append((P, [tuple(g(v) for v in s) for s in image]))
+    return cases
+
+
+# (matrix, translation) per witness_corpus case, or None; recorded from the
+# Fraction-based kernel before the integer-row kernel replaced it
+PINNED_WITNESSES = [
+    (((1,),), (-2,)), (((1, 0), (-1, 1)), (0, 1)),
+    (((-1, -1), (1, 2)), (-1, 1)), None,
+    (((1,),), (7,)), (((1, 0), (1, -1)), (-1, 2)),
+    (((-1, 1), (1, 0)), (-1, 2)), None,
+    (((-1,),), (0,)), (((-1, -2), (0, 1)), (-2, 0)),
+    (((0, 1), (-1, 4)), (-2, 0)), None,
+    (((1,),), (2,)), (((-6, 1), (1, 0)), (-6, -1)),
+    (((3, -2), (1, -1)), (2, -1)), None,
+    (((1,),), (0,)), (((0, 1), (-1, -5)), (0, 0)),
+    (((1, 0), (1, -1)), (2, 0)), None,
+    (((1,),), (0,)), (((-1, 1), (-7, 6)), (-3, -16)),
+    (((7, 4), (-2, -1)), (1, -1)), (((1, 3), (-2, -5)), (0, 0)),
+]
+
+
+def test_polyhedron_equivalence_pinned_witnesses():
+    for (P, Q), pinned in zip(witness_corpus(), PINNED_WITNESSES):
+        g = polyhedron_equivalence(P, Q)
+        if pinned is None:
+            assert g is None
+            continue
+        assert (g.matrix, g.translation) == pinned
+        A, t = pinned
+        assert _tiny_det([list(r) for r in A]) in (1, -1)
+
+        def phi(x):
+            return tuple(sum(a * c for a, c in zip(r, x)) + b
+                         for r, b in zip(A, t))
+
+        imP = [tuple(phi(v) for v in s) for s in P]
+        # vertices of P land in Q, and vertices of Q are covered by phi(P)
+        for s in P:
+            for v in s:
+                assert any(in_hull_by_dets(sq, phi(v)) for sq in Q)
+        for sq in Q:
+            for w in sq:
+                assert any(in_hull_by_dets(si, w) for si in imP)
 
 
 def test_polyhedron_equivalence_dimension_mismatch():
