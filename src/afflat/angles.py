@@ -2,20 +2,26 @@
 half-line, the minimal-denominator completion point of an angle, the complete
 sextuple invariant, the side-angle-side triangle invariant, and their orbit
 decisions with witness maps.
+
+As for segments, each kind is computed once as (invariant, witness simplex,
+marks).  An angle's witness is (v, q_H, p_HK) extended to a regular simplex,
+whose extension denominator is c of its plane; a triangle uses the witness of
+its angle at v.  The marks are the points a witness map must carry: q_K, and
+for triangles both side chains and the vertices.
 """
 
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .affine import AffineSpace, affine_invariant, extend_frame
+from .affine import extend_frame
 from .convexity import simplex_barycentric
 from .core import (coords_in_lattice_basis, den, lift, saturated_span_basis,
-                   simplex, simplex_map, unlift)
+                   unlift)
 from .errors import InputError, InternalCheckError, NotInClass
-from .intlinalg import rational_rank, rational_solve, xgcd
+from .intlinalg import complete_basis, rational_rank, rational_solve, xgcd
 from .rationals import point, primitive, vadd, vscale, vsub
-from .segments import SideInvariant, hj_chain, side_invariant
+from .segments import SideInvariant, _side_with_witness, _witness_decision
 
 
 class HalfLine:
@@ -141,9 +147,13 @@ def min_den_completion(ang):
     denominator, and distance to K is monotone along the candidate line, so
     the nearest candidate is the first admissible one.
     """
+    return _completion(ang, max_regular_point(ang.h))
+
+
+def _completion(ang, q):
+    """min_den_completion of the angle, given q = max_regular_point(H)."""
     h, k = ang
     v = h.origin
-    q = max_regular_point(h)
     lv, lq = lift(v), lift(q)
     wh = tuple(h.direction) + (0,)
     wk = tuple(k.direction) + (0,)
@@ -152,7 +162,6 @@ def min_den_completion(ang):
         raise InternalCheckError("angle plane has the wrong homogeneous rank")
     cv = coords_in_lattice_basis(basis, lv)
     cq = coords_in_lattice_basis(basis, lq)
-    from .intlinalg import complete_basis
     s = complete_basis([cv, cq], 3)[2]
 
     cwh = _span_coords(basis, wh)
@@ -199,21 +208,26 @@ def min_den_completion(ang):
     return p
 
 
-def angle_invariant(ang):
-    """The complete sextuple: denominators of the origin, of q_H and of
-    p_HK, the first two barycentric coordinates of q_K w.r.t. the ordered
-    triangle (v, q_H, p_HK), and c of the angle's plane."""
+def _angle_with_witness(ang):
+    """(angle invariant, witness simplex, marks) of an angle."""
     h, k = ang
     v = h.origin
     q_h = max_regular_point(h)
     q_k = max_regular_point(k)
-    p = min_den_completion(ang)
-    lam = simplex_barycentric((v, q_h, p), q_k)
+    r = (v, q_h, _completion(ang, q_h))
+    lam = simplex_barycentric(r, q_k)
     if lam is None:
         raise InternalCheckError("q_K left the angle plane")
-    plane = AffineSpace([v, vadd(v, h.direction), vadd(v, k.direction)])
-    c = affine_invariant(plane).c
-    return AngleInvariant(den(v), den(q_h), den(p), (lam[0], lam[1]), c)
+    c, ext = extend_frame(r)
+    inv = AngleInvariant(den(v), den(q_h), den(r[2]), (lam[0], lam[1]), c)
+    return inv, r + ext, {"the second arm": (q_k,)}
+
+
+def angle_invariant(ang):
+    """The complete sextuple: denominators of the origin, of q_H and of
+    p_HK, the first two barycentric coordinates of q_K w.r.t. the ordered
+    triangle (v, q_H, p_HK), and c of the angle's plane."""
+    return _angle_with_witness(ang)[0]
 
 
 def angle_equivalence(a1, a2):
@@ -221,18 +235,7 @@ def angle_equivalence(a1, a2):
     angle invariants differ."""
     if a1.h.dim != a2.h.dim:
         raise InputError("ambient dimensions differ")
-    if angle_invariant(a1) != angle_invariant(a2):
-        return None
-    r1 = simplex((a1.h.origin, max_regular_point(a1.h), min_den_completion(a1)))
-    r2 = simplex((a2.h.origin, max_regular_point(a2.h), min_den_completion(a2)))
-    c1, ext1 = extend_frame(r1)
-    c2, ext2 = extend_frame(r2)
-    if c1 != c2:
-        raise InternalCheckError("matched angles disagree on the extension denominator")
-    g = simplex_map(r1 + ext1, r2 + ext2)
-    if g(max_regular_point(a1.k)) != max_regular_point(a2.k):
-        raise InternalCheckError("witness map does not carry the second arm")
-    return g
+    return _witness_decision(_angle_with_witness(a1), _angle_with_witness(a2))
 
 
 def triangle(u, v, w):
@@ -245,12 +248,23 @@ def triangle(u, v, w):
     return (pu, pv, pw)
 
 
+def _triangle_with_witness(tri):
+    """(triangle invariant, witness simplex, marks), from the sides v->u,
+    v->w and the angle at v."""
+    u, v, w = triangle(*tri)
+    side_vu, _, marks_vu = _side_with_witness(v, u)
+    ang, wit, marks = _angle_with_witness(
+        angle(HalfLine(v, through=u), HalfLine(v, through=w)))
+    side_vw, _, marks_vw = _side_with_witness(v, w)
+    marks.update({"the first side": marks_vu["the chain"],
+                  "the second side": marks_vw["the chain"],
+                  "the vertices": (u, v, w)})
+    return TriangleInvariant(side_vu, ang, side_vw), wit, marks
+
+
 def triangle_invariant(tri):
     """Side-angle-side invariant (side v->u, angle at v, side v->w)."""
-    u, v, w = triangle(*tri)
-    ang = angle(HalfLine(v, through=u), HalfLine(v, through=w))
-    return TriangleInvariant(side_invariant(v, u), angle_invariant(ang),
-                             side_invariant(v, w))
+    return _triangle_with_witness(tri)[0]
 
 
 def triangle_equivalence(t1, t2):
@@ -260,18 +274,5 @@ def triangle_equivalence(t1, t2):
     u2, v2, w2 = triangle(*t2)
     if len(u1) != len(u2):
         raise InputError("ambient dimensions differ")
-    if triangle_invariant((u1, v1, w1)) != triangle_invariant((u2, v2, w2)):
-        return None
-    g = angle_equivalence(angle(HalfLine(v1, through=u1), HalfLine(v1, through=w1)),
-                          angle(HalfLine(v2, through=u2), HalfLine(v2, through=w2)))
-    if g is None:
-        raise InternalCheckError("equal triangle invariants but unequal angles")
-    for x, y in zip(hj_chain(v1, u1), hj_chain(v2, u2)):
-        if g(x) != y:
-            raise InternalCheckError("witness map does not carry the first side")
-    for x, y in zip(hj_chain(v1, w1), hj_chain(v2, w2)):
-        if g(x) != y:
-            raise InternalCheckError("witness map does not carry the second side")
-    if g(u1) != u2 or g(v1) != v2 or g(w1) != w2:
-        raise InternalCheckError("witness map does not carry the vertices")
-    return g
+    return _witness_decision(_triangle_with_witness((u1, v1, w1)),
+                             _triangle_with_witness((u2, v2, w2)))

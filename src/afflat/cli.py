@@ -21,7 +21,7 @@ from .cones import desingularize
 from .errors import (InputError, InternalCheckError, NotInClass,
                      SearchBudgetExceeded)
 from .polyhedra import polyhedron_equivalence
-from .segments import hj_chain, lambda1, side_invariant
+from .segments import hj_chain, lambda1, segment_equivalence, side_invariant
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -70,7 +70,8 @@ def _equiv(kind, doc1, doc2):
         g = affine_equivalence(AffineSpace(jsonio.parse_affine(doc1)),
                                AffineSpace(jsonio.parse_affine(doc2)))
     elif kind == "segment":
-        g = segment_equivalence_docs(doc1, doc2)
+        g = segment_equivalence(jsonio.parse_segment(doc1),
+                                jsonio.parse_segment(doc2))
     elif kind == "angle":
         g = angle_equivalence(_angle_from_json(doc1), _angle_from_json(doc2))
     elif kind == "triangle":
@@ -85,12 +86,6 @@ def _equiv(kind, doc1, doc2):
     else:
         raise InputError("unknown equivalence kind %r" % kind)
     return jsonio.equiv_json(g)
-
-
-def segment_equivalence_docs(doc1, doc2):
-    from .segments import segment_equivalence
-    return segment_equivalence(jsonio.parse_segment(doc1),
-                               jsonio.parse_segment(doc2))
 
 
 def _pretty(value, indent=""):

@@ -2,7 +2,9 @@
 Legendre equation, conjugate diameters, the minimal-index semi-diameter
 pairs, the complete ellipse invariant, and orbit decision.
 
-Ambient dimension is 2 throughout.
+Ambient dimension is 2 throughout.  As for the other kinds, the invariant
+and its witness come from one pass: the minimal-index pairs are found once,
+and the witness is that of the first sorted pair with the least invariant.
 """
 
 import math
@@ -10,8 +12,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import budget
-from .angles import triangle_equivalence, triangle_invariant
+from .angles import _triangle_with_witness
 from .core import den
+from .segments import _witness_decision
 from .errors import InputError, InternalCheckError, NotInClass
 from .rationals import lcm, point, rat, vdot, vsub
 
@@ -183,7 +186,7 @@ def _classify_with_witness(co):
     C = int(m * scale)
     sol = legendre_solve(A, B, -C)
     if sol is None:
-        return ELLIPSE_NO_POINT, None
+        return ELLIPSE_NO_POINT, None, (o, qmat, m, co)
     x0, y0, z0 = sol
     if z0 == 0:
         raise InternalCheckError("homogeneous solution with z = 0 on a definite form")
@@ -193,17 +196,16 @@ def _classify_with_witness(co):
     w = (o[0] + X, o[1] + v)
     if co(w) != 0:
         raise InternalCheckError("Legendre witness does not lie on the conic")
-    return ELLIPSE, w
+    return ELLIPSE, w, (o, qmat, m, co)
 
 
 class RationalEllipse:
     """An ellipse with rational coefficients and a rational witness point."""
 
     def __init__(self, co):
-        cls, witness = _classify_with_witness(co)
+        cls, witness, (o, qmat, m, normalized) = _classify_with_witness(co)
         if cls != ELLIPSE:
             raise NotInClass(cls)
-        o, qmat, m, normalized = _center_and_form(co)
         self.conic = normalized
         self.center = o
         self.qmat = qmat
@@ -366,39 +368,31 @@ def min_index_pairs(ell):
             return best, sorted(final)
 
 
+def _ellipse_with_witness(ell):
+    """(ellipse invariant, witness simplex, marks)."""
+    _, pairs = min_index_pairs(ell)
+    first = {}
+    for x, y in pairs:
+        inv, wit, marks = _triangle_with_witness((ell.center, x, y))
+        first.setdefault(inv, (wit, marks))
+    invs = tuple(sorted(first))
+    return (invs,) + first[invs[0]]
+
+
 def ellipse_invariant(ell):
     """Sorted duplicate-free tuple of triangle invariants of the oriented
     triangles (O, x, y) over all minimal-index ordered conjugate pairs."""
-    _, pairs = min_index_pairs(ell)
-    invs = {triangle_invariant((ell.center, x, y)) for x, y in pairs}
-    return tuple(sorted(invs))
+    return _ellipse_with_witness(ell)[0]
 
 
 def ellipse_equivalence(e1, e2):
     """A unimodular affine map of the first ellipse onto the second, or
     None when the invariants differ; verified by conic pullback."""
-    inv1 = ellipse_invariant(e1)
-    inv2 = ellipse_invariant(e2)
-    if inv1 != inv2:
-        return None
-    target = inv1[0]
-    t1 = _pair_with_invariant(e1, target)
-    t2 = _pair_with_invariant(e2, target)
-    g = triangle_equivalence(t1, t2)
-    if g is None:
-        raise InternalCheckError("matched triangle invariants but no map")
-    if not conics_match_up_to_scalar(pullback(e2.conic, g), e1.conic):
+    g = _witness_decision(_ellipse_with_witness(e1), _ellipse_with_witness(e2))
+    if g is not None and not conics_match_up_to_scalar(pullback(e2.conic, g),
+                                                       e1.conic):
         raise InternalCheckError("witness map does not carry the ellipse")
     return g
-
-
-def _pair_with_invariant(ell, target):
-    _, pairs = min_index_pairs(ell)
-    for x, y in pairs:
-        t = (ell.center, x, y)
-        if triangle_invariant(t) == target:
-            return t
-    raise InternalCheckError("recorded invariant without a witness pair")
 
 
 def pullback(co, g):

@@ -3,6 +3,7 @@
 Column echelon form with a tracked unimodular transform does all the lattice
 work: integer kernels, integer linear solves, basis completion, saturation.
 Rational elimination (over Fraction) covers rank, nullspace and dense solves.
+Determinants, adjugates and unimodular inverses are fraction-free (Bareiss).
 """
 
 import math
@@ -318,25 +319,14 @@ def is_part_of_basis(vectors, m):
 
 
 def invert_unimodular(rows):
-    """Inverse of an integer matrix with determinant +-1 (integer result)."""
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        sol = rational_solve(rows, e)
-        if sol is None:
-            raise InputError("matrix is singular")
-        cols.append(sol)
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            f = cols[j][i]
-            if f.denominator != 1:
-                raise InputError("matrix is not unimodular")
-            row.append(f.numerator)
-        inv.append(tuple(row))
-    return tuple(inv)
+    """Inverse of an integer matrix with determinant +-1 (integer result):
+    det(A) adj(A), since 1/det = det for a unit."""
+    d = det_int(rows)
+    if d == 0:
+        raise InputError("matrix is singular")
+    if d not in (1, -1):
+        raise InputError("matrix is not unimodular")
+    return tuple(tuple(d * a for a in row) for row in adjugate(rows))
 
 
 def mat_vec(rows, v):

@@ -6,16 +6,21 @@ such that every conv(x_i, x_i+1) is regular and each x_i+1 is the smallest-
 denominator (equivalently farthest) regular partner of x_i towards b.  Each
 step is closed-form in the rank-2 saturated sublattice spanned by the two
 endpoint lifts.
+
+Every kind computes its invariant once, with a witness simplex and marked
+points (_side_with_witness here); _witness_decision, shared by all kinds,
+compares two invariants, maps one witness onto the other, and checks that the
+map carries the marked points.
 """
 
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .affine import AffineSpace, affine_invariant, extend_frame
+from .affine import extend_frame
 from .complexes import Triangulation
 from .core import (coords_in_lattice_basis, den, is_regular, lift,
-                   saturated_span_basis, simplex, simplex_map, unlift)
+                   saturated_span_basis, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
 from .intlinalg import xgcd
 from .rationals import point, vadd, vscale
@@ -80,11 +85,14 @@ def hj_chain(a, b):
     return tuple(chain)
 
 
+def _chain_lambda1(dens):
+    """Sum of 1/(d_i d_{i+1}) over the chain's consecutive denominators."""
+    return sum(Fraction(1, dens[i] * dens[i + 1]) for i in range(len(dens) - 1))
+
+
 def lambda1(a, b):
     """Sum of 1/(den(x_i) den(x_{i+1})) along the canonical chain."""
-    chain = hj_chain(a, b)
-    dens = [den(x) for x in chain]
-    return sum(Fraction(1, dens[i] * dens[i + 1]) for i in range(len(dens) - 1))
+    return _chain_lambda1([den(x) for x in hj_chain(a, b)])
 
 
 def _chain_of_triangulation(a, b, tri):
@@ -133,14 +141,36 @@ def lambda1_via(a, b, tri):
     return total
 
 
-def side_invariant(a, b):
-    """The quadruple (c of the line, lambda_1, den(a), den(x_1))."""
-    a, b = segment(a, b)
+def _side_with_witness(a, b):
+    """(side invariant, witness simplex, marks).  The witness extends the
+    chain's first cell; the extension denominator is c of the line, as that
+    depends only on the line's lattice, of which the cell's lifts are a basis."""
     chain = hj_chain(a, b)
     dens = [den(x) for x in chain]
-    lam = sum(Fraction(1, dens[i] * dens[i + 1]) for i in range(len(dens) - 1))
-    c = affine_invariant(AffineSpace([a, b])).c
-    return SideInvariant(c, lam, dens[0], dens[1])
+    c, ext = extend_frame(chain[:2])
+    inv = SideInvariant(c, _chain_lambda1(dens), dens[0], dens[1])
+    return inv, chain[:2] + ext, {"the chain": chain}
+
+
+def _witness_decision(found1, found2):
+    """The orbit decision from two (invariant, witness simplex, marks): None
+    when the invariants differ, else the map of one witness onto the other,
+    checked to carry each list of marked points onto its counterpart."""
+    inv1, wit1, marks1 = found1
+    inv2, wit2, marks2 = found2
+    if inv1 != inv2:
+        return None
+    g = simplex_map(wit1, wit2)
+    for what, xs in marks1.items():
+        ys = marks2[what]
+        if len(xs) != len(ys) or any(g(x) != y for x, y in zip(xs, ys)):
+            raise InternalCheckError("witness map does not carry " + what)
+    return g
+
+
+def side_invariant(a, b):
+    """The quadruple (c of the line, lambda_1, den(a), den(x_1))."""
+    return _side_with_witness(a, b)[0]
 
 
 def segment_equivalence(seg1, seg2):
@@ -150,20 +180,4 @@ def segment_equivalence(seg1, seg2):
     a2, b2 = segment(*seg2)
     if len(a1) != len(a2):
         raise InputError("ambient dimensions differ")
-    if side_invariant(a1, b1) != side_invariant(a2, b2):
-        return None
-    ch1 = hj_chain(a1, b1)
-    ch2 = hj_chain(a2, b2)
-    if len(ch1) != len(ch2):
-        raise InternalCheckError("equal side invariants but different chain lengths")
-    f1 = simplex(ch1[:2])
-    f2 = simplex(ch2[:2])
-    c1, ext1 = extend_frame(f1)
-    c2, ext2 = extend_frame(f2)
-    if c1 != c2:
-        raise InternalCheckError("matched segments disagree on the extension denominator")
-    g = simplex_map(f1 + ext1, f2 + ext2)
-    for x, y in zip(ch1, ch2):
-        if g(x) != y:
-            raise InternalCheckError("witness map does not carry the chain")
-    return g
+    return _witness_decision(_side_with_witness(a1, b1), _side_with_witness(a2, b2))

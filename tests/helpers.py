@@ -274,3 +274,9 @@ def legendre_brute(p, q, r):
                 if p * x * x + q * y * y + r * z * z == 0:
                     return True
     return False
+
+
+def apply_affine(matrix, translation, x):
+    """x -> A x + t for a map given as plain (matrix, translation) rows."""
+    return tuple(sum(a * c for a, c in zip(r, x)) + t
+                 for r, t in zip(matrix, translation))

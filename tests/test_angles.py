@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from afflat.angles import (HalfLine, angle, angle_equivalence,
-                           angle_invariant, max_regular_point,
-                           min_den_completion, triangle,
+from afflat.affine import AffineSpace, affine_invariant
+from afflat.angles import (HalfLine, _angle_with_witness, angle,
+                           angle_equivalence, angle_invariant,
+                           max_regular_point, min_den_completion, triangle,
                            triangle_equivalence, triangle_invariant)
-from afflat.core import den
+from afflat.core import den, lift
 from afflat.errors import InputError, NotInClass
+from afflat.segments import _side_with_witness
 
-from helpers import rand_point, rand_unimodular, regular_by_parallelepiped
+from helpers import (_tiny_det, apply_affine, rand_point, rand_unimodular,
+                     regular_by_parallelepiped)
 
 F = Fraction
 
@@ -225,3 +228,179 @@ def test_triangle_scaled_not_equivalent():
     assert triangle_equivalence(unit, double) is None
     shifted = tuple((a + 5, b + 7) for a, b in unit)
     assert triangle_equivalence(unit, shifted) is not None
+
+
+def _random_angle_points(rng, n):
+    """(v, h, k) through-points of a nontrivial angle."""
+    while True:
+        v, h, k = (rand_point(rng, n, 4, 1) for _ in range(3))
+        try:
+            angle(HalfLine(v, through=h), HalfLine(v, through=k))
+        except (NotInClass, InputError):
+            continue
+        return v, h, k
+
+
+def angle_witness_corpus():
+    """8 pairs of (v, h, k), mostly in R^3, where the angle's plane has
+    codimension one: the angle and its image under a random map; the third
+    of every four swaps the image's arms, the fourth replaces its k."""
+    rng = random.Random(12)
+    cases = []
+    for i, n in enumerate((3, 2, 3, 3, 3, 2, 3, 2)):
+        v, h, k = _random_angle_points(rng, n)
+        g = rand_unimodular(rng, n)
+        image = (g(v), g(h), g(k))
+        if i % 4 == 2:
+            image = (g(v), g(k), g(h))
+        while i % 4 == 3 and image[2] == g(k):
+            w = rand_point(rng, n, 4, 1)
+            try:
+                angle(HalfLine(g(v), through=g(h)), HalfLine(g(v), through=w))
+            except (NotInClass, InputError):
+                continue
+            image = (g(v), g(h), w)
+        cases.append(((v, h, k), image))
+    return cases
+
+
+def _angle_of(v, h, k):
+    return angle(HalfLine(v, through=h), HalfLine(v, through=k))
+
+
+# (matrix, translation) per angle_witness_corpus case, or None; recorded
+# from the implementation that recomputed every invariant per decision
+PINNED_ANGLE_WITNESSES = [
+    (((7180683, 17951700, 11369408),
+      (-8202388, -20505959, -12987107),
+      (-4484618, -11211540, -7100641)),
+     (-25431575, 29050110, 15883012)),
+    (((-1, 0), (-2, 1)), (3, 1)),
+    None,
+    None,
+    (((13391896, -40581500, 7304669),
+      (30259088, -91694199, 16504955),
+      (-625185, 1894500, -341009)),
+     (-37334979, -84358666, 1742943)),
+    (((0, 1), (-1, 0)), (1, 0)),
+    None,
+    None,
+]
+
+
+def test_angle_equivalence_pinned_witnesses():
+    for ((v, h, k), (v2, h2, k2)), pinned in zip(angle_witness_corpus(),
+                                                 PINNED_ANGLE_WITNESSES):
+        g = angle_equivalence(_angle_of(v, h, k), _angle_of(v2, h2, k2))
+        if pinned is None:
+            assert g is None
+            continue
+        assert (g.matrix, g.translation) == pinned
+        A, t = pinned
+        assert _tiny_det([list(r) for r in A]) in (1, -1)
+        zero = (0,) * len(t)
+        assert apply_affine(A, t, v) == v2
+        # each arm's direction goes to a positive multiple of its image's
+        for p, p2 in ((h, h2), (k, k2)):
+            d = apply_affine(A, zero, tuple(a - b for a, b in zip(p, v)))
+            d2 = tuple(a - b for a, b in zip(p2, v2))
+            s = next(x / y for x, y in zip(d, d2) if y)
+            assert s > 0 and all(x == s * y for x, y in zip(d, d2))
+
+
+def triangle_witness_corpus():
+    """8 pairs in R^2/R^3: a triangle and its image under a random map; the
+    third of every four reverses the image's orientation, the fourth
+    replaces its w."""
+    rng = random.Random(13)
+    cases = []
+    for i, n in enumerate((3, 2, 3, 2, 3, 2, 3, 3)):
+        while True:
+            u, v, w = (rand_point(rng, n, 4, 1) for _ in range(3))
+            try:
+                triangle(u, v, w)
+                break
+            except (NotInClass, InputError):
+                continue
+        g = rand_unimodular(rng, n)
+        image = (g(u), g(v), g(w))
+        if i % 4 == 2:
+            image = (g(w), g(v), g(u))
+        while i % 4 == 3 and image[2] == g(w):
+            x = rand_point(rng, n, 4, 1)
+            try:
+                triangle(g(u), g(v), x)
+            except (NotInClass, InputError):
+                continue
+            image = (g(u), g(v), x)
+        cases.append(((u, v, w), image))
+    return cases
+
+
+# (matrix, translation) per triangle_witness_corpus case, or None; recorded
+# from the implementation that recomputed every invariant per decision
+PINNED_TRIANGLE_WITNESSES = [
+    (((-1, 1, -1), (-2, 2, -3), (0, -1, 1)), (0, 0, 2)),
+    (((-1, -1), (0, 1)), (0, 0)),
+    None,
+    None,
+    (((124085195, 140936269, -183829920),
+      (192331096, 218450131, -284934960),
+      (-13493061, -15325452, 19989721)),
+     (-194553333, -301556169, 21155786)),
+    (((1, 0), (2, 1)), (-2, 1)),
+    None,
+    None,
+]
+
+
+def test_triangle_equivalence_pinned_witnesses():
+    for (t1, t2), pinned in zip(triangle_witness_corpus(),
+                                PINNED_TRIANGLE_WITNESSES):
+        g = triangle_equivalence(t1, t2)
+        if pinned is None:
+            assert g is None
+            continue
+        assert (g.matrix, g.translation) == pinned
+        A, t = pinned
+        assert _tiny_det([list(r) for r in A]) in (1, -1)
+        assert tuple(apply_affine(A, t, x) for x in t1) == t2
+
+
+def test_witness_c_matches_affine_invariant():
+    # c of a line or plane is read from the extension of the witness simplex;
+    # the affine invariant reaches it on its own path, through min_den_point
+    # and the regular frame at the space's least denominator.  A base point
+    # of large denominator and short steps make c > 1 common in codimension
+    # one.
+    rng = random.Random(35)
+
+    def step(n):
+        while True:
+            d = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(d):
+                return d
+
+    cs = set()
+    for i in range(70):
+        n = 3 if i >= 40 or i % 2 else 2
+        v = rand_point(rng, n, 12, 1)
+        if i < 40:
+            s = rng.randint(1, 3)
+            space = [v, tuple(x + F(t, s) for x, t in zip(v, step(n)))]
+            inv, wit, _ = _side_with_witness(*space)
+        else:
+            space = [v] + [tuple(x + t for x, t in zip(v, step(n)))
+                           for _ in range(2)]
+            try:
+                ang = _angle_of(*space)
+            except NotInClass:
+                continue
+            inv, wit, _ = _angle_with_witness(ang)
+        c = affine_invariant(AffineSpace(space)).c
+        cs.add(c)
+        assert inv.c == c
+        assert len(wit) == n + 1
+        assert _tiny_det([list(lift(x)) for x in wit]) in (1, -1)
+        assert all(den(x) == c for x in wit[len(space):])
+    assert len(cs) > 3

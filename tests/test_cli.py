@@ -96,6 +96,31 @@ def test_budget_exit_5(tmp_path):
     assert "error" in json.loads(proc.stdout)
 
 
+def test_side_and_angle_invariants_need_no_capped_search(tmp_path):
+    # c of a line or plane is read from the witness extension, so a least
+    # denominator (65) above the cap runs no capped search; the uncapped
+    # library computes the same c through min_den_point
+    from fractions import Fraction
+    from afflat.affine import AffineSpace, affine_invariant
+    cap = {"AFFLAT_MAX_DEN": "8"}
+    seg = write(tmp_path, "s.json", {"a": ["1/65", "0"], "b": ["1/65", "1"]})
+    proc = run_cli(["invariant", "--kind", "segment", seg], env_extra=cap)
+    assert proc.returncode == 0
+    line = [(Fraction(1, 65), Fraction(0)), (Fraction(1, 65), Fraction(1))]
+    assert json.loads(proc.stdout) == {
+        "c": affine_invariant(AffineSpace(line)).c, "lambda1": "1/65",
+        "den_a": 65, "den_x1": 65}
+    ang = write(tmp_path, "a.json", {"v": ["1/65", "0", "0"],
+                                     "h": ["1/65", "1", "0"],
+                                     "k": ["1/65", "0", "1"]})
+    proc = run_cli(["equiv", "--kind", "angle", ang, ang], env_extra=cap)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "equivalent": True,
+        "map": {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "translation": [0, 0, 0]}}
+
+
 def test_bad_max_den_exit_2(tmp_path):
     f = write(tmp_path, "f.json", {"a": ["0"], "b": ["2/5"]})
     for bad in ("abc", "0", "-3", "1.5", ""):

@@ -231,3 +231,78 @@ def test_nonsquare_det_has_no_conjugate_pairs():
     assert E2.has_conjugate_pairs()
     d, pairs = min_index_pairs(E2)
     assert d == 3 and pairs
+
+
+def _pullback_oracle(co, A, t):
+    """Coefficients of x -> co(A x + t), by expanding the six monomials."""
+    a, b, c, d, e, f = co
+    (a11, a12), (a21, a22) = A
+    X = (a11, a12, t[0])  # X = a11 x + a12 y + t1, as (x, y, 1) coefficients
+    Y = (a21, a22, t[1])
+
+    def mul(p, q):
+        out = [0] * 6  # x^2, xy, y^2, x, y, 1
+        for i, j, slot in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 2),
+                           (0, 2, 3), (2, 0, 3), (1, 2, 4), (2, 1, 4),
+                           (2, 2, 5)):
+            out[slot] += p[i] * q[j]
+        return out
+
+    terms = [(a, mul(X, X)), (b, mul(X, Y)), (c, mul(Y, Y)),
+             (d, [0, 0, 0] + list(X)), (e, [0, 0, 0] + list(Y)),
+             (f, [0, 0, 0, 0, 0, 1])]
+    return tuple(sum(k * m[s] for k, m in terms) for s in range(6))
+
+
+ELLIPSE_CORPUS_CONICS = ((1, 0, 1, 0, 0, -1), (1, -2, 2, 0, 0, -1),
+                         (4, 0, 1, 0, 0, -1), (1, 0, 1, -2, 0, 0),
+                         (1, 0, 1, 0, 0, -4), (1, 0, 1, 0, 0, -1),
+                         (1, 0, 4, 0, 0, -1), (2, 2, 5, 0, 0, -9))
+
+
+def ellipse_witness_corpus():
+    """8 pairs of conics: one and its pullback by a random map's inverse (an
+    equivalent ellipse); the third of every four pairs it with the next
+    conic of the list, and the fourth with a disc of radius 2."""
+    rng = random.Random(14)
+    cases = []
+    for i, co in enumerate(ELLIPSE_CORPUS_CONICS):
+        co = tuple(F(x) for x in co)
+        ginv = rand_unimodular(rng, 2, tmax=2).inverse()
+        other = _pullback_oracle(co, ginv.matrix, ginv.translation)
+        if i % 4 == 2:
+            other = tuple(F(x) for x in ELLIPSE_CORPUS_CONICS[i + 1])
+        elif i % 4 == 3:
+            other = (F(1), F(0), F(1), F(0), F(0), F(-4))
+        cases.append((co, other))
+    return cases
+
+
+# (matrix, translation) per ellipse_witness_corpus case, or None; recorded
+# from the implementation that recomputed every invariant per decision
+PINNED_ELLIPSE_WITNESSES = [
+    (((1, 1), (0, -1)), (0, 0)),
+    (((2, 1), (-1, 0)), (-2, 2)),
+    None,
+    None,
+    (((1, 1), (0, -1)), (0, -2)),
+    (((2, 1), (1, 0)), (2, 0)),
+    None,
+    None,
+]
+
+
+def test_ellipse_equivalence_pinned_witnesses():
+    for (co1, co2), pinned in zip(ellipse_witness_corpus(),
+                                  PINNED_ELLIPSE_WITNESSES):
+        g = ellipse_equivalence(ellipse(conic(*co1)), ellipse(conic(*co2)))
+        if pinned is None:
+            assert g is None
+            continue
+        assert (g.matrix, g.translation) == pinned
+        A, t = pinned
+        assert A[0][0] * A[1][1] - A[0][1] * A[1][0] in (1, -1)
+        # co2(A x + t) is a nonzero multiple of co1(x)
+        pulled = _pullback_oracle(co2, A, t)
+        s = next(p / q for p, q in zip(pulled, co1) if q)
+        assert s != 0 and pulled == tuple(s * q for q in co1)

@@ -9,10 +9,10 @@ from afflat.core import (UniAffMap, apply, complete_to_lattice_basis, den,
                          extends_to_basis, farey_mediant, is_regular,
                          lattice_points_in, lift, simplex_map, unlift)
 from afflat.errors import InputError
-from afflat.intlinalg import det_int
+from afflat.intlinalg import det_int, invert_unimodular
 
-from helpers import (in_hull_by_dets, parallelepiped_extends, rand_point,
-                     rand_unimodular)
+from helpers import (_tiny_det, in_hull_by_dets, parallelepiped_extends,
+                     rand_point, rand_unimodular)
 
 F = Fraction
 
@@ -183,6 +183,27 @@ def test_simplex_map_inverse_composition():
 def test_simplex_map_rejects_mismatched_dens():
     with pytest.raises(InputError):
         simplex_map(((F(0),), (F(1),)), ((F(0),), (F(1, 2),)))
+
+
+def test_invert_unimodular_random():
+    rng = random.Random(29)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        A = rand_unimodular(rng, n, steps=rng.randint(0, 12)).matrix
+        inv = invert_unimodular(A)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for X, Y in ((A, inv), (inv, A)):
+            prod = tuple(tuple(sum(X[i][t] * Y[t][j] for t in range(n))
+                               for j in range(n)) for i in range(n))
+            assert prod == eye
+    with pytest.raises(InputError, match="singular"):
+        invert_unimodular(((1, 2), (2, 4)))
+    with pytest.raises(InputError, match="singular"):
+        invert_unimodular(((1, 0, 0), (0, 0, 0), (0, 0, 1)))
+    for bad in (((2,),), ((1, 1), (1, -1)), ((2, 0, 0), (0, 1, 0), (0, 0, 1))):
+        assert abs(_tiny_det([list(r) for r in bad])) == 2
+        with pytest.raises(InputError, match="not unimodular"):
+            invert_unimodular(bad)
 
 
 def test_farey_mediant_examples():

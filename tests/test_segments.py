@@ -9,8 +9,8 @@ from afflat.errors import InputError
 from afflat.segments import (hj_chain, lambda1, lambda1_via,
                              segment_equivalence, side_invariant)
 
-from helpers import (hj_chain_by_hull, hj_step_oracle, rand_segment,
-                     rand_unimodular)
+from helpers import (_tiny_det, apply_affine, hj_chain_by_hull, hj_step_oracle,
+                     rand_point, rand_segment, rand_unimodular)
 
 F = Fraction
 
@@ -184,3 +184,52 @@ def test_segment_equivalence_roundtrips():
         m = segment_equivalence((a, b), (g(a), g(b)))
         assert m is not None
         assert m(a) == g(a) and m(b) == g(b)
+
+
+def segment_witness_corpus():
+    """8 pairs in R^1-R^3, mostly R^2 and R^3 (where c comes from a
+    codimension-one or a searched extension): a segment and its image under
+    a random map; the third of every four is reversed and the fourth has a
+    random second endpoint."""
+    rng = random.Random(11)
+    cases = []
+    for i, n in enumerate((2, 3, 2, 3, 2, 1, 3, 2)):
+        a, b = rand_segment(rng, n, 5, 2)
+        g = rand_unimodular(rng, n)
+        a2, b2 = g(a), g(b)
+        if i % 4 == 2:
+            a2, b2 = b2, a2
+        while i % 4 == 3 and b2 in (g(b), a2):
+            b2 = rand_point(rng, n, 5, 2)
+        cases.append(((a, b), (a2, b2)))
+    return cases
+
+
+# (matrix, translation) per segment_witness_corpus case, or None; recorded
+# from the implementation that recomputed every invariant per decision
+PINNED_SEGMENT_WITNESSES = [
+    (((2821, 375), (-3152, -419)), (-2631, 2937)),
+    (((9801, 14116, 30345),
+      (-4258, -6132, -13181),
+      (1585, 2283, 4908)),
+     (-82, 33, -14)),
+    None,
+    None,
+    (((-2367617, -6562424), (-897091, -2486505)), (-2547768, -965352)),
+    (((-1,),), (-2,)),
+    None,
+    None,
+]
+
+
+def test_segment_equivalence_pinned_witnesses():
+    for ((a, b), (a2, b2)), pinned in zip(segment_witness_corpus(),
+                                          PINNED_SEGMENT_WITNESSES):
+        g = segment_equivalence((a, b), (a2, b2))
+        if pinned is None:
+            assert g is None
+            continue
+        assert (g.matrix, g.translation) == pinned
+        A, t = pinned
+        assert _tiny_det([list(r) for r in A]) in (1, -1)
+        assert apply_affine(A, t, a) == a2 and apply_affine(A, t, b) == b2
