@@ -19,7 +19,7 @@ from .convexity import simplex_barycentric
 from .core import (coords_in_lattice_basis, den, lift, saturated_span_basis,
                    unlift)
 from .errors import InputError, InternalCheckError, NotInClass
-from .intlinalg import complete_basis, rational_rank, rational_solve, xgcd
+from .intlinalg import complete_basis, rational_rank, span_solver, xgcd
 from .rationals import point, primitive, vadd, vscale, vsub
 from .segments import SideInvariant, _side_with_witness, _witness_decision
 
@@ -131,10 +131,11 @@ def max_regular_point(h):
 
 
 def _span_coords(basis, v):
-    sol = rational_solve(list(zip(*basis)), v)
-    if sol is None:
+    """Integer coordinates of a lattice vector of the span in its basis."""
+    try:
+        return coords_in_lattice_basis(basis, v)
+    except InputError:
         raise InternalCheckError("vector outside the sublattice span")
-    return sol
 
 
 def min_den_completion(ang):
@@ -167,12 +168,15 @@ def _completion(ang, q):
     cwh = _span_coords(basis, wh)
     cwk = _span_coords(basis, wk)
 
+    frame = span_solver([cv, cwh, cwk])
+
     def frame_coords(z3):
-        rows = list(zip(cv, cwh, cwk))
-        sol = rational_solve(rows, z3)
+        sol = frame(z3)
         if sol is None:
             raise InternalCheckError("frame decomposition failed")
-        return sol  # (a, b, c) over (lift(v), dir H, dir K)
+        y, d = sol
+        # (a, b, c) over (lift(v), dir H, dir K)
+        return tuple(Fraction(c, d) for c in y)
 
     a_s, b_s, c_s = frame_coords(s)
     if c_s == 0:

@@ -2,14 +2,29 @@
 
 A cone is a tuple of linearly independent primitive integer generators; a fan
 is a tuple of cones of equal dimension subdividing the original cone.
-Desingularization subdivides stellarly at a lattice point of the half-open
-fundamental parallelepiped until every cone's generators extend to a basis.
+
+A two-dimensional cone pos(p, q) is desingularized by its Hirzebruch-Jung
+chain p = x_0, ..., x_N = q: consecutive vectors are a basis of the saturated
+plane lattice, and x_{i-1} + x_{i+1} = b_i x_i with b_i >= 2.  A maximal
+stretch of b_i = 2 is an arithmetic progression, so the chain is kept as runs
+(start, step, count), each found with one division (_plane_runs; segments
+reads its chains off the same runs, on the endpoint lifts).
+
+In higher dimension, desingularization subdivides stellarly at the lattice
+point of the half-open fundamental parallelepiped with the least coefficient
+sum until every cone is regular.  The parallelepiped points are the |det|
+cosets of the generator lattice, read off a column echelon form and reduced
+into the parallelepiped through the adjugate, with no Fraction solve.
 """
 
+from fractions import Fraction
 from itertools import product
+from operator import mul
 
-from .errors import InputError
-from .intlinalg import is_part_of_basis, rational_rank, rational_solve
+from .core import coords_in_lattice_basis, saturated_span_basis
+from .errors import InputError, InternalCheckError
+from .intlinalg import (adjugate, column_echelon, det_int, is_part_of_basis,
+                        rational_rank, span_solver, xgcd)
 from .rationals import content, intvec
 
 
@@ -29,14 +44,11 @@ def cone(generators):
 
 def cone_coords(gens, v):
     """Rational coefficients of v over the generators, or None off-span."""
-    cols = list(zip(*gens))
-    sol = rational_solve(cols, v)
+    sol = span_solver(gens)(v)
     if sol is None:
         return None
-    for j in range(len(v)):
-        if sum(sol[i] * gens[i][j] for i in range(len(gens))) != v[j]:
-            return None
-    return sol
+    y, d = sol
+    return tuple(Fraction(c, d) for c in y)
 
 
 def cone_contains(gens, v):
@@ -48,26 +60,97 @@ def is_regular_cone(gens):
     return is_part_of_basis(list(gens), len(gens[0]))
 
 
+def _walk_runs(p, q):
+    """Runs (start, step, count) of the chain from p to q in Z^2, for
+    primitive p and det[p, q] != 0; the chain visits start + j step for
+    j < count in each run, then q.
+
+    With h(x) = |det[x, q]|, which falls strictly along the chain, the
+    successor of x after its predecessor w is b x - w, b = ceil(h(w) / h(x)).
+    A run from x with step s (h falling by e per step) lasts h(x) // e steps
+    and ends at z with h(z) = h(x) mod e; there b >= 3, so the step changes.
+    """
+    eps = 1 if p[0] * q[1] - p[1] * q[0] > 0 else -1
+
+    def height(x):
+        return eps * (x[0] * q[1] - x[1] * q[0])
+
+    g, s, t = xgcd(p[0], p[1])
+    if g != 1:
+        raise InternalCheckError("chain vector lost primitivity")
+    # det[p, w] = eps; the first successor is w + k p with the least k that
+    # keeps it in the cone
+    w = (-eps * t, eps * s)
+    x, hx = p, height(p)
+    k = -(height(w) // hx)
+    y = (w[0] + k * x[0], w[1] + k * x[1])
+    hy = height(y)
+    runs = []
+    while True:
+        step = (y[0] - x[0], y[1] - x[1])
+        e = hx - hy
+        count = hx // e
+        runs.append((x, step, count))
+        z = (x[0] + count * step[0], x[1] + count * step[1])
+        hz = hx - count * e
+        if hz == 0:
+            break
+        b = -(-(hz + e) // hz)
+        y = ((b - 1) * z[0] + step[0], (b - 1) * z[1] + step[1])
+        x, hx, hy = z, hz, (b - 1) * hz - e
+    if z != q:
+        raise InternalCheckError("chain walk missed its end")
+    return runs
+
+
+def _plane_runs(p, q):
+    """Maximal runs (start, step, count) of the Hirzebruch-Jung chain from p
+    to q, linearly independent primitive integer vectors of any length: the
+    walk runs in coordinates of the saturated lattice of their plane."""
+    if len(p) == 2:
+        return _walk_runs(p, q)
+    basis = saturated_span_basis([p, q])
+    if len(basis) != 2:
+        raise InternalCheckError("chain ends span the wrong rank")
+    b0, b1 = basis
+
+    def embed(z):
+        return tuple(z[0] * c0 + z[1] * c1 for c0, c1 in zip(b0, b1))
+
+    runs = _walk_runs(coords_in_lattice_basis(basis, p),
+                      coords_in_lattice_basis(basis, q))
+    return [(embed(x), embed(s), c) for x, s, c in runs]
+
+
 def parallelepiped_points(gens):
     """Nonzero integer points of the half-open fundamental parallelepiped
-    of the generators, with exact coefficient filtering."""
-    m = len(gens[0])
-    t = len(gens)
-    corners = []
-    for mask in product((0, 1), repeat=t):
-        corners.append(tuple(sum(mask[i] * gens[i][j] for i in range(t))
-                             for j in range(m)))
-    lo = [min(c[j] for c in corners) for j in range(m)]
-    hi = [max(c[j] for c in corners) for j in range(m)]
+    of the generators, as (coefficients, point) sorted by point.
+
+    They stand for the nonzero cosets of the generators' lattice in the
+    saturated lattice of their span.  With C the generators' coordinates
+    there (as columns), a column echelon form of C is triangular, and the
+    box of its diagonal holds one representative y per coset.  With D =
+    det C, (adj(C) y mod |D|) / |D| are the coefficients of the point of the
+    coset of sign(D) y, and as y runs over all cosets so does sign(D) y.
+    """
+    t, m = len(gens), len(gens[0])
+    if t == m:
+        cols = gens
+    else:
+        basis = saturated_span_basis(gens)
+        cols = [coords_in_lattice_basis(basis, g) for g in gens]
+    mat = [[c[i] for c in cols] for i in range(t)]
+    size = abs(det_int(mat))
+    adj = adjugate(mat)
+    hcols, _, pivots = column_echelon(mat)
     out = []
-    for combo in product(*[range(lo[j], hi[j] + 1) for j in range(m)]):
-        if all(c == 0 for c in combo):
+    for y in product(*[range(hcols[c][r]) for r, c in pivots]):
+        if not any(y):
             continue
-        sol = cone_coords(gens, combo)
-        if sol is None:
-            continue
-        if all(0 <= c < 1 for c in sol):
-            out.append((sol, combo))
+        r = [sum(map(mul, row, y)) % size for row in adj]
+        pt = tuple(sum(map(mul, r, coord)) // size for coord in zip(*gens))
+        out.append((tuple(Fraction(ri, size) for ri in r), pt))
+    out.sort(key=lambda sc: sc[1])
     return out
 
 
@@ -99,11 +182,18 @@ def stellar_subdivide(fan, p):
 def desingularize(generators):
     """Regular fan subdividing the simplicial cone pos[generators].
 
-    Stellar-subdivides at the parallelepiped point with minimal coefficient
-    sum (lex ties) until every cone is regular; terminates because the
-    subdivided cone's multiplicity strictly decreases.
+    Two generators: the cones between consecutive vectors of the chain.
+    More: stellar-subdivides at the parallelepiped point with minimal
+    coefficient sum (lex ties) until every cone is regular; terminates
+    because the subdivided cone's multiplicity strictly decreases.
     """
     start = cone(generators)
+    if len(start) == 2:
+        rays = [tuple(x + j * s for x, s in zip(x0, step))
+                for x0, step, count in _plane_runs(*start)
+                for j in range(count)]
+        rays.append(start[1])
+        return tuple(sorted(tuple(sorted(pair)) for pair in zip(rays, rays[1:])))
     fan = (start,)
     while True:
         target = None

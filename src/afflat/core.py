@@ -13,7 +13,7 @@ from operator import mul
 from . import convexity
 from .errors import InputError, InternalCheckError
 from .intlinalg import (complete_basis, integer_kernel, invert_unimodular,
-                        is_part_of_basis, mat_mul, mat_vec, rational_solve)
+                        is_part_of_basis, mat_mul, mat_vec, span_solver)
 from .rationals import content, den, intvec, lift, point, vadd
 
 
@@ -200,27 +200,32 @@ def lattice_points_in(region, max_den):
     """All rational points of denominator <= max_den inside conv(region).
 
     region: finite set of rational points (its convex hull is the region).
-    Returns points sorted by (denominator, coordinates).  Each grid vector
-    combo/k is tested on its lift (combo, k) by the hull's integer rows; a
-    combo with gcd(k, *combo) > 1 is skipped, since its point has a smaller
-    denominator and was found at that one.
+    Returns points sorted by (denominator, coordinates).
     """
     if max_den < 1:
         raise InputError("max_den must be positive")
     poly = convexity.Polytope(region)
-    pts = sorted({point(p) for p in region})
-    n = len(pts[0])
-    lo = [min(p[i] for p in pts) for i in range(n)]
-    hi = [max(p[i] for p in pts) for i in range(n)]
     found = []
     for k in range(1, max_den + 1):
-        ranges = [range(math.ceil(lo[i] * k), math.floor(hi[i] * k) + 1)
-                  for i in range(n)]
-        # product order is coordinate order within one denominator
-        for combo in product(*ranges):
-            if math.gcd(k, *combo) == 1 and poly.contains_lift(combo + (k,)):
-                found.append(tuple(Fraction(c, k) for c in combo))
+        found += lattice_points_at(poly, k)
     return found
+
+
+def lattice_points_at(poly, k):
+    """The points of denominator exactly k in a convexity.Polytope, in
+    coordinate order.  Each grid vector combo/k is tested on its lift
+    (combo, k) by the polytope's integer rows; a combo with gcd(k, *combo)
+    > 1 is skipped, since its point has a smaller denominator.
+    """
+    pts = poly.vertices
+    n = len(pts[0])
+    ranges = [range(math.ceil(min(p[i] for p in pts) * k),
+                    math.floor(max(p[i] for p in pts) * k) + 1)
+              for i in range(n)]
+    # product order is coordinate order
+    return [tuple(Fraction(c, k) for c in combo)
+            for combo in product(*ranges)
+            if math.gcd(k, *combo) == 1 and poly.contains_lift(combo + (k,))]
 
 
 def saturated_span_basis(vectors):
@@ -235,17 +240,10 @@ def saturated_span_basis(vectors):
 
 def coords_in_lattice_basis(basis, v):
     """Integer coordinates of v in the given lattice basis (exact)."""
-    cols = list(zip(*basis))
-    sol = rational_solve(cols, v)
+    sol = span_solver(basis)(v)
     if sol is None:
         raise InputError("vector outside the lattice span")
-    out = []
-    for c in sol:
-        if c.denominator != 1:
-            raise InputError("vector not in the lattice generated by the basis")
-        out.append(c.numerator)
-    # verify exactly (rational_solve zero-fills free vars)
-    for j in range(len(v)):
-        if sum(out[i] * basis[i][j] for i in range(len(basis))) != v[j]:
-            raise InputError("vector outside the lattice span")
-    return tuple(out)
+    y, d = sol
+    if any(c % d for c in y):
+        raise InputError("vector not in the lattice generated by the basis")
+    return tuple(c // d for c in y)

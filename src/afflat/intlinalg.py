@@ -9,6 +9,7 @@ Determinants, adjugates and unimodular inverses are fraction-free (Bareiss).
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import InputError
 from .rationals import rat
@@ -62,6 +63,38 @@ def adjugate(rows):
             c = det_int(minor)
             adj[i][t] = c if (i + t) % 2 == 0 else -c
     return adj
+
+
+def span_solver(vectors):
+    """Fraction-free coordinates over linearly independent integer vectors.
+
+    Returns solve(v) -> (y, d) with sum_i y_i vectors_i = d v, where d is
+    the nonzero determinant of an invertible row subset R of the matrix with
+    the vectors as columns and y = adj(A_R) v_R; solve(v) is None when v is
+    off their span.  Raises InputError on dependent vectors.
+    """
+    vecs = [tuple(v) for v in vectors]
+    t = len(vecs)
+    m = len(vecs[0])
+    for rows in combinations(range(m), t):
+        sub = [[v[i] for v in vecs] for i in rows]
+        d = det_int(sub)
+        if d:
+            break
+    else:
+        raise InputError("vectors are linearly dependent")
+    adj = adjugate(sub)
+    checks = [(i, [v[i] for v in vecs]) for i in range(m) if i not in rows]
+
+    def solve(v):
+        vr = [v[i] for i in rows]
+        y = [sum(map(mul, r, vr)) for r in adj]
+        for i, row in checks:
+            if sum(map(mul, row, y)) != d * v[i]:
+                return None
+        return y, d
+
+    return solve
 
 
 def rational_rank(rows):

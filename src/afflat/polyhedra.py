@@ -19,11 +19,12 @@ from .cones import desingularize, fan_rays
 from .convexity import (AffineHull, Polytope, affine_rank, clip_simplex,
                         placing_triangulation, simplex_barycentric,
                         simplex_tester, split_spanning)
-from .core import (UniAffMap, den, is_regular, lattice_points_in, lift,
+from .core import (UniAffMap, den, is_regular, lattice_points_at, lift,
                    simplex, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
 from .intlinalg import invert_unimodular, mat_mul, minor_gcd
 from .rationals import canon_primitive
+from .segments import _den_runs
 
 __all__ = [
     "polyhedron", "convex_hull", "Hull", "desingularize", "fan_rays",
@@ -241,14 +242,16 @@ def regular_simplex_in(points):
     return out
 
 
-def _min_den_regular_frame(hull_points, e):
-    """Smallest-denominator regular e-frame inside conv(hull_points),
-    searched in (denominator, coords)-lexicographic DFS order."""
+def _min_den_regular_frame(poly, e):
+    """Smallest-denominator regular e-frame inside the Polytope, searched in
+    (denominator, coords)-lexicographic DFS order; round d adds the points
+    of denominator d to those already found."""
+    pts = []
     d = 0
     while True:
         d += 1
         budget.check(d, "regular frame search")
-        pts = lattice_points_in(hull_points, d)
+        pts += lattice_points_at(poly, d)
         found = _frame_dfs([], pts, e + 1)
         if found is not None:
             return tuple(found)
@@ -292,7 +295,7 @@ def polyhedron_equivalence(P, Q):
     e = FP.dim
     CP = Polytope(poly_vertices(P))
     CQ = Polytope(poly_vertices(Q))
-    frame = _min_den_regular_frame(CP.vertices, e)
+    frame = _min_den_regular_frame(CP, e)
     _, ext = extend_frame(frame)
     V = frame + ext
     g_rest = tuple(gamma(p) for p in ext)
@@ -336,17 +339,17 @@ def polyhedron_equivalence(P, Q):
         if len(base) == e + 1:
             break
     bary = [simplex_barycentric(tuple(base), r) for r in frame]
-    from .segments import hj_chain
+    # chain denominator sequences, compared run-encoded
     ref_dens = {}
     for i in range(e + 1):
         for j in range(i):
-            ref_dens[(j, i)] = tuple(den(x) for x in hj_chain(base[j], base[i]))
+            ref_dens[(j, i)] = _den_runs(base[j], base[i])
     pair_cache = {}
 
     def pair_dens(a, b):
         key = (a, b)
         if key not in pair_cache:
-            pair_cache[key] = tuple(den(x) for x in hj_chain(a, b))
+            pair_cache[key] = _den_runs(a, b)
         return pair_cache[key]
 
     def check_candidate(images):

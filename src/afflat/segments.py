@@ -3,9 +3,14 @@ length lambda_1, and the complete side invariant with its orbit decision.
 
 The chain of a segment conv(a, b) is the unique list a = x_0, ..., x_u+1 = b
 such that every conv(x_i, x_i+1) is regular and each x_i+1 is the smallest-
-denominator (equivalently farthest) regular partner of x_i towards b.  Each
-step is closed-form in the rank-2 saturated sublattice spanned by the two
-endpoint lifts.
+denominator (equivalently farthest) regular partner of x_i towards b.  Its
+lifts are the Hirzebruch-Jung chain of the cone over the endpoint lifts
+(cones._plane_runs), kept as maximal runs (start, step, count) of arithmetic
+progressions; a chain has at most one run more than half the partial
+quotients (rounded up) of the regular continued fraction of that cone.
+lambda_1, the side invariant, the witness marks and the polyhedron pair
+filter read the runs, so they take time independent of the chain's length;
+only hj_chain expands them.
 
 Every kind computes its invariant once, with a witness simplex and marked
 points (_side_with_witness here); _witness_decision, shared by all kinds,
@@ -13,17 +18,17 @@ compares two invariants, maps one witness onto the other, and checks that the
 map carries the marked points.
 """
 
-import math
+import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 from .affine import extend_frame
 from .complexes import Triangulation
-from .core import (coords_in_lattice_basis, den, is_regular, lift,
-                   saturated_span_basis, simplex_map, unlift)
-from .errors import InputError, InternalCheckError
-from .intlinalg import xgcd
-from .rationals import point, vadd, vscale
+from .cones import _plane_runs
+from .core import den, is_regular, lift, simplex_map, unlift
+from .errors import InputError, InternalCheckError, SearchBudgetExceeded
+from .rationals import point, vadd
 
 
 class SideInvariant(NamedTuple):
@@ -42,57 +47,56 @@ def segment(a, b):
     return pa, pb
 
 
-def _complete_primitive_2d(p):
-    """u with det [p u] = 1 for primitive p in Z^2."""
-    g, x, y = xgcd(p[0], p[1])
-    if g != 1:
-        raise InternalCheckError("chain vector lost primitivity")
-    return (-y, x)
+def _chain_runs(a, b):
+    """The segment's endpoints and the maximal runs (start, step, count) of
+    its chain's lifts: each run holds the lifts start + j step, j < count,
+    and the chain ends at b."""
+    a, b = segment(a, b)
+    return a, b, _plane_runs(lift(a), lift(b))
 
 
 def hj_chain(a, b):
-    """The canonical regular chain of the oriented segment conv(a, b).
-
-    Works in coordinates of the saturated rank-2 sublattice containing both
-    lifts: successors of a primitive vector p are +-u + k p for any basis
-    completion u; the admissible sign points towards b and the minimal
-    admissible k gives the minimal denominator.
-    """
-    a, b = segment(a, b)
-    la, lb = lift(a), lift(b)
-    basis = saturated_span_basis([la, lb])
-    if len(basis) != 2:
-        raise InternalCheckError("segment lifts span the wrong rank")
-    ca = coords_in_lattice_basis(basis, la)
-    cb = coords_in_lattice_basis(basis, lb)
-
-    def embed(z):
-        return vadd(vscale(z[0], basis[0]), vscale(z[1], basis[1]))
-
-    chain = [a]
-    cur = ca
-    while cur != cb:
-        u = _complete_primitive_2d(cur)
-        det = cur[0] * cb[1] - cur[1] * cb[0]
-        sigma_u = Fraction(u[0] * cb[1] - u[1] * cb[0], det)
-        tau_u = Fraction(cur[0] * u[1] - cur[1] * u[0], det)
-        eps = 1 if tau_u > 0 else -1
-        sigma = eps * sigma_u
-        k = math.ceil(-sigma)
-        nxt = (eps * u[0] + k * cur[0], eps * u[1] + k * cur[1])
-        chain.append(unlift(embed(nxt)))
-        cur = nxt
+    """The canonical regular chain of the oriented segment conv(a, b),
+    expanded from its runs: vertex j of a run is (num + j dnum) / (d + j dd)
+    for the run's start lift (num, d) and step (dnum, dd)."""
+    a, b, runs = _chain_runs(a, b)
+    size = 1 + sum(count for _, _, count in runs)
+    if size > sys.maxsize:
+        raise SearchBudgetExceeded(
+            "a chain of %d vertices is longer than any list" % size)
+    chain = []
+    for start, step, count in runs:
+        d, dd = start[-1], step[-1]
+        chain += zip(*[map(Fraction, _progression(x, s, count),
+                           _progression(d, dd, count))
+                       for x, s in zip(start[:-1], step[:-1])])
+    chain.append(b)
     return tuple(chain)
 
 
-def _chain_lambda1(dens):
-    """Sum of 1/(d_i d_{i+1}) over the chain's consecutive denominators."""
-    return sum(Fraction(1, dens[i] * dens[i + 1]) for i in range(len(dens) - 1))
+def _progression(x, s, count):
+    """x, x + s, ..., x + (count - 1) s."""
+    return range(x, x + count * s, s) if s else repeat(x, count)
+
+
+def _runs_lambda1(runs):
+    """Sum of 1/(d_i d_{i+1}) along the chain: within a run the denominators
+    are d_0 + j dd, so the sum telescopes to count / (d_first d_last)."""
+    return sum(Fraction(count, start[-1] * (start[-1] + count * step[-1]))
+               for start, step, count in runs)
+
+
+def _den_runs(a, b):
+    """The chain's denominator sequence as runs (first, step, count).  A run
+    of lifts is a maximal run of denominators too, since the denominator step
+    changes by (b_i - 2) den(x_i) > 0 where the lift step changes."""
+    return tuple((start[-1], step[-1], count)
+                 for start, step, count in _chain_runs(a, b)[2])
 
 
 def lambda1(a, b):
     """Sum of 1/(den(x_i) den(x_{i+1})) along the canonical chain."""
-    return _chain_lambda1([den(x) for x in hj_chain(a, b)])
+    return _runs_lambda1(_chain_runs(a, b)[2])
 
 
 def _chain_of_triangulation(a, b, tri):
@@ -144,12 +148,18 @@ def lambda1_via(a, b, tri):
 def _side_with_witness(a, b):
     """(side invariant, witness simplex, marks).  The witness extends the
     chain's first cell; the extension denominator is c of the line, as that
-    depends only on the line's lattice, of which the cell's lifts are a basis."""
-    chain = hj_chain(a, b)
-    dens = [den(x) for x in chain]
-    c, ext = extend_frame(chain[:2])
-    inv = SideInvariant(c, _chain_lambda1(dens), dens[0], dens[1])
-    return inv, chain[:2] + ext, {"the chain": chain}
+    depends only on the line's lattice, of which the cell's lifts are a basis.
+    The marks are the first two vertices of each run and b: a map carrying
+    them carries each run's start and step lift, hence the whole chain."""
+    a, b, runs = _chain_runs(a, b)
+    marks = []
+    for start, step, _ in runs:
+        marks += [unlift(start), unlift(vadd(start, step))]
+    marks.append(b)
+    first = (a, marks[1])
+    c, ext = extend_frame(first)
+    inv = SideInvariant(c, _runs_lambda1(runs), den(a), den(marks[1]))
+    return inv, first + ext, {"the chain": tuple(marks)}
 
 
 def _witness_decision(found1, found2):

@@ -259,6 +259,91 @@ def hj_chain_by_hull(a, b):
     return tuple(Fraction(p[0], p[1]) for p in full)
 
 
+# --- stellar desingularization oracle --------------------------------------
+
+def _cramer(gens):
+    """For independent integer generators: v -> (numerators, d) with the
+    coefficients of v equal to numerators / d (d > 0), by Cramer's rule on
+    the first invertible row subset; None when v is off their span."""
+    t, m = len(gens), len(gens[0])
+    for rows in combinations(range(m), t):
+        sub = [[g[i] for g in gens] for i in rows]
+        d = _tiny_det(sub)
+        if d:
+            break
+    sign = 1 if d > 0 else -1
+    # numerator j is the determinant of sub with column j replaced by v,
+    # expanded along that column
+    cof = [[sign * (-1) ** (k + j) *
+            _tiny_det([r[:j] + r[j + 1:] for q, r in enumerate(sub) if q != k])
+            for k in range(t)] for j in range(t)]
+
+    def solve(v):
+        vr = [v[i] for i in rows]
+        nums = [sum(c * x for c, x in zip(row, vr)) for row in cof]
+        if any(sum(c * g[i] for c, g in zip(nums, gens)) != abs(d) * v[i]
+               for i in range(m)):
+            return None
+        return nums, abs(d)
+
+    return solve
+
+
+def box_parallelepiped_points(gens):
+    """(coefficients, point) for every nonzero integer point of the half-open
+    fundamental parallelepiped, by scanning its bounding box."""
+    t, m = len(gens), len(gens[0])
+    corners = [tuple(sum(mask[i] * gens[i][j] for i in range(t))
+                     for j in range(m))
+               for mask in product((0, 1), repeat=t)]
+    lo = [min(c[j] for c in corners) for j in range(m)]
+    hi = [max(c[j] for c in corners) for j in range(m)]
+    solve = _cramer(gens)
+    out = []
+    for x in product(*[range(lo[j], hi[j] + 1) for j in range(m)]):
+        sol = solve(x) if any(x) else None
+        if sol is not None and all(0 <= c < sol[1] for c in sol[0]):
+            out.append((tuple(Fraction(c, sol[1]) for c in sol[0]), x))
+    return out
+
+
+def _unit_cone(gens):
+    """The generators extend to a basis: their maximal minors have gcd 1."""
+    t, m = len(gens), len(gens[0])
+    g = 0
+    for rows in combinations(range(m), t):
+        g = math.gcd(g, _tiny_det([[v[i] for v in gens] for i in rows]))
+    return g == 1
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return tuple(a // g for a in v)
+
+
+def stellar_desingularize(generators):
+    """Regular fan of pos[generators] by repeated stellar subdivision at the
+    box-scanned parallelepiped point with the least coefficient sum (ties by
+    the point), until every cone extends to a basis."""
+    fan = (tuple(sorted(_primitive(g) for g in generators)),)
+    while True:
+        target = next((c for c in fan if not _unit_cone(c)), None)
+        if target is None:
+            return fan
+        p = _primitive(min(box_parallelepiped_points(target),
+                           key=lambda sc: (sum(sc[0]), sc[1]))[1])
+        new = set()
+        for c in fan:
+            sol = _cramer(c)(p)
+            if sol is None or any(x < 0 for x in sol[0]):
+                new.add(c)
+                continue
+            for i, coef in enumerate(sol[0]):
+                if coef > 0:
+                    new.add(tuple(sorted(c[:i] + c[i + 1:] + (p,))))
+        fan = tuple(sorted(new))
+
+
 # --- Legendre brute force --------------------------------------------------
 
 def legendre_brute(p, q, r):

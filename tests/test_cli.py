@@ -121,6 +121,26 @@ def test_side_and_angle_invariants_need_no_capped_search(tmp_path):
                 "translation": [0, 0, 0]}}
 
 
+def test_segment_invariants_at_length_1e30(tmp_path):
+    # lambda1 and the side invariant read the chain's runs, never its
+    # 1e30 vertices; on the line lambda1 is the length
+    seg = write(tmp_path, "s.json", {"a": ["1/3", "2"],
+                                     "b": ["1000000000000000000000000000000", "2"]})
+    length = "2999999999999999999999999999999/3"
+    proc = run_cli(["lambda1", seg])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"lambda1": length}
+    proc = run_cli(["invariant", "--kind", "segment", seg])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"c": 1, "lambda1": length,
+                                       "den_a": 3, "den_x1": 2}
+    # its chain has more vertices than a list can hold: a resource error
+    # at once, not a traceback
+    proc = run_cli(["hj", seg])
+    assert proc.returncode == 5
+    assert "error" in json.loads(proc.stdout) and not proc.stderr
+
+
 def test_bad_max_den_exit_2(tmp_path):
     f = write(tmp_path, "f.json", {"a": ["0"], "b": ["2/5"]})
     for bad in ("abc", "0", "-3", "1.5", ""):

@@ -5,8 +5,9 @@ from itertools import combinations, product
 
 import pytest
 
-from afflat.core import (UniAffMap, apply, complete_to_lattice_basis, den,
-                         extends_to_basis, farey_mediant, is_regular,
+from afflat.core import (UniAffMap, apply, complete_to_lattice_basis,
+                         coords_in_lattice_basis, den, extends_to_basis,
+                         farey_mediant, is_regular,
                          lattice_points_in, lift, simplex_map, unlift)
 from afflat.errors import InputError
 from afflat.intlinalg import det_int, invert_unimodular
@@ -204,6 +205,42 @@ def test_invert_unimodular_random():
         assert abs(_tiny_det([list(r) for r in bad])) == 2
         with pytest.raises(InputError, match="not unimodular"):
             invert_unimodular(bad)
+
+
+def test_coords_in_lattice_basis_random():
+    # integer combinations of random independent vectors come back exactly;
+    # a vector of the span outside the lattice and one off the span raise
+    rng = random.Random(30)
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        t = rng.randint(1, m)
+        basis = []
+        while len(basis) < t:
+            v = tuple(rng.randint(-4, 4) for _ in range(m))
+            if _rank(basis + [v]) == len(basis) + 1:
+                basis.append(v)
+        coef = tuple(rng.randint(-9, 9) for _ in range(t))
+        v = tuple(sum(c * b[i] for c, b in zip(coef, basis)) for i in range(m))
+        assert coords_in_lattice_basis(basis, v) == coef
+    with pytest.raises(InputError, match="not in the lattice"):
+        coords_in_lattice_basis([(2, 0), (0, 1)], (1, 0))
+    with pytest.raises(InputError, match="not in the lattice"):
+        coords_in_lattice_basis([(1, 1, 0), (1, -1, 0)], (1, 0, 0))
+    with pytest.raises(InputError, match="outside the lattice span"):
+        coords_in_lattice_basis([(1, 0, 0), (0, 1, 1)], (0, 1, 0))
+    with pytest.raises(InputError, match="dependent"):
+        coords_in_lattice_basis([(1, 2), (2, 4)], (1, 2))
+
+
+def _rank(vectors):
+    """Rank by the largest nonzero minor (tiny cofactor determinants)."""
+    m = len(vectors[0]) if vectors else 0
+    for k in range(len(vectors), 0, -1):
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(len(vectors)), k):
+                if _tiny_det([[vectors[j][i] for j in cols] for i in rows]):
+                    return k
+    return 0
 
 
 def test_farey_mediant_examples():

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from afflat.cones import cone, desingularize, fan_rays, is_regular_cone
+from afflat.cones import (cone, desingularize, fan_rays, is_regular_cone,
+                          parallelepiped_points)
 from afflat.core import is_regular, lift, simplex
 from afflat.errors import InputError
 from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
@@ -11,7 +13,8 @@ from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
                               triangulate)
 from afflat.segments import hj_chain, lambda1
 
-from helpers import _tiny_det, in_hull_by_dets, rand_point, rand_unimodular
+from helpers import (_tiny_det, box_parallelepiped_points, in_hull_by_dets,
+                     rand_point, rand_unimodular, stellar_desingularize)
 
 F = Fraction
 
@@ -74,6 +77,53 @@ def test_desingularize_matches_hj_for_segment_cones():
         rays = sorted(fan_rays(fan), key=lambda r: F(r[0], r[1]))
         chain = [lift(x) for x in hj_chain(*sorted([a, b]))]
         assert rays == chain
+
+
+def test_desingularize_2d_matches_stellar_exhaustively():
+    prim = [(x, y) for x in range(-5, 6) for y in range(-5, 6)
+            if math.gcd(x, y) == 1]
+    cones = {tuple(sorted((p, q))) for p in prim for q in prim
+             if p[0] * q[1] - p[1] * q[0] != 0}
+    assert len(cones) == 3120
+    for c in sorted(cones):
+        assert desingularize(c) == stellar_desingularize(c), c
+
+
+def rand_cone(rng, m, t, emax):
+    gens = []
+    while len(gens) < t:
+        v = tuple(rng.randint(-emax, emax) for _ in range(m))
+        try:
+            gens = list(cone(gens + [v]))
+        except InputError:
+            continue
+    return gens
+
+
+def test_desingularize_matches_stellar_in_higher_dimension():
+    # two generators in Z^3 and Z^4 walk their plane's chain; three or more
+    # subdivide stellarly at the coset-enumerated parallelepiped points
+    rng = random.Random(54)
+    cases = [[(1, 0, 0), (0, 1, 0), (1, 1, 12)], [(1, 0, 0), (0, 1, 0), (1, 2, 7)]]
+    for m, t in [(3, 2), (4, 2), (3, 3), (4, 3)] * 5:
+        cases.append(rand_cone(rng, m, t, 3))
+    for gens in cases:
+        assert desingularize(gens) == stellar_desingularize(gens), gens
+
+
+def test_parallelepiped_points_match_box_scan():
+    rng = random.Random(55)
+    seen = 0
+    while seen < 40:
+        m = rng.choice([3, 4])
+        t = rng.choice([m, m, m - 1])
+        gens = rand_cone(rng, m, t, 3)
+        pts = parallelepiped_points(gens)
+        if len(pts) + 1 > 60:
+            continue
+        assert set(pts) == set(box_parallelepiped_points(gens)), gens
+        assert len(set(pts)) == len(pts)
+        seen += 1
 
 
 def test_desingularize_rejects_dependent():

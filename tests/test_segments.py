@@ -1,12 +1,14 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from afflat.complexes import Triangulation, blow_up
-from afflat.core import farey_mediant, is_regular
+from afflat.core import den, farey_mediant, is_regular, lift
 from afflat.errors import InputError
-from afflat.segments import (hj_chain, lambda1, lambda1_via,
+from afflat.segments import (_chain_runs, hj_chain, lambda1, lambda1_via,
                              segment_equivalence, side_invariant)
 
 from helpers import (_tiny_det, apply_affine, hj_chain_by_hull, hj_step_oracle,
@@ -233,3 +235,137 @@ def test_segment_equivalence_pinned_witnesses():
         A, t = pinned
         assert _tiny_det([list(r) for r in A]) in (1, -1)
         assert apply_affine(A, t, a) == a2 and apply_affine(A, t, b) == b2
+
+
+# --- run-length chains ------------------------------------------------------
+
+def canonical_corpus():
+    """Canonical R^1 segments alpha -> beta of lattice length about 1 to 1e4,
+    in both orientations, with integer and non-integer endpoints (small
+    denominators on the longest, to keep the hull oracle cheap)."""
+    rng = random.Random(28)
+    cases = []
+    for length in (1, 2, 7, 60, 500, 3000, 10 ** 4):
+        dmax = 2 if length > 1000 else 6
+        for integral in (True, False):
+            alpha = F(rng.randint(-9, 9))
+            if not integral:
+                alpha += F(rng.randint(1, dmax - 1), dmax)
+            beta = alpha + length + F(rng.randint(0, dmax - 1), dmax)
+            cases += [(alpha, beta), (beta, alpha)]
+    return cases
+
+
+def test_hj_runs_expand_to_oracle_chains():
+    rng = random.Random(29)
+    for i, (alpha, beta) in enumerate(canonical_corpus()):
+        want = hj_chain_by_hull((alpha,), (beta,))
+        assert tuple(x[0] for x in hj_chain((alpha,), (beta,))) == want
+        # the same segment at an integer height in R^2 or R^3, presented by
+        # a random map; the oracle chain is mapped on integer lifts
+        n = 2 + i % 2
+        g = rand_unimodular(rng, n)
+        A, t = g.matrix, g.translation
+        z = tuple(rng.randint(-3, 3) for _ in range(n - 1))
+        a = apply_affine(A, t, (alpha,) + z)
+        b = apply_affine(A, t, (beta,) + z)
+        mapped = []
+        for x in want:
+            num = (x.numerator,) + tuple(c * x.denominator for c in z)
+            mapped.append(tuple(sum(r * c for r, c in zip(row, num)) + s * x.denominator
+                                for row, s in zip(A, t)) + (x.denominator,))
+        assert [lift(x) for x in hj_chain(a, b)] == mapped
+
+
+def test_hj_runs_expand_to_step_oracle_in_r3():
+    rng = random.Random(30)
+    done = 0
+    while done < 8:
+        a, b = rand_segment(rng, 3, 4, 1)
+        if any(abs(x - y) > 1 for x, y in zip(a, b)):
+            continue
+        chain = hj_chain(a, b)
+        for x, y in zip(chain, chain[1:]):
+            assert hj_step_oracle(x, b) == y
+        assert hj_chain(b, a) == chain[::-1]
+        done += 1
+
+
+def _cf_length(p, q):
+    """Number of partial quotients of the regular continued fraction p/q."""
+    n = 0
+    while q:
+        p, q = q, p % q
+        n += 1
+    return n
+
+
+def _bezout(x, y):
+    """(s, t) with s x + t y = 1 for coprime x, y."""
+    if y == 0:
+        return (1 if x == 1 else -1), 0
+    s, t = _bezout(y, x % y)
+    return t, s - (x // y) * t
+
+
+def test_run_count_within_continued_fraction_length():
+    # pos(p, q) is the cone of type n/k: n = |det[p, q]|, q = k p mod n.
+    # Its Hirzebruch-Jung coefficients other than 2 come one per two partial
+    # quotients of n/k, and each ends a run; runs are maximal
+    rng = random.Random(31)
+    for _ in range(400):
+        alpha = F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** rng.randint(0, 6)))
+        beta = alpha + F(rng.randint(1, 10 ** rng.randint(1, 30)),
+                         rng.randint(1, 10 ** rng.randint(0, 6)))
+        if rng.random() < 0.5:
+            alpha, beta = beta, alpha
+        p, q = lift((alpha,)), lift((beta,))
+        n = abs(p[0] * q[1] - p[1] * q[0])
+        s, t = _bezout(*p)
+        k = (s * q[0] + t * q[1]) % n
+        runs = _chain_runs((alpha,), (beta,))[2]
+        assert len(runs) <= (_cf_length(n, k) + 1) // 2 + 1
+        assert all(r[1] != s[1] for r, s in zip(runs, runs[1:]))
+        g = rand_unimodular(rng, 2)
+        a, b = g((alpha, F(1))), g((beta, F(1)))
+        assert len(_chain_runs(a, b)[2]) == len(runs)
+
+
+def test_lambda1_closed_form_on_long_segments():
+    rng = random.Random(32)
+    for alpha, beta in canonical_corpus() + [(F(1, 3), F(10 ** 30)),
+                                             (F(10 ** 30, 7), F(-5, 2))]:
+        assert lambda1((alpha,), (beta,)) == abs(beta - alpha)
+        g = rand_unimodular(rng, 3)
+        a, b = g((alpha, F(2), F(-1))), g((beta, F(2), F(-1)))
+        assert lambda1(a, b) == abs(beta - alpha)
+
+
+def test_side_invariant_and_equivalence_at_length_1e30():
+    rng = random.Random(33)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            alpha = F(rng.randint(-50, 50), rng.randint(1, 12))
+            beta = alpha + 10 ** 30 + F(rng.randint(0, 20), 21)
+            if rng.random() < 0.5:
+                alpha, beta = beta, alpha
+            z = tuple(F(rng.randint(-3, 3)) for _ in range(n - 1))
+            g = rand_unimodular(rng, n)
+            a, b = g((alpha,) + z), g((beta,) + z)
+            step = 1 if beta > alpha else -1
+            # x_1 depends on alpha mod 1 and the direction only
+            frac = alpha - math.floor(alpha)
+            den_x1 = den(hj_chain_by_hull((frac,), (frac + step,))[1:2])
+            h = rand_unimodular(rng, n)
+            longer = g((beta + step,) + z)
+            start = time.perf_counter()
+            lam = lambda1(a, b)
+            inv = side_invariant(a, b)
+            m = segment_equivalence((a, b), (h(a), h(b)))
+            none = segment_equivalence((a, b), (a, longer))
+            assert time.perf_counter() - start < 1
+            assert lam == abs(beta - alpha)
+            assert inv == (1, abs(beta - alpha), den((alpha,)), den_x1)
+            assert apply_affine(m.matrix, m.translation, a) == h(a)
+            assert apply_affine(m.matrix, m.translation, b) == h(b)
+            assert none is None
