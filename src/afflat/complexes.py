@@ -2,10 +2,11 @@
 
 from itertools import combinations
 
-from .convexity import AffineHull, simplex_contains
+from .convexity import AffineHull, _simplex_rows, simplex_contains
 from .core import farey_mediant, simplex
 from .errors import InputError
 from .intlinalg import rational_rank, rational_solve
+from .rationals import vdot
 
 
 class Triangulation:
@@ -64,36 +65,6 @@ class Triangulation:
         return "Triangulation(%d maximal simplexes)" % len(self.maximal)
 
 
-def _barycentric_functionals(verts):
-    """Affine functionals l_i with l_i(x) the barycentric coordinates of x
-    w.r.t. verts, valid on aff(verts): returns rows (w, beta), l(x)=w.x+beta."""
-    n = len(verts[0])
-    d = len(verts) - 1
-    rows = [list(col) for col in zip(*verts)] + [[1] * (d + 1)]
-    # pick d+1 independent rows of the (n+1) x (d+1) system
-    chosen, idx = [], []
-    for i, r in enumerate(rows):
-        if rational_rank(chosen + [r]) > len(chosen):
-            chosen.append(r)
-            idx.append(i)
-        if len(chosen) == d + 1:
-            break
-    funcs = []
-    for i in range(d + 1):
-        e = [1 if t == i else 0 for t in range(d + 1)]
-        # solve chosen^T lambda-row: coefficients of l_i over selected rhs
-        coeff = rational_solve(list(zip(*chosen)), e)
-        w = [0] * n
-        beta = 0
-        for c, j in zip(coeff, idx):
-            if j < n:
-                w[j] = w[j] + c
-            else:
-                beta = beta + c
-        funcs.append((tuple(w), beta))
-    return funcs
-
-
 def _meet_in_common_face(a, b):
     """True iff conv(a) /\\ conv(b) equals conv of the shared vertices."""
     common = sorted(set(a) & set(b))
@@ -102,12 +73,13 @@ def _meet_in_common_face(a, b):
     if inter is None:
         return not common
     d = inter.dim
-    funcs = _barycentric_functionals(list(a)) + _barycentric_functionals(list(b))
-    # constraints in the mu-parametrization x = anchor + basis . mu
+    # -r.(x, 1) >= 0 for every inequality row r of either simplex (positive
+    # multiples of barycentric coordinates), in x = anchor + basis . mu
     cons = []
-    for (w, beta) in funcs:
-        g = tuple(sum(w[j] * bvec[j] for j in range(len(w))) for bvec in inter.basis)
-        h = sum(w[j] * inter.anchor[j] for j in range(len(w))) + beta
+    for r in _simplex_rows(a)[1] + _simplex_rows(b)[1]:
+        w = r[:-1]
+        g = tuple(-vdot(w, bvec) for bvec in inter.basis)
+        h = -vdot(w, inter.anchor) - r[-1]
         cons.append((g, h))  # g.mu + h >= 0
     verts = _vertex_enumeration(cons, d)
     pts = [inter.embed(v) for v in verts]

@@ -5,10 +5,11 @@ predicates the polyhedron decision asks at every grid point and cell
 vertex are fraction-free, on homogeneous integer lifts (num, k) of num/k:
 polytopes and simplexes are cached as integer rows r, and num/k is inside
 iff r.(num, k) == 0 for every equation row and r.(num, k) <= 0 for every
-inequality row; simplex clipping takes its signs and edge crossings from
-the same lifts.  Facets are enumerated by brute force over vertex subsets,
-which is fine at the scale this package targets and keeps every predicate
-exact.
+inequality row.  Simplex clipping, the one arrangement refiner, takes its
+signs and edge crossings from the same lifts and covers each closed half
+of a simplex by simplexes of its dimension.  Facets are enumerated by
+brute force over vertex subsets, which is fine at the scale this package
+targets and keeps every predicate exact.
 """
 
 from fractions import Fraction
@@ -273,12 +274,24 @@ def simplex_contains(vertices, x):
 def simplex_tester(vertices):
     """Membership predicate for one simplex, over homogeneous lifts:
     tester((num_1, ..., num_n, k)) is True iff num/k (k > 0) lies in it.
+    The rows are built once; a query costs integer dot products only."""
+    eqs, ineqs = _simplex_rows(vertices)
+
+    def contains(q):
+        return _rows_hold(eqs, ineqs, q)
+
+    return contains
+
+
+def _simplex_rows(vertices):
+    """Integer rows (eqs, ineqs) over lifts that cut out the simplex.
 
     A point is in the simplex iff its lift q is a nonnegative combination
     q = sum_i mu_i L_i of the vertex lifts L_i.  With A the vertex-lift
     matrix restricted to independent coordinate rows S, mu = adj(A) q_S /
-    det(A), and the other rows of q must follow from q_S: so the predicate
-    is integer rows built once, and a query costs integer dot products only.
+    det(A), and the other rows of q must follow from q_S.  Inequality row i
+    is -mu_i up to a positive factor: on the simplex's affine span,
+    -r_i.(x, 1) is a positive multiple of the i-th barycentric coordinate.
     """
     lifts = [lift(v) for v in vertices]
     m = len(lifts[0])
@@ -309,20 +322,20 @@ def simplex_tester(vertices):
         for t, jj in enumerate(sel):
             r[jj] -= sum(coord[j][i] * adj[i][t] for i in range(size))
         eqs.append(primitive(r))
-
-    def contains(q):
-        return _rows_hold(eqs, ineqs, q)
-
-    return contains
+    return eqs, ineqs
 
 
 def clip_simplex(simp, g, h, side):
     """Simplexes covering simp /\\ {side*(g.x - h) >= 0} (closed half).
 
-    Recursive cone construction: pick the least strictly-positive vertex w,
-    cone it over the triangulated hyperplane slice and over the clipped
-    facets not containing w.  Every output is a simplex of the input's
-    dimension with vertices among the input vertices and edge crossings.
+    Recursive cone construction: pick the least strictly-positive vertex w
+    and cone it over the boundary faces of the half that miss w: the
+    clipped facet opposite w, and the hyperplane slice.  Seen from w, the
+    facet's other half maps onto the slice, so the slice is triangulated
+    by projecting that half's pieces onto the hyperplane.  Every output is
+    a simplex of the input's dimension with vertices among the input
+    vertices and edge crossings, and the outputs meet only in boundary
+    points.
     """
     lifts = [lift(v) for v in simp]
     row = _lift_row(g, h)
@@ -333,80 +346,33 @@ def clip_simplex(simp, g, h, side):
 def _clip(simp, lifts, vals):
     """clip_simplex on the vertex lifts and the integer values
     side*row.lift (signed like side*(g.v - h)), which the facet recursion
-    and the slice take from here instead of recomputing."""
+    takes from here instead of recomputing."""
     if all(v >= 0 for v in vals):
         return [simp]
     if all(v <= 0 for v in vals):
         return []
     w = min(v for v, val in zip(simp, vals) if val > 0)
     wi = simp.index(w)
-    pieces = set()
-    slice_pts = _slice_points(simp, lifts, vals)
-    # the hyperplane crosses simp, so the slice has one dimension less: with
-    # that many + 1 points it is a simplex, its own placing triangulation
-    if len(slice_pts) == len(simp) - 1:
-        pieces.add(tuple(sorted((w,) + slice_pts)))
-    else:
-        for t in placing_triangulation(slice_pts):
-            if len(t) == len(simp) - 1:
-                pieces.add(tuple(sorted((w,) + t)))
-    for j in range(len(simp)):
-        if j == wi:
-            continue
-        facet = _clip(simp[:j] + simp[j + 1:], lifts[:j] + lifts[j + 1:],
-                      vals[:j] + vals[j + 1:])
-        for t in facet:
-            pieces.add(tuple(sorted((w,) + t)))
-    return sorted(pieces)
+    lw, sw = lifts[wi], vals[wi]
+    facet = simp[:wi] + simp[wi + 1:]
+    flifts = lifts[:wi] + lifts[wi + 1:]
+    fvals = vals[:wi] + vals[wi + 1:]
+    negative = {v: (q, s) for v, q, s in zip(facet, flifts, fvals) if s < 0}
 
+    def seen(y):
+        # where the segment from w to y meets the hyperplane: the point of
+        # the lift s_w L_y - s_y L_w; zero vertices and crossings stay
+        if y not in negative:
+            return y
+        ly, sy = negative[y]
+        c = [sw * b - sy * a for a, b in zip(lw, ly)]
+        k = c.pop()
+        return tuple(Fraction(x, k) for x in c)
 
-def _slice_points(simp, lifts, vals):
-    """Vertices of simp /\\ {val = 0}, sorted: zero vertices plus edge
-    crossings.  vals are a linear function of the lifts, so the crossing on
-    edge ij is the point of the lift s_i L_j - s_j L_i."""
-    pts = [v for v, s in zip(simp, vals) if s == 0]
-    for i in range(len(simp)):
-        for j in range(i + 1, len(simp)):
-            si, sj = vals[i], vals[j]
-            if (si > 0 > sj) or (si < 0 < sj):
-                c = [si * b - sj * a for a, b in zip(lifts[i], lifts[j])]
-                k = c.pop()
-                pts.append(tuple(Fraction(x, k) for x in c))
-    return tuple(sorted(set(pts)))
-
-
-def split_spanning(pts, g, h):
-    """Split a convex spanning set by the hyperplane g.x = h.
-
-    Returns (below, above): spanning sets of the two closed halves (either
-    may be None when empty).  Crossing points are added so each returned
-    set's hull is exactly the corresponding half; sets that grow too large
-    are pruned back to their hull vertices.
-    """
-    neg, pos, on = [], [], []
-    for p in pts:
-        s = vdot(g, p) - h
-        (neg if s < 0 else pos if s > 0 else on).append(p)
-    if not neg:
-        return None, pts
-    if not pos:
-        return pts, None
-    cross = []
-    for p in pos:
-        sp = vdot(g, p) - h
-        for q in neg:
-            sq = vdot(g, q) - h
-            t = sp / (sp - sq)
-            cross.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
-    cross = sorted(set(cross))
-    below = sorted(set(neg + on + cross))
-    above = sorted(set(pos + on + cross))
-    cap = 4 * (len(pts[0]) + 1)
-    if len(below) > cap:
-        below = sorted(Polytope(below).vertices)
-    if len(above) > cap:
-        above = sorted(Polytope(above).vertices)
-    return below, above
+    base = _clip(facet, flifts, fvals)
+    base += [tuple(map(seen, t))
+             for t in _clip(facet, flifts, [-v for v in fvals])]
+    return sorted(tuple(sorted((w,) + t)) for t in base)
 
 
 def placing_triangulation(pts):

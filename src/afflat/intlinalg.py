@@ -2,7 +2,8 @@
 
 Column echelon form with a tracked unimodular transform does all the lattice
 work: integer kernels, integer linear solves, basis completion, saturation.
-Rational elimination (over Fraction) covers rank, nullspace and dense solves.
+One Gauss-Jordan elimination over Fraction, `_rref`, covers rank, nullspace
+and dense solves.
 Determinants, adjugates and unimodular inverses are fraction-free (Bareiss).
 """
 
@@ -97,29 +98,37 @@ def span_solver(vectors):
     return solve
 
 
+def _rref(m, cols):
+    """Gauss-Jordan elimination over the first cols columns of the Fraction
+    matrix m (a list of row lists, reduced in place).  Each pivot column is
+    cleared above and below its pivot, and pivot rows stay unnormalized, so
+    readers divide by the pivot entry.  Returns the pivot columns; pivot i
+    sits in row i."""
+    pivots = []
+    rank = 0
+    for j in range(cols):
+        if rank == len(m):
+            break
+        for piv in range(rank, len(m)):
+            if m[piv][j]:
+                break
+        else:
+            continue
+        pr = m[piv]
+        m[rank], m[piv] = pr, m[rank]
+        for i, r in enumerate(m):
+            if i != rank and r[j]:
+                f = r[j] / pr[j]
+                m[i] = [a - f * b if b else a for a, b in zip(r, pr)]
+        pivots.append(j)
+        rank += 1
+    return pivots
+
+
 def rational_rank(rows):
     """Rank over Q of a matrix given as a list of row sequences."""
     m = [[rat(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for j in range(cols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][j]:
-                f = m[i][j] / pr[j]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return len(_rref(m, len(m[0]) if m else 0))
 
 
 def rational_solve(rows, rhs):
@@ -129,32 +138,13 @@ def rational_solve(rows, rhs):
     """
     m = [[rat(x) for x in r] + [rat(b)] for r, b in zip(rows, rhs)]
     cols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for j in range(cols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        m[rank] = [a / pr[j] for a in pr]
-        pr = m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][j]:
-                f = m[i][j]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
-        pivots.append(j)
-        rank += 1
-    for i in range(rank, len(m)):
+    pivots = _rref(m, cols)
+    for i in range(len(pivots), len(m)):
         if m[i][cols]:
             return None
     x = [Fraction(0)] * cols
     for i, j in enumerate(pivots):
-        x[j] = m[i][cols]
+        x[j] = m[i][cols] / m[i][j]
     return tuple(x)
 
 
@@ -163,33 +153,15 @@ def rational_nullspace(rows, cols=None):
     if cols is None:
         cols = len(rows[0]) if rows else 0
     m = [[rat(x) for x in r] for r in rows]
-    pivots = []
-    rank = 0
-    for j in range(cols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        m[rank] = [a / pr[j] for a in pr]
-        pr = m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][j]:
-                f = m[i][j]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
-        pivots.append(j)
-        rank += 1
+    pivots = _rref(m, cols)
     basis = []
-    free = [j for j in range(cols) if j not in pivots]
-    for j in free:
+    for j in range(cols):
+        if j in pivots:
+            continue
         v = [Fraction(0)] * cols
         v[j] = Fraction(1)
         for i, pj in enumerate(pivots):
-            v[pj] = -m[i][j]
+            v[pj] = -m[i][j] / m[i][pj]
         basis.append(tuple(v))
     return basis
 

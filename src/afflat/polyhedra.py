@@ -2,10 +2,14 @@
 orbit decision procedure with witness map.
 
 A polyhedron is a finite list of rational simplexes of arbitrary dimensions,
-possibly overlapping.  Set equality refines both sides against the affine
-hulls of all faces and compares cells by exact interior samples; the orbit
-decision enumerates the finite candidate set of matched regular frames in
-the target hull and tests each candidate map by set equality.
+possibly overlapping.  One refiner serves triangulation and set equality:
+it clips each simplex, cut by cut, into simplex cells along affine hulls of
+faces and records on which side of each cut a cell lies.  Triangulation
+cuts along the intersection-closed hulls of all faces and places each
+arrangement cell; set equality cuts along both sides' facet hulls and
+tests every cell by exact samples.  The orbit decision enumerates the
+finite candidate set of matched regular frames in the target hull and
+tests each candidate map by set equality.
 """
 
 from fractions import Fraction
@@ -18,7 +22,7 @@ from .complexes import Triangulation
 from .cones import desingularize, fan_rays
 from .convexity import (AffineHull, Polytope, affine_rank, clip_simplex,
                         placing_triangulation, simplex_barycentric,
-                        simplex_tester, split_spanning)
+                        simplex_tester)
 from .core import (UniAffMap, den, is_regular, lattice_points_at, lift,
                    simplex, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
@@ -124,46 +128,30 @@ def _cuts_for(hull, family):
     return sorted(cuts)
 
 
-def _refined_cells(P, family):
-    """Per input simplex: full-dimensional cells (spanning point sets in
-    hull coordinates) of the arrangement of the family's cuts."""
-    out = []
-    for s in P:
-        hull = AffineHull(s)
-        d = hull.dim
-        cells = [sorted(hull.coords(v) for v in s)]
-        for (g, h) in _cuts_for(hull, family):
-            nxt = []
-            for cell in cells:
-                below, above = split_spanning(cell, g, h)
-                for side in (below, above):
-                    if side is not None and affine_rank(side) == d:
-                        nxt.append(side)
-            cells = nxt
-        out.extend((hull, cell) for cell in cells)
-    return out
-
-
 def _refined_simplex_cells(P, family):
-    """Per input simplex: simplex cells covering it, each uniformly inside
-    or outside every family subspace (clip recursion in hull coordinates)."""
+    """Per input simplex s: simplex cells covering it, each inside one
+    closed side of every cut of s's hull (clip recursion in hull
+    coordinates).  Returns (hull, sides, cell) triples, sides holding +1 or
+    -1 per cut; the cells of one hull with equal sides tile one convex cell
+    of the arrangement, s cut down to those closed halves."""
     out = []
     for s in P:
         hull = AffineHull(s)
-        cells = {tuple(sorted(hull.coords(v) for v in s))}
+        cells = {tuple(sorted(hull.coords(v) for v in s)): ()}
         for (g, h) in _cuts_for(hull, family):
-            nxt = set()
-            for cell in cells:
-                nxt.update(clip_simplex(cell, g, h, 1))
-                nxt.update(clip_simplex(cell, g, h, -1))
+            nxt = {}
+            for cell, sides in cells.items():
+                for side in (1, -1):
+                    for piece in clip_simplex(cell, g, h, side):
+                        nxt[piece] = sides + (side,)
             cells = nxt
-        out.extend((hull, cell) for cell in sorted(cells))
+        out.extend((hull, sides, cell) for cell, sides in sorted(cells.items()))
     return out
 
 
 def poly_set_equal(P, Q):
     """Exact point-set equality of two polyhedra, decided stratum by
-    stratum: refine each against the affine hulls of the other's facets,
+    stratum: refine each against the affine hulls of both sides' facets,
     then test every cell by its barycenter and its vertices."""
     P = polyhedron(P)
     Q = polyhedron(Q)
@@ -174,7 +162,7 @@ def poly_set_equal(P, Q):
     def covered(pieces, other_tests):
         # cells of one input simplex share its hull object and many vertices
         done = set()
-        for hull, cell in pieces:
+        for hull, _, cell in pieces:
             k = len(cell)
             bary = hull.embed(tuple(sum(c) / k for c in zip(*cell)))
             if not _covers(other_tests, lift(bary)):
@@ -203,15 +191,18 @@ def triangulate(P):
 
     Cuts every simplex along the (intersection-closed) affine hulls of all
     faces of all simplexes, then triangulates each arrangement cell by
-    placing from the lexicographically least vertex.
+    placing from the lexicographically least vertex.  The cells come from
+    the clip refinement: the pieces of one input simplex on the same sides
+    of every cut span one cell.
     """
     P = polyhedron(P)
     family = _close_under_intersection(_face_hulls([P]))
-    cells = _refined_cells(P, family)
+    groups = {}
+    for hull, sides, cell in _refined_simplex_cells(P, family):
+        groups.setdefault((hull, sides), set()).update(cell)
     tris = set()
-    for hull, cell in cells:
-        ambient = [hull.embed(p) for p in cell]
-        for t in placing_triangulation(ambient):
+    for (hull, _), pts in groups.items():
+        for t in placing_triangulation([hull.embed(p) for p in pts]):
             tris.add(tuple(sorted(t)))
     return Triangulation(sorted(tris))
 

@@ -10,7 +10,8 @@ from afflat.core import (UniAffMap, apply, complete_to_lattice_basis,
                          farey_mediant, is_regular,
                          lattice_points_in, lift, simplex_map, unlift)
 from afflat.errors import InputError
-from afflat.intlinalg import det_int, invert_unimodular
+from afflat.intlinalg import (det_int, invert_unimodular, rational_nullspace,
+                              rational_rank, rational_solve)
 
 from helpers import (_tiny_det, in_hull_by_dets, parallelepiped_extends,
                      rand_point, rand_unimodular)
@@ -316,3 +317,39 @@ def test_lattice_points_in_grid_oracle():
                     expect.add(p)
         assert len(got) == len(set(got))
         assert set(got) == expect
+
+
+def rank_by_minors(rows):
+    """Largest k with a nonzero k x k minor."""
+    r, c = len(rows), len(rows[0])
+    for k in range(min(r, c), 0, -1):
+        for rs in combinations(range(r), k):
+            for cs in combinations(range(c), k):
+                if _tiny_det([[rows[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+def test_rational_elimination_against_minors():
+    rng = random.Random(67)
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    for _ in range(300):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 3))
+                 if rng.random() < 0.7 else F(0) for _ in range(c)]
+                for _ in range(r)]
+        if r > 2 and rng.random() < 0.4:  # a dependent row
+            rows[-1] = [a - F(2, 3) * b for a, b in zip(rows[0], rows[1])]
+        rank = rank_by_minors(rows)
+        assert rational_rank(rows) == rank
+        null = rational_nullspace(rows)
+        assert len(null) == c - rank
+        assert all(dot(row, v) == 0 for row in rows for v in null)
+        assert not null or rank_by_minors(null) == len(null)
+        x0 = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(c)]
+        rhs = [dot(row, x0) for row in rows]
+        x = rational_solve(rows, rhs)
+        assert [dot(row, x) for row in rows] == rhs
+        # the sum of the rows with a shifted right-hand side is inconsistent
+        total = [sum(col) for col in zip(*rows)]
+        assert rational_solve(rows + [total], rhs + [sum(rhs) + 1]) is None

@@ -6,6 +6,7 @@ import pytest
 
 from afflat.cones import (cone, desingularize, fan_rays, is_regular_cone,
                           parallelepiped_points)
+from afflat.convexity import clip_simplex
 from afflat.core import is_regular, lift, simplex
 from afflat.errors import InputError
 from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
@@ -190,6 +191,71 @@ def test_poly_set_equal_same_hull_different_sets():
     rotated = [e((0, 0), (0, 1)), e((0, 1), (1, 1)),
                e((1, 1), (1, 0)), e((1, 0), (0, 0))]
     assert poly_set_equal(outline, rotated)
+
+
+def quarter_triangles():
+    """The 16 triangles of the 4x4 subdivision of the unit triangle."""
+    q = F(1, 4)
+    out = []
+    for i in range(4):
+        for j in range(4 - i):
+            out.append(tri((i * q, j * q), ((i + 1) * q, j * q),
+                           (i * q, (j + 1) * q)))
+            if i + j <= 2:
+                out.append(tri(((i + 1) * q, j * q), (i * q, (j + 1) * q),
+                               ((i + 1) * q, (j + 1) * q)))
+    return out
+
+
+def test_unit_triangle_minus_a_small_triangle_differs():
+    t = tri((0, 0), (1, 0), (0, 1))
+    small = quarter_triangles()
+    assert len(small) == 16
+    for k, hole in enumerate(small):
+        Q = small[:k] + small[k + 1:]
+        # certificate: the hole's barycenter lies in T and in no simplex of Q
+        bary = tuple(sum(c) / 3 for c in zip(*hole))
+        assert in_hull_by_dets(t, bary)
+        assert not any(in_hull_by_dets(s, bary) for s in Q)
+        assert not poly_set_equal([t], Q)
+        assert not poly_set_equal(Q, [t])
+        assert polyhedron_equivalence([t], Q) is None
+
+
+def edge_det(simp):
+    return _tiny_det([[a - b for a, b in zip(v, simp[0])] for v in simp[1:]])
+
+
+def test_clip_simplex_pieces_tile_both_halves():
+    rng = random.Random(61)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        s = tuple(rand_point(rng, n, 4, 2) for _ in range(n + 1))
+        vol = abs(edge_det(s))
+        if vol == 0:
+            continue
+        g = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        if not any(g):
+            continue
+        kind = rng.randrange(3)
+        if kind == 0:  # through an interior point
+            w = [rng.randint(1, 5) for _ in s]
+            x = [sum(wi * v[j] for wi, v in zip(w, s)) / sum(w)
+                 for j in range(n)]
+        elif kind == 1:  # through a vertex
+            x = rng.choice(s)
+        else:  # anywhere, possibly missing the simplex
+            x = rand_point(rng, n, 4, 2)
+        h = sum(a * b for a, b in zip(g, x))
+        total = 0
+        for side in (1, -1):
+            for piece in clip_simplex(s, g, h, side):
+                d = edge_det(piece)
+                assert d != 0
+                assert all(side * (sum(a * b for a, b in zip(g, v)) - h) >= 0
+                           for v in piece)
+                total += abs(d)
+        assert total == vol
 
 
 def test_triangulate_examples():
