@@ -2,9 +2,14 @@
 Legendre equation, conjugate diameters, the minimal-index semi-diameter
 pairs, the complete ellipse invariant, and orbit decision.
 
-Ambient dimension is 2 throughout.  As for the other kinds, the invariant
-and its witness come from one pass: the minimal-index pairs are found once,
-and the witness is that of the first sorted pair with the least invariant.
+Ambient dimension is 2 throughout.  Whether an ellipse has a rational
+point is Legendre's theorem on one factorization of its coefficients; the
+point itself comes from a Holzer-box scan, run only when one exists.
+Rational points are enumerated one denominator at a time, so the
+minimal-index search adds denominator j's points and tests only the pairs
+that involve them.  As for the other kinds, the invariant and its witness
+come from one pass: the minimal-index pairs are found once, and the witness
+is that of the first sorted pair with the least invariant.
 """
 
 import math
@@ -50,80 +55,91 @@ ELLIPSE_NO_POINT = "ellipse-no-rational-point"
 NOT_ELLIPSE = "not-an-ellipse"
 
 
-def _squarefree(n):
-    """(s, m) with n = s * m^2 and s squarefree (sign kept on s)."""
-    m = 1
-    k = 2
-    a = abs(n)
-    while k * k <= a:
-        while a % (k * k) == 0:
-            a //= k * k
-            m *= k
-        k += 1
-    return (a if n > 0 else -a), m
-
-
 def legendre_solve(p, q, r):
     """A primitive integer solution of p x^2 + q y^2 + r z^2 = 0, or None.
 
-    Decision is exact: after squarefree/pairwise-coprime reduction, a
-    solution exists iff one exists within the Holzer bounds
-    |x| <= sqrt|qr|, |y| <= sqrt|pr|, |z| <= sqrt|pq|.
+    The decision is Legendre's theorem: |p|, |q|, |r| are factored once, the
+    squarefree, pairwise coprime triple (a, b, c) with the same solutions is
+    read off the factors, and it has a solution iff its signs are mixed and
+    -bc, -ca, -ab are squares modulo every odd prime of a, b, c in turn.
+    Only a solvable triple is scanned, over the Holzer box
+    |x| <= sqrt|bc|, |y| <= sqrt|ac|, for the first point in scan order.
     """
     if p == 0 or q == 0 or r == 0:
         raise InputError("all three coefficients must be nonzero")
-    sol = _legendre_rational(p, q, r)
+    sol = _legendre_point(p, q, r)
     if sol is None:
         return None
-    den_lcm = 1
-    for c in sol:
-        den_lcm = lcm(den_lcm, rat(c).denominator)
-    ints = [int(rat(c) * den_lcm) for c in sol]
-    g = math.gcd(math.gcd(ints[0], ints[1]), ints[2])
-    ints = tuple(t // g for t in ints)
-    x, y, z = ints
+    g = math.gcd(*sol)
+    x, y, z = ints = tuple(t // g for t in sol)
     if p * x * x + q * y * y + r * z * z != 0 or (x, y, z) == (0, 0, 0):
         raise InternalCheckError("Legendre solution failed verification")
     return ints
 
 
-def _legendre_rational(p, q, r):
-    g = math.gcd(math.gcd(abs(p), abs(q)), abs(r))
-    p, q, r = p // g, q // g, r // g
-    if p > 0 and q > 0 and r > 0 or p < 0 and q < 0 and r < 0:
+def _factor(n):
+    """{prime: exponent} of n >= 1, by trial division by 2 and odd k."""
+    out = {}
+    k = 2
+    while k * k <= n:
+        while n % k == 0:
+            out[k] = out.get(k, 0) + 1
+            n //= k
+        k += 1 if k == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _legendre_point(p, q, r):
+    """A nonzero nonnegative integer solution, or None when there is none.
+
+    Per prime l with exponents e = (e_p, e_q, e_r), dividing out a common
+    l, a square l^2, or moving l from two coefficients onto the third
+    changes e mod 2 by 0 or (1, 1, 1); so the reduced triple holds l in the
+    one coefficient (or none) whose parity differs from the other two.
+    With v that 0/1 vector, the scales t_i = l^f_i, where e_i + 2 f_i - v_i
+    is the same for every i, carry a solution of the reduced triple to one
+    of (p, q, r).
+    """
+    g = math.gcd(p, q, r)  # free to divide out, and never factored
+    coeffs = (p // g, q // g, r // g)
+    if all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs):
         return None
-    # squarefree reduction: p = p0 m^2 absorbs m into x
-    for i, coeff in enumerate((p, q, r)):
-        s, m = _squarefree(coeff)
-        if m != 1:
-            reduced = [p, q, r]
-            reduced[i] = s
-            sub = _legendre_rational(*reduced)
-            if sub is None:
+    exps = {}
+    for i, c in enumerate(coeffs):
+        for ell, e in _factor(abs(c)).items():
+            exps.setdefault(ell, [0, 0, 0])[i] = e
+    reduced = [1 if c > 0 else -1 for c in coeffs]
+    scale = [1, 1, 1]
+    odd_primes = ([], [], [])
+    for ell, e in exps.items():
+        v = [x % 2 for x in e]
+        if sum(v) >= 2:
+            v = [1 - x for x in v]
+        top = max(x - y for x, y in zip(e, v))
+        for i in range(3):
+            scale[i] *= ell ** ((top - e[i] + v[i]) // 2)
+            if v[i]:
+                reduced[i] *= ell
+                if ell != 2:
+                    odd_primes[i].append(ell)
+    # Legendre's theorem; Euler's criterion at each odd prime, 2 is free
+    for i in range(3):
+        other = -reduced[i - 1] * reduced[i - 2]
+        for ell in odd_primes[i]:
+            if pow(other, (ell - 1) // 2, ell) != 1:
                 return None
-            sub = list(sub)
-            sub[i] = rat(sub[i]) / m
-            return tuple(sub)
-    # pairwise coprimality: g | p, q moves g onto r (z picks up the factor)
-    for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        coeffs = [p, q, r]
-        g = math.gcd(abs(coeffs[i]), abs(coeffs[j]))
-        if g > 1:
-            coeffs[i] //= g
-            coeffs[j] //= g
-            coeffs[k] *= g
-            sub = _legendre_rational(*coeffs)
-            if sub is None:
-                return None
-            sub = list(sub)
-            sub[k] = rat(sub[k]) * g
-            return tuple(sub)
-    return _holzer_search(p, q, r)
+    sol = _holzer_search(*reduced)
+    if sol is None:
+        raise InternalCheckError("Legendre's theorem promises a point the "
+                                 "Holzer box does not hold")
+    return tuple(s * t for s, t in zip(sol, scale))
 
 
 def _holzer_search(p, q, r):
-    """Exhaustive search within the Holzer bounds for squarefree, pairwise
-    coprime, mixed-sign coefficients; None certifies nonexistence."""
+    """The first point in the Holzer box of a squarefree, pairwise coprime,
+    mixed-sign triple, scanning y then x; None when the box holds none."""
     bx = math.isqrt(abs(q * r))
     by = math.isqrt(abs(p * r))
     for y in range(0, by + 1):
@@ -246,34 +262,36 @@ def rational_points(ell, max_den):
     sorted by (denominator, x, y)."""
     if max_den < 0:
         raise InputError("max_den must be nonnegative")
+    return [p for j in range(1, max_den + 1) for p in _rational_points_at(ell, j)]
+
+
+def _rational_points_at(ell, j):
+    """The rational points of the ellipse of denominator exactly j, sorted;
+    their x is some i/j, so one scan of those x finds them all."""
     o, qmat, m = ell.center, ell.qmat, ell.level
     detq = qmat[0][0] * qmat[1][1] - qmat[0][1] * qmat[1][0]
     xspread2 = m * qmat[1][1] / detq  # max (x - Ox)^2 on the ellipse
     co = ell.conic
+    s = math.isqrt(math.floor(j * j * xspread2)) + 1
+    base = o[0] * j
     found = set()
-    for k in range(1, max_den + 1):
-        bound = k * k * xspread2
-        s = math.isqrt(math.floor(bound)) + 1
-        base = o[0] * k
-        lo = math.ceil(base - s)
-        hi = math.floor(base + s)
-        for i in range(lo, hi + 1):
-            x = Fraction(i, k)
-            # c y^2 + (b x + e) y + (a x^2 + d x + f) = 0
-            B = co.b * x + co.e
-            C = co.a * x * x + co.d * x + co.f
-            disc = B * B - 4 * co.c * C
-            if disc < 0:
-                continue
-            root = _rational_sqrt(disc)
-            if root is None:
-                continue
-            for sign in ((1,) if root == 0 else (1, -1)):
-                y = (-B + sign * root) / (2 * co.c)
-                p = (x, y)
-                if den(p) <= max_den and co(p) == 0:
-                    found.add(p)
-    return sorted(found, key=lambda p: (den(p), p))
+    for i in range(math.ceil(base - s), math.floor(base + s) + 1):
+        x = Fraction(i, j)
+        # c y^2 + (b x + e) y + (a x^2 + d x + f) = 0
+        B = co.b * x + co.e
+        C = co.a * x * x + co.d * x + co.f
+        disc = B * B - 4 * co.c * C
+        if disc < 0:
+            continue
+        root = _rational_sqrt(disc)
+        if root is None:
+            continue
+        for sign in ((1,) if root == 0 else (1, -1)):
+            y = (-B + sign * root) / (2 * co.c)
+            p = (x, y)
+            if den(p) == j and co(p) == 0:
+                found.add(p)
+    return sorted(found)
 
 
 def _rational_sqrt(f):
@@ -348,21 +366,26 @@ def min_index_pairs(ell):
     assumes that case away."""
     if not ell.has_conjugate_pairs():
         raise NotInClass("ellipse has no rational conjugate semi-diameter pairs")
-    j = 0
+    pts = []
+    pairs = []
     best = None
+    j = 0
     while True:
         j += 1
         budget.check(j, "semi-diameter index search")
-        pts = rational_points(ell, j)
-        pairs = []
-        for x in pts:
+        new = _rational_points_at(ell, j)
+        pts.extend(new)
+        # only pairs with a point of denominator j are new; Q is symmetric,
+        # so (y, x) is a pair whenever (x, y) is
+        for x in new:
             for y in pts:
                 if ell.conjugacy_product(x, y) == 0:
+                    dy = den(y)
                     pairs.append((x, y))
-        if pairs:
-            d = min(den(x) + den(y) for x, y in pairs)
-            if best is None or d < best:
-                best = d
+                    if dy < j:
+                        pairs.append((y, x))
+                    if best is None or j + dy < best:
+                        best = j + dy
         if best is not None and j >= best - 1:
             final = [(x, y) for x, y in pairs if den(x) + den(y) == best]
             return best, sorted(final)

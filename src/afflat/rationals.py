@@ -96,6 +96,3 @@ def canon_primitive(v):
             return w if a > 0 else tuple(-b for b in w)
     raise InputError("zero vector has no primitive form")
 
-
-def is_zero(v):
-    return all(a == 0 for a in v)

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the package's decision routines: regularity
 is checked by half-open parallelepiped enumeration, hulls by a monotone
-chain, Legendre solvability by a plain triple loop.
+chain, Legendre solvability by a plain triple loop, and x^2 + y^2 = n z^2
+by the primes of n that are 3 mod 4.
 """
 
 import math
@@ -359,6 +360,26 @@ def legendre_brute(p, q, r):
                 if p * x * x + q * y * y + r * z * z == 0:
                     return True
     return False
+
+
+def trial_factor(n):
+    """{prime: exponent} of n >= 1 by trial division by every k >= 2."""
+    out = {}
+    k = 2
+    while k * k <= n:
+        while n % k == 0:
+            out[k] = out.get(k, 0) + 1
+            n //= k
+        k += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def is_sum_of_two_squares(n):
+    """Whether n >= 1 is a sum of two squares (of integers, equivalently of
+    rationals): every prime 3 mod 4 divides it to an even power."""
+    return all(e % 2 == 0 for p, e in trial_factor(n).items() if p % 4 == 3)
 
 
 def apply_affine(matrix, translation, x):

@@ -3,13 +3,14 @@ import subprocess
 import sys
 
 
-def run_cli(args, inp=None, env_extra=None):
+def run_cli(args, inp=None, env_extra=None, timeout=None):
     import os
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "afflat"] + args,
-                          capture_output=True, text=True, input=inp, env=env)
+                          capture_output=True, text=True, input=inp, env=env,
+                          timeout=timeout)
     return proc
 
 
@@ -46,6 +47,16 @@ def test_classify_conic_exit_codes(tmp_path):
     proc = run_cli(["classify-conic", circ])
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"class": "ellipse-in-E"}
+
+
+def test_classify_conic_large_level_without_point(tmp_path):
+    # x^2 + y^2 = 10^12 + 7 = 34519 * 28969553 with 34519 = 3 (mod 4): no
+    # rational point, decided from the factors instead of a 10^12-cell scan
+    f = write(tmp_path, "c.json", {"a": "1", "b": "0", "c": "1", "d": "0",
+                                   "e": "0", "f": str(-(10 ** 12 + 7))})
+    proc = run_cli(["classify-conic", f], timeout=30)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {"class": "ellipse-no-rational-point"}
 
 
 def test_hj_and_lambda1(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from afflat.conics import (ELLIPSE, ELLIPSE_NO_POINT, NOT_ELLIPSE, classify,
 from afflat.core import den
 from afflat.errors import InputError, NotInClass
 
-from helpers import legendre_brute, rand_unimodular
+from helpers import (is_sum_of_two_squares, legendre_brute,
+                     rand_unimodular, trial_factor)
 
 F = Fraction
 
@@ -306,3 +308,133 @@ def test_ellipse_equivalence_pinned_witnesses():
         pulled = _pullback_oracle(co2, A, t)
         s = next(p / q for p, q in zip(pulled, co1) if q)
         assert s != 0 and pulled == tuple(s * q for q in co1)
+
+
+def test_legendre_reduction_vs_brute_force():
+    # square factors on each coefficient and factors shared by two or all
+    # three, so every reduction move is needed before the residue test
+    rng = random.Random(47)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        g, h, k = (rng.choice([1, 1, 2, 3, 5]) for _ in range(3))
+        coeffs = [rng.choice([1, -1]) * rng.randint(1, 7) * rng.choice([1, 1, 4, 9])
+                  for _ in range(3)]
+        p, q, r = coeffs[0] * g * h, coeffs[1] * g * k, coeffs[2] * h * k
+        if abs(p * q * r) > 60 ** 3:
+            continue
+        solvable = legendre_brute(p, q, r)
+        assert (legendre_solve(p, q, r) is not None) == solvable
+        seen[solvable] += 1
+    assert seen[True] >= 50 and seen[False] >= 50
+
+
+def _sum_of_two_squares_cases():
+    """n for x^2 + y^2 = n z^2 up to 1e12, smallest first.  Every
+    unsolvable n is kept; a solvable one only when its squarefree part is
+    small, since a point is still found by scanning a box of side sqrt of
+    that part."""
+    rng = random.Random(48)
+    cases = [10 ** 12 + 7, 10 ** 12 + 39, 999999999959, 3 * 10 ** 11,
+             2 * 7 ** 2 * 13 * 10 ** 6, 5 * 11 ** 10]
+    for _ in range(30):
+        cases.append(rng.randint(1, 10 ** 12))
+    for _ in range(40):
+        m = rng.randint(1, 10 ** 5)
+        cases.append(m * m * rng.choice([1, 2, 5, 10, 13, 29, 3, 7, 21, 33]))
+    for n in sorted(cases):
+        core = math.prod(p for p, e in trial_factor(n).items() if e % 2)
+        if not is_sum_of_two_squares(n) or core <= 10 ** 4:
+            yield n
+
+
+def test_legendre_sum_of_two_squares_up_to_1e12():
+    seen = {True: 0, False: 0}
+    for n in _sum_of_two_squares_cases():
+        solvable = is_sum_of_two_squares(n)
+        t0 = time.perf_counter()
+        sol = legendre_solve(1, 1, -n)
+        elapsed = time.perf_counter() - t0
+        assert (sol is not None) == solvable, n
+        if sol is None:
+            assert elapsed < 1.0, (n, elapsed)
+        else:
+            x, y, z = sol
+            assert x * x + y * y == n * z * z and z != 0
+        seen[solvable] += 1
+    assert seen[True] >= 20 and seen[False] >= 20
+
+
+# legendre_solve outputs recorded from the recursive squarefree reduction
+# that decided by exhausting the Holzer box; the first point of the reduced
+# triple's scan, mapped back, must not change
+PINNED_LEGENDRE_SOLUTIONS = [
+    ((19, -8, -304), (4, 0, 1)),
+    ((-4144, -161, 315), (1, 16, 12)),
+    ((-96, 13056, 45), (16, 1, 16)),
+    ((134620, -145, -675), (1, 4, 14)),
+    ((89712, -84, 532), (1, 36, 6)),
+    ((65, -453060, 480), (18, 1, 30)),
+    ((-91, 2079, 49), (12, 1, 15)),
+    ((750, -1296, -138024), (18, 9, 1)),
+    ((39, -1332, 6), (2, 1, 14)),
+    ((-64, 6336, -72), (9, 1, 4)),
+    ((2821230, -120, -3750), (1, 27, 27)),
+    ((10, -1440, -36), (12, 1, 0)),
+    ((80, -3920, -12), (7, 1, 0)),
+    ((-18296, 1150, -26), (1, 4, 2)),
+    ((196992, 288, -198), (1, 30, 48)),
+    ((84, 16134, -2250), (7, 1, 3)),
+    ((196, -15750, -126), (15, 1, 15)),
+    ((-288, 34560, -468), (4, 1, 8)),
+    ((-672, 24, -96), (0, 2, 1)),
+    ((-8, 88, 10), (4, 1, 2)),
+    ((-28, -383040, 693), (24, 1, 24)),
+    ((-252, 36585, -33), (12, 1, 3)),
+    ((-108, 2525, 7), (5, 1, 5)),
+    ((-26, 432, -20992), (16, 8, 1)),
+    ((629856, -4350, -384), (2, 0, 81)),
+    ((-160, 11, 40), (1, 0, 2)),
+    ((-129600, -95, 495), (1, 18, 18)),
+    ((540, 220, -146160), (16, 6, 1)),
+    ((270, -2202552, 672), (30, 1, 54)),
+    ((19584, -64, 8), (1, 18, 12)),
+    ((-900, 400275, -375), (21, 1, 3)),
+    ((-400, 72, 448), (18, 20, 15)),
+    ((-63, 15, 25353), (24, 27, 1)),
+    ((-35289, 1425, -84), (1, 5, 2)),
+    ((700, -1230768, -112), (2, 0, 5)),
+    ((-12, 243, -27), (0, 1, 3)),
+    ((-280, 57780, 580), (15, 1, 3)),
+    ((-100, 100, 43200), (1, 1, 0)),
+    ((27228, -12, -540), (1, 8, 7)),
+    ((-60, 7440, 3000), (70, 5, 6)),
+]
+
+
+def test_legendre_pinned_solutions():
+    for (p, q, r), sol in PINNED_LEGENDRE_SOLUTIONS:
+        assert legendre_solve(p, q, r) == sol
+
+
+def test_min_index_pairs_against_full_rescan():
+    # the index search of every denominator bound from scratch, built on
+    # rational_points (checked against a grid above) and the level form
+    cases = [CIRCLE, conic(4, 0, 1, 0, 0, -1), conic(1, 0, 1, 0, 0, -25),
+             conic(2, 2, 5, 0, 0, -9), ellipse_from_semidiameters(
+                 (F(1, 2), F(0)), (F(3, 2), F(1, 3)), (F(1, 4), F(1)))]
+    for co in cases:
+        E = ellipse(co)
+        d, pairs = min_index_pairs(E)
+        pts = rational_points(E, d - 1)
+        (a, b), (_, c) = E.qmat
+        o = E.center
+        expect = []
+        for x in pts:
+            for y in pts:
+                u = (x[0] - o[0], x[1] - o[1])
+                v = (y[0] - o[0], y[1] - o[1])
+                if a * u[0] * v[0] + b * (u[0] * v[1] + u[1] * v[0]) \
+                        + c * u[1] * v[1] == 0:
+                    expect.append((den(x) + den(y), x, y))
+        assert min(expect)[0] == d
+        assert pairs == sorted((x, y) for s, x, y in expect if s == d)
