@@ -14,11 +14,12 @@ from typing import NamedTuple
 
 from . import budget
 from .convexity import AffineHull
-from .core import den, is_regular, lift, simplex, simplex_map, unlift
+from .core import (coords_in_lattice_basis, den, is_regular, lift,
+                   saturated_span_basis, simplex, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
 from .intlinalg import (complete_basis, invert_unimodular, is_part_of_basis,
                         minor_gcd, solve_integer, xgcd)
-from .rationals import point
+from .rationals import point, primitive
 
 
 class AffineInvariant(NamedTuple):
@@ -44,8 +45,6 @@ class AffineSpace:
         # integer rows (a, c) with the space equal to {x : a.x = c}
         self.equations = [(a, c) for (a, c) in hull.equations()]
         if self.dim > 0:
-            from .core import saturated_span_basis
-            from .rationals import primitive
             dirs = [primitive(b) for b in hull.basis]
             self.dirs = list(saturated_span_basis(dirs))
         else:
@@ -92,34 +91,30 @@ def _size_reduce(F, p):
 def min_den_point(F):
     """A point of F of least denominator d_F.
 
-    For k = 1, 2, ... decide whether F meets (1/k)Z^n by solving the integer
-    linear system k x in Z^n, a.x = c; terminates at the latest at the
-    anchor's denominator.  The result is size-reduced along the direction
-    lattice to keep its coordinates small.
+    A point of F whose denominator divides k lifts to a vector of the
+    saturated lattice span(lifts of F's points) /\\ Z^{n+1} with last
+    coordinate k, so d_F is the gcd of the last coordinates of a basis of
+    that lattice.  One integer solve of the system d_F x in Z^n, a.x = c
+    gives the point, which is size-reduced along the direction lattice to
+    keep its coordinates small.  d_F is charged to the search budget.
     """
     if not F.equations:
         return tuple(Fraction(0) for _ in range(F.n))
     k = 0
-    while True:
-        k += 1
-        budget.check(k, "minimal denominator search")
-        rows, rhs = [], []
-        ok = True
-        for a, c in F.equations:
-            kc = k * c
-            if kc.denominator != 1:
-                ok = False
-                break
-            rows.append(list(a))
-            rhs.append(kc.numerator)
-        if not ok:
-            continue
-        y = solve_integer(rows, rhs)
-        if y is not None:
-            p = _size_reduce(F, tuple(Fraction(t, k) for t in y))
-            if not F.contains(p):
-                raise InternalCheckError("solver left the space")
-            return p
+    for b in saturated_span_basis([lift(p) for p in F.points]):
+        k = math.gcd(k, b[-1])
+    budget.check(k, "minimal denominator search")
+    rhs = [k * c for _, c in F.equations]
+    if any(t.denominator != 1 for t in rhs):
+        raise InternalCheckError("least denominator misses the equations")
+    y = solve_integer([list(a) for a, _ in F.equations],
+                      [t.numerator for t in rhs])
+    if y is None:
+        raise InternalCheckError("no point at the least denominator")
+    p = _size_reduce(F, tuple(Fraction(t, k) for t in y))
+    if not F.contains(p):
+        raise InternalCheckError("solver left the space")
+    return p
 
 
 def regular_frame(F, v0):
@@ -132,7 +127,6 @@ def regular_frame(F, v0):
     denominator below d_F), and the shifted basis stays part of a basis of
     Z^{n+1}, so its affine correspondents are the frame.
     """
-    from .core import saturated_span_basis
     v0 = point(v0)
     if not F.contains(v0):
         raise InputError("v0 does not lie in the space")
@@ -145,7 +139,6 @@ def regular_frame(F, v0):
     l0 = lift(v0)
     dir0 = [tuple(b) + (0,) for b in F.dirs]
     lam = saturated_span_basis([l0] + dir0)
-    from .core import coords_in_lattice_basis
     c0 = coords_in_lattice_basis(lam, l0)
     full = complete_basis([c0], e + 1)
 

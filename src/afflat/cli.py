@@ -41,7 +41,8 @@ def _read_json(path):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integers
         raise InputError("cannot read %s: %s" % (path, exc))
 
 

@@ -14,17 +14,24 @@ In higher dimension, desingularization subdivides stellarly at the lattice
 point of the half-open fundamental parallelepiped with the least coefficient
 sum until every cone is regular.  The parallelepiped points are the |det|
 cosets of the generator lattice, read off a column echelon form and reduced
-into the parallelepiped through the adjugate, with no Fraction solve.
+into the parallelepiped through the adjugate, with no Fraction solve.  Like
+the other grid searches, where denominator k scans about k^t points, the
+enumeration is charged to the search budget per axis, as the t-th root of
+|det| for t generators, before it starts.  The fan is a worklist: each cone
+gets its coordinate solver and its regularity test once, when it is
+created, the irregular ones wait in a set, and a subdivision step replaces
+the cones containing the new ray by their joins with it.
 """
 
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
+from . import budget
 from .core import coords_in_lattice_basis, saturated_span_basis
 from .errors import InputError, InternalCheckError
 from .intlinalg import (adjugate, column_echelon, det_int, is_part_of_basis,
-                        rational_rank, span_solver, xgcd)
+                        span_solver, xgcd)
 from .rationals import content, intvec
 
 
@@ -37,8 +44,12 @@ def cone(generators):
         if c == 0:
             raise InputError("zero generator")
         gens.append(tuple(a // c for a in v))
-    if rational_rank(gens) != len(gens):
-        raise InputError("cone generators are linearly dependent")
+    if len({len(g) for g in gens}) != 1:
+        raise InputError("cone needs generators of one common length")
+    try:
+        span_solver(gens)
+    except InputError:
+        raise InputError("cone generators are linearly dependent") from None
     return tuple(sorted(gens))
 
 
@@ -122,6 +133,18 @@ def _plane_runs(p, q):
     return [(embed(x), embed(s), c) for x, s, c in runs]
 
 
+def _ceil_root(n, t):
+    """Least r >= 0 with r**t >= n, for n >= 0 and t >= 1."""
+    lo, hi = 0, 1 << (n.bit_length() // t + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** t >= n:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def parallelepiped_points(gens):
     """Nonzero integer points of the half-open fundamental parallelepiped
     of the generators, as (coefficients, point) sorted by point.
@@ -141,6 +164,7 @@ def parallelepiped_points(gens):
         cols = [coords_in_lattice_basis(basis, g) for g in gens]
     mat = [[c[i] for c in cols] for i in range(t)]
     size = abs(det_int(mat))
+    budget.check(_ceil_root(size, t), "cone multiplicity per axis")
     adj = adjugate(mat)
     hcols, _, pivots = column_echelon(mat)
     out = []
@@ -164,28 +188,14 @@ def _subdivision_point(gens):
     return best[1]
 
 
-def stellar_subdivide(fan, p):
-    """Replace every cone containing p by its joins with p."""
-    new = []
-    for c in fan:
-        sol = cone_coords(c, p)
-        if sol is None or any(x < 0 for x in sol):
-            new.append(c)
-            continue
-        for i, coef in enumerate(sol):
-            if coef > 0:
-                rest = c[:i] + c[i + 1:]
-                new.append(cone(rest + (p,)))
-    return tuple(sorted(set(new)))
-
-
 def desingularize(generators):
     """Regular fan subdividing the simplicial cone pos[generators].
 
     Two generators: the cones between consecutive vectors of the chain.
-    More: stellar-subdivides at the parallelepiped point with minimal
-    coefficient sum (lex ties) until every cone is regular; terminates
-    because the subdivided cone's multiplicity strictly decreases.
+    More: stellar-subdivides the least irregular cone at its parallelepiped
+    point with minimal coefficient sum (lex ties) until every cone is
+    regular; terminates because the subdivided cone's multiplicity strictly
+    decreases.
     """
     start = cone(generators)
     if len(start) == 2:
@@ -194,19 +204,37 @@ def desingularize(generators):
                 for j in range(count)]
         rays.append(start[1])
         return tuple(sorted(tuple(sorted(pair)) for pair in zip(rays, rays[1:])))
-    fan = (start,)
-    while True:
-        target = None
-        for c in fan:
-            if not is_regular_cone(c):
-                target = c
-                break
-        if target is None:
-            return fan
-        p = _subdivision_point(target)
+    solvers = {}
+    irregular = set()
+
+    def add(c):
+        solvers[c] = span_solver(c)
+        if not is_regular_cone(c):
+            irregular.add(c)
+
+    add(start)
+    while irregular:
+        p = _subdivision_point(min(irregular))
         g = content(p)
         p = tuple(a // g for a in p)
-        fan = stellar_subdivide(fan, p)
+        # the cones containing p, with p's coefficients over each
+        hits = []
+        for c, solve in solvers.items():
+            sol = solve(p)
+            if sol is not None and all(a * sol[1] >= 0 for a in sol[0]):
+                hits.append((c, sol[0]))
+        for c, _ in hits:
+            del solvers[c]
+            irregular.discard(c)
+        # each is replaced by its joins with p: one generator of nonzero
+        # coefficient swapped for p
+        for c, y in hits:
+            for i, a in enumerate(y):
+                if a:
+                    new = tuple(sorted(c[:i] + c[i + 1:] + (p,)))
+                    if new not in solvers:
+                        add(new)
+    return tuple(sorted(solvers))
 
 
 def fan_rays(fan):

@@ -4,7 +4,9 @@ pairs, the complete ellipse invariant, and orbit decision.
 
 Ambient dimension is 2 throughout.  Whether an ellipse has a rational
 point is Legendre's theorem on one factorization of its coefficients; the
-point itself comes from a Holzer-box scan, run only when one exists.
+point itself comes from a Holzer-box scan, run only when one exists, that
+visits only the x of each row whose congruence class modulo the third
+coefficient can complete a solution.
 Rational points are enumerated one denominator at a time, so the
 minimal-index search adds denominator j's points and tests only the pairs
 that involve them.  As for the other kinds, the invariant and its witness
@@ -63,7 +65,8 @@ def legendre_solve(p, q, r):
     read off the factors, and it has a solution iff its signs are mixed and
     -bc, -ca, -ab are squares modulo every odd prime of a, b, c in turn.
     Only a solvable triple is scanned, over the Holzer box
-    |x| <= sqrt|bc|, |y| <= sqrt|ac|, for the first point in scan order.
+    |x| <= sqrt|bc|, |y| <= sqrt|ac|, for the first point in scan order;
+    each row visits only the x with c | a x^2 + b y^2.
     """
     if p == 0 or q == 0 or r == 0:
         raise InputError("all three coefficients must be nonzero")
@@ -112,7 +115,7 @@ def _legendre_point(p, q, r):
             exps.setdefault(ell, [0, 0, 0])[i] = e
     reduced = [1 if c > 0 else -1 for c in coeffs]
     scale = [1, 1, 1]
-    odd_primes = ([], [], [])
+    primes = ([], [], [])
     for ell, e in exps.items():
         v = [x % 2 for x in e]
         if sum(v) >= 2:
@@ -122,40 +125,89 @@ def _legendre_point(p, q, r):
             scale[i] *= ell ** ((top - e[i] + v[i]) // 2)
             if v[i]:
                 reduced[i] *= ell
-                if ell != 2:
-                    odd_primes[i].append(ell)
+                primes[i].append(ell)
     # Legendre's theorem; Euler's criterion at each odd prime, 2 is free
     for i in range(3):
         other = -reduced[i - 1] * reduced[i - 2]
-        for ell in odd_primes[i]:
-            if pow(other, (ell - 1) // 2, ell) != 1:
+        for ell in primes[i]:
+            if ell != 2 and pow(other, (ell - 1) // 2, ell) != 1:
                 return None
-    sol = _holzer_search(*reduced)
+    sol = _holzer_search(*reduced, primes[2])
     if sol is None:
         raise InternalCheckError("Legendre's theorem promises a point the "
                                  "Holzer box does not hold")
     return tuple(s * t for s, t in zip(sol, scale))
 
 
-def _holzer_search(p, q, r):
+def _holzer_search(p, q, r, r_primes):
     """The first point in the Holzer box of a squarefree, pairwise coprime,
-    mixed-sign triple, scanning y then x; None when the box holds none."""
+    mixed-sign triple that Legendre's theorem declares solvable, scanning y
+    then x; None when the box holds none.  r_primes are the primes of r.
+
+    r divides p x^2 + q y^2 exactly when x = s y (mod |r|) for a square root
+    s of -q/p modulo |r|, which Legendre's conditions guarantee; so each row
+    visits only those classes of x, in increasing order.
+    """
     bx = math.isqrt(abs(q * r))
     by = math.isqrt(abs(p * r))
+    mod = abs(r)
+    roots = _sqrts_mod(-q * pow(p, -1, mod), r_primes)
     for y in range(0, by + 1):
-        for x in range(0, bx + 1):
-            if x == 0 and y == 0:
-                continue
-            t = -(p * x * x + q * y * y)
-            if t % r:
-                continue
-            w = t // r
-            if w < 0:
-                continue
-            z = math.isqrt(w)
-            if z * z == w:
-                return (x, y, z)
+        classes = sorted({s * y % mod for s in roots})
+        for base in range(0, bx + 1, mod):
+            for c in classes:
+                x = base + c
+                if x > bx:
+                    break
+                if x == 0 and y == 0:
+                    continue
+                t = -(p * x * x + q * y * y)
+                if t % r:
+                    raise InternalCheckError("Holzer scan left the residue classes")
+                w = t // r
+                if w < 0:
+                    continue
+                z = math.isqrt(w)
+                if z * z == w:
+                    return (x, y, z)
     return None
+
+
+def _sqrts_mod(a, primes):
+    """All square roots of a modulo the product of distinct primes, a being
+    a nonzero square modulo each: a root and its negative per prime (by
+    Tonelli-Shanks), joined by the Chinese remainder theorem."""
+    roots, mod = [0], 1
+    for ell in primes:
+        s = _sqrt_mod_prime(a, ell)
+        inv = pow(mod, -1, ell)
+        roots = [x + mod * ((t - x) * inv % ell)
+                 for x in roots for t in {s, ell - s}]
+        mod *= ell
+    return roots
+
+
+def _sqrt_mod_prime(a, ell):
+    """A square root of a, a nonzero square modulo the prime ell."""
+    a %= ell
+    if ell == 2:
+        return a
+    q, e = ell - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    n = 2
+    while pow(n, (ell - 1) // 2, ell) == 1:
+        n += 1
+    c, t, x = pow(n, q, ell), pow(a, q, ell), pow(a, (q + 1) // 2, ell)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % ell, i + 1
+        b = pow(c, 1 << (e - i - 1), ell)
+        e, c, t, x = i, b * b % ell, t * b * b % ell, x * b % ell
+    if x * x % ell != a:
+        raise InternalCheckError("Tonelli-Shanks root is not a root")
+    return x
 
 
 def _center_and_form(co):

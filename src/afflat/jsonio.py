@@ -2,8 +2,14 @@
 
 Rational values serialize as strings "p/q" ("p" for integers); fields that
 are integers by construction (denominators, dimensions, matrix entries)
-serialize as JSON ints.
+serialize as JSON ints.  Parsers check every container's type and raise
+InputError on anything else.  A decimal exponent in a rational string is
+capped at sys.get_int_max_str_digits(), the digit cap Python already puts
+on integer literals, so "1e100000" is refused before it becomes a huge
+integer.
 """
+
+import sys
 
 from .conics import conic
 from .errors import InputError
@@ -18,10 +24,35 @@ def frac_str(f):
 
 
 def parse_frac(s):
+    if isinstance(s, bool):
+        raise InputError("bad rational %r: not a number" % (s,))
+    if isinstance(s, str):
+        _check_exponent(s)
     try:
         return rat(s)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError("bad rational %r: %s" % (s, exc))
+
+
+def _check_exponent(s):
+    """Refuse a decimal exponent longer than Python's integer digit cap (0
+    switches that cap, and this one, off)."""
+    cap = sys.get_int_max_str_digits()
+    _, e, exp = s.lower().partition("e")
+    if not (e and cap):
+        return
+    try:
+        value = int(exp)
+    except ValueError:
+        return  # not an exponent; Fraction rejects the string
+    if abs(value) > cap:
+        raise InputError("bad rational %r: exponent beyond %d" % (s, cap))
+
+
+def _list(v, what):
+    if not isinstance(v, list):
+        raise InputError("%s must be a JSON array" % what)
+    return v
 
 
 def point_json(p):
@@ -51,7 +82,7 @@ def map_json(g):
 
 def parse_affine(d):
     _require(d, ("points",), "affine space")
-    pts = [parse_point(p) for p in d["points"]]
+    pts = [parse_point(p) for p in _list(d["points"], "points")]
     if not pts:
         raise InputError("affine space needs at least one point")
     return pts
@@ -82,7 +113,7 @@ def parse_polyhedron(d):
     simps = d["simplexes"]
     if not isinstance(simps, list) or not simps:
         raise InputError("polyhedron needs a nonempty simplex list")
-    return [tuple(parse_point(p) for p in s) for s in simps]
+    return [tuple(parse_point(p) for p in _list(s, "a simplex")) for s in simps]
 
 
 def parse_cone(d):
@@ -93,7 +124,7 @@ def parse_cone(d):
     out = []
     for g in gens:
         vec = []
-        for c in g:
+        for c in _list(g, "a cone generator"):
             f = parse_frac(c)
             if f.denominator != 1:
                 raise InputError("cone generators must be integer vectors")

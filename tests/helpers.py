@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the package's decision routines: regularity
 is checked by half-open parallelepiped enumeration, hulls by a monotone
-chain, Legendre solvability by a plain triple loop, and x^2 + y^2 = n z^2
-by the primes of n that are 3 mod 4.
+chain, Legendre solvability by a plain triple loop and its first point by a
+scan of every x of the Holzer box, and x^2 + y^2 = n z^2 by the primes of n
+that are 3 mod 4.
 """
 
 import math
@@ -360,6 +361,28 @@ def legendre_brute(p, q, r):
                 if p * x * x + q * y * y + r * z * z == 0:
                     return True
     return False
+
+
+def holzer_box_scan(p, q, r):
+    """The first (x, y, z) with x, y in the Holzer box |x| <= sqrt|qr|,
+    |y| <= sqrt|pr|, scanning y then every x, such that
+    p x^2 + q y^2 + r z^2 = 0 with z >= 0; None when there is none."""
+    bx = math.isqrt(abs(q * r))
+    by = math.isqrt(abs(p * r))
+    for y in range(0, by + 1):
+        for x in range(0, bx + 1):
+            if x == 0 and y == 0:
+                continue
+            t = -(p * x * x + q * y * y)
+            if t % r:
+                continue
+            w = t // r
+            if w < 0:
+                continue
+            z = math.isqrt(w)
+            if z * z == w:
+                return (x, y, z)
+    return None
 
 
 def trial_factor(n):

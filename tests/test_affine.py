@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -234,3 +235,19 @@ def test_equivalence_dimension_mismatch():
     with pytest.raises(InputError):
         affine_equivalence(affine_span([(F(0),)]),
                            affine_span([(F(0), F(0))]))
+
+
+def test_min_den_point_closed_form_large_denominators():
+    # d_F is read off the saturated lattice of the lifts, with one integer
+    # solve, so a denominator near 1e6 costs no more than a small one
+    for d in (97, 99991, 999983):
+        t0 = time.perf_counter()
+        f = affine_span([(F(1, d), F(2, d), F(3, d))])
+        assert affine_invariant(f) == (0, d, 1)
+        line = affine_span([(F(1, d), F(0)), (F(0), F(1, d))])
+        v = min_den_point(line)
+        assert den(v) == d and line.contains(v)
+        plane = affine_span([(F(0), F(5, d), F(0)), (F(1), F(5, d), F(0)),
+                             (F(0), F(5, d), F(1))])
+        assert den(min_den_point(plane)) == d
+        assert time.perf_counter() - t0 < 1.0

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 
 def run_cli(args, inp=None, env_extra=None, timeout=None):
@@ -280,3 +283,69 @@ def test_equiv_ellipse(tmp_path):
     proc = run_cli(["equiv", "--kind", "ellipse", c1, c2])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["equivalent"] is True
+
+
+def test_desingularize_multiplicity_exit_5(tmp_path):
+    # the |det| = 10^7 cosets are charged to the cap per axis, as
+    # ceil(10^7^(1/3)) = 216 > 64, before they are listed
+    c = write(tmp_path, "big.json",
+              {"generators": [[1, 0, 0], [0, 1, 0], [1, 1, 10 ** 7]]})
+    proc = run_cli(["desingularize", c], timeout=30)
+    assert proc.returncode == 5
+    assert "cone multiplicity" in json.loads(proc.stdout)["error"]
+
+
+def test_desingularize_multiplicity_under_default_cap(tmp_path):
+    # |det| = 80 is 5 per axis, well inside the default cap of 64
+    from afflat.cones import desingularize
+    c = write(tmp_path, "m80.json",
+              {"generators": [[1, 0, 0], [0, 1, 0], [1, 1, 80]]})
+    proc = run_cli(["desingularize", c], timeout=30)
+    assert proc.returncode == 0
+    want = desingularize([(1, 0, 0), (0, 1, 0), (1, 1, 80)])
+    assert json.loads(proc.stdout)["cones"] == \
+        [[list(g) for g in c] for c in want]
+
+
+def test_rational_exponent_cap():
+    from afflat.errors import InputError
+    from afflat.jsonio import parse_frac
+    assert parse_frac("1e30") == 10 ** 30
+    assert parse_frac("-2.5E-3") == Fraction(-1, 400)
+    assert 0 < sys.get_int_max_str_digits() < 5000  # the default cap, 4300
+    for s in ("1e5000", "1E-5000", "3e+4_301"):
+        with pytest.raises(InputError):
+            parse_frac(s)
+    for junk in (True, None, [1], {"a": 1}, 1.5):
+        with pytest.raises(InputError):
+            parse_frac(junk)
+
+
+def test_malformed_containers_exit_2(tmp_path):
+    cases = [(["invariant", "--kind", "affine"], {"points": True}),
+             (["invariant", "--kind", "affine"], {"points": "12"}),
+             (["equiv", "--kind", "polyhedron"], {"simplexes": [0]}),
+             (["desingularize"], {"generators": [[1, 0], 5]}),
+             (["desingularize"], {"generators": [[1, 0, 0], [0, 1]]})]
+    for argv, doc in cases:
+        f = write(tmp_path, "bad.json", doc)
+        files = [f, f] if argv[0] == "equiv" else [f]
+        proc = run_cli(argv + files)
+        assert proc.returncode == 2, (argv, doc, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert "error" in json.loads(proc.stdout)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open defect: core.lattice_points_at hands a "
+                          "1e30-long range to itertools.product, and the "
+                          "OverflowError escapes as a traceback (exit 1)")
+def test_polyhedron_huge_vertex_exits_cleanly(tmp_path):
+    big = write(tmp_path, "big.json",
+                {"simplexes": [[["0"], ["1"]], [["2"], ["1e30"]]]})
+    small = write(tmp_path, "small.json",
+                  {"simplexes": [[["0"], ["1"]], [["2"], ["3"]]]})
+    proc = run_cli(["equiv", "--kind", "polyhedron", big, small], timeout=60)
+    assert proc.returncode in (2, 5)
+    assert len(proc.stdout.splitlines()) == 1
+    assert "error" in json.loads(proc.stdout)

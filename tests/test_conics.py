@@ -1,11 +1,14 @@
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from afflat.conics import (ELLIPSE, ELLIPSE_NO_POINT, NOT_ELLIPSE, classify,
+from afflat.conics import (ELLIPSE, ELLIPSE_NO_POINT, NOT_ELLIPSE, _holzer_search,
+                           classify,
                            conic, conjugate_diameter, ellipse,
                            ellipse_equivalence, ellipse_from_semidiameters,
                            ellipse_invariant, legendre_solve, min_index_pairs,
@@ -14,7 +17,7 @@ from afflat.conics import (ELLIPSE, ELLIPSE_NO_POINT, NOT_ELLIPSE, classify,
 from afflat.core import den
 from afflat.errors import InputError, NotInClass
 
-from helpers import (is_sum_of_two_squares, legendre_brute,
+from helpers import (holzer_box_scan, is_sum_of_two_squares, legendre_brute,
                      rand_unimodular, trial_factor)
 
 F = Fraction
@@ -438,3 +441,47 @@ def test_min_index_pairs_against_full_rescan():
                     expect.append((den(x) + den(y), x, y))
         assert min(expect)[0] == d
         assert pairs == sorted((x, y) for s, x, y in expect if s == d)
+
+
+def _reduced_triple(rng):
+    """A random squarefree, pairwise coprime, mixed-sign triple, with the
+    third coefficient drawn as +-1, even or odd."""
+    while True:
+        vals = [rng.randint(1, 100) for _ in range(2)]
+        vals.append(rng.choice([1, 2 * rng.randint(1, 40), rng.randint(3, 80),
+                                rng.randint(3, 80)]))
+        if all(e == 1 for v in vals for e in trial_factor(v).values()) and \
+                math.gcd(vals[0], vals[1]) == math.gcd(vals[0], vals[2]) \
+                == math.gcd(vals[1], vals[2]) == 1:
+            signs = [rng.choice([1, -1]) for _ in range(3)]
+            if len(set(signs)) == 2:
+                return tuple(s * v for s, v in zip(signs, vals))
+
+
+def test_holzer_scan_matches_full_box():
+    # the residue-class scan visits the box's points in the full scan's
+    # order, so its first point is the full scan's first point
+    rng = random.Random(72)
+    seen = {"unit_r": 0, "even_r": 0, "y0": 0, "all": 0}
+    while min(seen.values()) < 30:
+        p, q, r = _reduced_triple(rng)
+        want = holzer_box_scan(p, q, r)
+        if want is None:
+            continue  # unsolvable by Holzer's theorem; not scanned
+        assert _holzer_search(p, q, r, sorted(trial_factor(abs(r)))) == want
+        seen["all"] += 1
+        seen["unit_r"] += abs(r) == 1
+        seen["even_r"] += r % 2 == 0
+        seen["y0"] += want[1] == 0
+
+
+def test_legendre_large_solvable_prime_answers():
+    # 999999999989 is a prime = 1 (mod 4); a scan of every x of the Holzer
+    # box did not return within minutes
+    code = ("from afflat.conics import legendre_solve\n"
+            "x, y, z = legendre_solve(1, 1, -999999999989)\n"
+            "assert x * x + y * y == 999999999989 * z * z and z\n"
+            "print(x, y, z)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -112,6 +112,22 @@ def test_desingularize_matches_stellar_in_higher_dimension():
         assert desingularize(gens) == stellar_desingularize(gens), gens
 
 
+def test_desingularize_worklist_matches_stellar():
+    # the worklist subdivides the least irregular cone, as the oracle's full
+    # rescan does, so the fans agree cone for cone
+    for m in (2, 3, 5, 8, 13, 21, 34, 55, 80):
+        gens = [(1, 0, 0), (0, 1, 0), (1, 1, m)]
+        assert desingularize(gens) == stellar_desingularize(gens), m
+    rng = random.Random(73)
+    cases = [[(1, 0, 0), (0, 1, 0),
+              (rng.randint(0, 6), rng.randint(0, 6), rng.randint(7, 15))]
+             for _ in range(6)]
+    for m, t in [(3, 3), (4, 3), (4, 4)] * 6:
+        cases.append(rand_cone(rng, m, t, 2))
+    for gens in cases:
+        assert desingularize(gens) == stellar_desingularize(gens), gens
+
+
 def test_parallelepiped_points_match_box_scan():
     rng = random.Random(55)
     seen = 0
