@@ -17,10 +17,14 @@ cosets of the generator lattice, read off a column echelon form and reduced
 into the parallelepiped through the adjugate, with no Fraction solve.  Like
 the other grid searches, where denominator k scans about k^t points, the
 enumeration is charged to the search budget per axis, as the t-th root of
-|det| for t generators, before it starts.  The fan is a worklist: each cone
-gets its coordinate solver and its regularity test once, when it is
-created, the irregular ones wait in a set, and a subdivision step replaces
-the cones containing the new ray by their joins with it.
+|det| for t generators, before it starts; the least point is picked by the
+integer numerators of the coefficients, with no list and no sort.  The fan
+is a worklist: each cone gets its regularity test once, when it is created,
+and the irregular ones wait in a set.  A subdivision step replaces the
+cones containing the new ray by their joins with it.  The ray lies in the
+relative interior of a face of the subdivided cone, so those cones are the
+ones that have that face, found in an index from each ray to its cones
+without solving for coordinates.
 """
 
 from fractions import Fraction
@@ -145,9 +149,10 @@ def _ceil_root(n, t):
     return lo
 
 
-def parallelepiped_points(gens):
-    """Nonzero integer points of the half-open fundamental parallelepiped
-    of the generators, as (coefficients, point) sorted by point.
+def _cosets(gens):
+    """|det| and the coefficient numerators r of the nonzero integer points
+    sum_i (r_i / |det|) gens_i of the half-open fundamental parallelepiped
+    of the generators, one tuple r at a time.
 
     They stand for the nonzero cosets of the generators' lattice in the
     saturated lattice of their span.  With C the generators' coordinates
@@ -167,25 +172,39 @@ def parallelepiped_points(gens):
     budget.check(_ceil_root(size, t), "cone multiplicity per axis")
     adj = adjugate(mat)
     hcols, _, pivots = column_echelon(mat)
-    out = []
-    for y in product(*[range(hcols[c][r]) for r, c in pivots]):
-        if not any(y):
-            continue
-        r = [sum(map(mul, row, y)) % size for row in adj]
-        pt = tuple(sum(map(mul, r, coord)) // size for coord in zip(*gens))
-        out.append((tuple(Fraction(ri, size) for ri in r), pt))
-    out.sort(key=lambda sc: sc[1])
-    return out
+    boxes = product(*[range(hcols[c][r]) for r, c in pivots])
+    return size, (tuple(sum(map(mul, row, y)) % size for row in adj)
+                  for y in boxes if any(y))
+
+
+def _coset_point(gens, r, size):
+    """The point sum_i (r_i / size) gens_i."""
+    return tuple(sum(map(mul, r, coord)) // size for coord in zip(*gens))
+
+
+def parallelepiped_points(gens):
+    """Nonzero integer points of the half-open fundamental parallelepiped
+    of the generators, as (coefficients, point) sorted by point."""
+    size, cosets = _cosets(gens)
+    return sorted(((tuple(Fraction(a, size) for a in r),
+                    _coset_point(gens, r, size)) for r in cosets),
+                  key=lambda sc: sc[1])
 
 
 def _subdivision_point(gens):
-    """Lattice point of the parallelepiped minimizing the coefficient sum,
-    ties broken lexicographically; None when the cone is regular."""
-    pts = parallelepiped_points(gens)
-    if not pts:
-        return None
-    best = min(pts, key=lambda sc: (sum(sc[0]), sc[1]))
-    return best[1]
+    """(numerators, point) of the coset of the least coefficient sum, ties
+    broken by the point.  The sums share the denominator |det|, so their
+    numerators order them, and only a coset that ties the least sum so far
+    needs its point."""
+    size, cosets = _cosets(gens)
+    best = None
+    for r in cosets:
+        s = sum(r)
+        if best is None or s <= best[0]:
+            key = (s, _coset_point(gens, r, size), r)
+            if best is None or key < best:
+                best = key
+    return best[2], best[1]
 
 
 def desingularize(generators):
@@ -204,37 +223,38 @@ def desingularize(generators):
                 for j in range(count)]
         rays.append(start[1])
         return tuple(sorted(tuple(sorted(pair)) for pair in zip(rays, rays[1:])))
-    solvers = {}
+    fan = set()
+    star = {}  # ray -> the cones of the fan that have it as a generator
     irregular = set()
 
     def add(c):
-        solvers[c] = span_solver(c)
+        fan.add(c)
+        for g in c:
+            star.setdefault(g, set()).add(c)
         if not is_regular_cone(c):
             irregular.add(c)
 
     add(start)
     while irregular:
-        p = _subdivision_point(min(irregular))
+        target = min(irregular)
+        r, p = _subdivision_point(target)
         g = content(p)
         p = tuple(a // g for a in p)
-        # the cones containing p, with p's coefficients over each
-        hits = []
-        for c, solve in solvers.items():
-            sol = solve(p)
-            if sol is not None and all(a * sol[1] >= 0 for a in sol[0]):
-                hits.append((c, sol[0]))
-        for c, _ in hits:
-            del solvers[c]
+        # p lies in the relative interior of the face of target spanned by
+        # the generators of nonzero coefficient, a cone of the fan; so the
+        # cones containing p are those with that face
+        face = [x for x, a in zip(target, r) if a]
+        for c in set.intersection(*[star[x] for x in face]):
+            fan.discard(c)
             irregular.discard(c)
-        # each is replaced by its joins with p: one generator of nonzero
-        # coefficient swapped for p
-        for c, y in hits:
-            for i, a in enumerate(y):
-                if a:
-                    new = tuple(sorted(c[:i] + c[i + 1:] + (p,)))
-                    if new not in solvers:
-                        add(new)
-    return tuple(sorted(solvers))
+            for x in c:
+                star[x].discard(c)
+            # replaced by its joins with p: one generator of the face
+            # swapped for p
+            for x in face:
+                i = c.index(x)
+                add(tuple(sorted(c[:i] + c[i + 1:] + (p,))))
+    return tuple(sorted(fan))
 
 
 def fan_rays(fan):

@@ -213,9 +213,17 @@ def lattice_points_in(region, max_den):
 
 def lattice_points_at(poly, k):
     """The points of denominator exactly k in a convexity.Polytope, in
-    coordinate order.  Each grid vector combo/k is tested on its lift
-    (combo, k) by the polytope's integer rows; a combo with gcd(k, *combo)
-    > 1 is skipped, since its point has a smaller denominator.
+    coordinate order."""
+    return [tuple(Fraction(c, k) for c in q[:-1])
+            for q in lattice_lifts_at(poly, k)]
+
+
+def lattice_lifts_at(poly, k):
+    """The lifts (combo, k) of the points combo/k of denominator exactly k
+    in a convexity.Polytope, in coordinate order.  Each grid vector is
+    tested on its lift by the polytope's integer rows; a combo with
+    gcd(k, *combo) > 1 is skipped, since its point has a smaller
+    denominator.
     """
     pts = poly.vertices
     n = len(pts[0])
@@ -223,8 +231,7 @@ def lattice_points_at(poly, k):
                     math.floor(max(p[i] for p in pts) * k) + 1)
               for i in range(n)]
     # product order is coordinate order
-    return [tuple(Fraction(c, k) for c in combo)
-            for combo in product(*ranges)
+    return [combo + (k,) for combo in product(*ranges)
             if math.gcd(k, *combo) == 1 and poly.contains_lift(combo + (k,))]
 
 

@@ -6,10 +6,12 @@ possibly overlapping.  One refiner serves triangulation and set equality:
 it clips each simplex, cut by cut, into simplex cells along affine hulls of
 faces and records on which side of each cut a cell lies.  Triangulation
 cuts along the intersection-closed hulls of all faces and places each
-arrangement cell; set equality cuts along both sides' facet hulls and
-tests every cell by exact samples.  The orbit decision enumerates the
-finite candidate set of matched regular frames in the target hull and
-tests each candidate map by set equality.
+arrangement cell.  Set equality accepts whole each simplex that lies in
+one simplex of the other side, by an integer test of its vertices; it cuts
+the rest along the other side's facet hulls only and tests each cell by
+its barycenter.  The orbit decision enumerates the finite candidate set of
+matched regular frames in the target hull and tests each candidate map by
+set equality; for the right map every simplex is accepted whole.
 """
 
 from fractions import Fraction
@@ -17,13 +19,14 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import budget
-from .affine import AffineSpace, affine_equivalence, extend_frame
+from .affine import (AffineSpace, affine_equivalence, affine_invariant,
+                     extend_frame)
 from .complexes import Triangulation
 from .cones import desingularize, fan_rays
 from .convexity import (AffineHull, Polytope, affine_rank, clip_simplex,
                         placing_triangulation, simplex_barycentric,
                         simplex_tester)
-from .core import (UniAffMap, den, is_regular, lattice_points_at, lift,
+from .core import (UniAffMap, den, is_regular, lattice_lifts_at, lift,
                    simplex, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
 from .intlinalg import invert_unimodular, mat_mul, minor_gcd
@@ -150,35 +153,40 @@ def _refined_simplex_cells(P, family):
 
 
 def poly_set_equal(P, Q):
-    """Exact point-set equality of two polyhedra, decided stratum by
-    stratum: refine each against the affine hulls of both sides' facets,
-    then test every cell by its barycenter and its vertices."""
+    """Exact point-set equality of two polyhedra: each side lies in the
+    union of the other's simplexes.
+
+    A simplex of P whose vertices all lie in one simplex of Q lies in it
+    (simplexes are convex), so it is accepted whole.  The rest of P is
+    refined against the hulls of Q's simplexes and of their facets only:
+    each cell then lies in one closed half of every cut, so for every
+    simplex t of Q the relative interior of the cell is either inside t or
+    disjoint from it, and the barycenter decides whether the cell lies in
+    Q.  The same for Q against P."""
     P = polyhedron(P)
     Q = polyhedron(Q)
     if len(P[0][0]) != len(Q[0][0]):
         raise InputError("ambient dimensions differ")
-    family = _face_hulls([P, Q], facets_only=True)
+    return _covered(P, Q) and _covered(Q, P)
 
-    def covered(pieces, other_tests):
-        # cells of one input simplex share its hull object and many vertices
-        done = set()
-        for hull, _, cell in pieces:
-            k = len(cell)
-            bary = hull.embed(tuple(sum(c) / k for c in zip(*cell)))
-            if not _covers(other_tests, lift(bary)):
-                return False
-            for p in cell:
-                if (hull, p) in done:
-                    continue
-                if not _covers(other_tests, lift(hull.embed(p))):
-                    return False
-                done.add((hull, p))
-        return True
 
+def _covered(P, Q):
+    """P lies in the union of Q's simplexes."""
     tests_q = [simplex_tester(s) for s in Q]
-    tests_p = [simplex_tester(s) for s in P]
-    return covered(_refined_simplex_cells(P, family), tests_q) and \
-        covered(_refined_simplex_cells(Q, family), tests_p)
+    rest = []
+    for s in P:
+        lifts = [lift(v) for v in s]
+        if not any(all(map(t, lifts)) for t in tests_q):
+            rest.append(s)
+    if not rest:
+        return True
+    family = _face_hulls([Q], facets_only=True)
+    for hull, _, cell in _refined_simplex_cells(rest, family):
+        k = len(cell)
+        bary = hull.embed(tuple(sum(c) / k for c in zip(*cell)))
+        if not _covers(tests_q, lift(bary)):
+            return False
+    return True
 
 
 def _covers(tests, q):
@@ -233,34 +241,36 @@ def regular_simplex_in(points):
     return out
 
 
-def _min_den_regular_frame(poly, e):
+def _min_den_regular_frame(poly, e, d_f):
     """Smallest-denominator regular e-frame inside the Polytope, searched in
     (denominator, coords)-lexicographic DFS order; round d adds the points
-    of denominator d to those already found."""
-    pts = []
+    of denominator d to those already found.  Only multiples d of d_f, the
+    least denominator of the polytope's affine hull, have points there."""
+    lifts = []
     d = 0
     while True:
-        d += 1
+        d += d_f
         budget.check(d, "regular frame search")
-        pts += lattice_points_at(poly, d)
-        found = _frame_dfs([], pts, e + 1)
+        lifts += lattice_lifts_at(poly, d)
+        found = _frame_dfs([], lifts, e + 1)
         if found is not None:
-            return tuple(found)
+            return tuple(unlift(q) for q in found)
 
 
-def _frame_dfs(prefix, pts, size):
+def _frame_dfs(prefix, lifts, size):
+    """The first size-tuple of the lifts, extending prefix, that is part of
+    a lattice basis, in DFS order; None when there is none."""
     if len(prefix) == size:
         return list(prefix)
-    if not pts:
+    if not lifts:
         return None
-    lifts = [lift(p) for p in prefix]
-    m = len(pts[0]) + 1
-    for p in pts:
-        if p in prefix:
+    m = len(lifts[0])
+    for q in lifts:
+        if q in prefix:
             continue
-        if minor_gcd(lifts + [lift(p)], m) != 1:
+        if minor_gcd(prefix + [q], m) != 1:
             continue
-        res = _frame_dfs(prefix + [p], pts, size)
+        res = _frame_dfs(prefix + [q], lifts, size)
         if res is not None:
             return res
     return None
@@ -286,7 +296,7 @@ def polyhedron_equivalence(P, Q):
     e = FP.dim
     CP = Polytope(poly_vertices(P))
     CQ = Polytope(poly_vertices(Q))
-    frame = _min_den_regular_frame(CP, e)
+    frame = _min_den_regular_frame(CP, e, affine_invariant(FP).d)
     _, ext = extend_frame(frame)
     V = frame + ext
     g_rest = tuple(gamma(p) for p in ext)

@@ -3,8 +3,8 @@
 The oracles deliberately avoid the package's decision routines: regularity
 is checked by half-open parallelepiped enumeration, hulls by a monotone
 chain, Legendre solvability by a plain triple loop and its first point by a
-scan of every x of the Holzer box, and x^2 + y^2 = n z^2 by the primes of n
-that are 3 mod 4.
+scan of every x of the Holzer box, x^2 + y^2 = n z^2 by the primes of n
+that are 3 mod 4, and point-set equality in R^1 by merged intervals.
 """
 
 import math
@@ -344,6 +344,20 @@ def stellar_desingularize(generators):
                 if coef > 0:
                     new.add(tuple(sorted(c[:i] + c[i + 1:] + (p,))))
         fan = tuple(sorted(new))
+
+
+# --- point sets in R^1 ------------------------------------------------------
+
+def interval_union(P):
+    """The union of a polyhedron in R^1 (points and segments) as its sorted,
+    pairwise disjoint closed intervals (lo, hi), lo <= hi."""
+    out = []
+    for lo, hi in sorted((min(s)[0], max(s)[0]) for s in P):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
 
 
 # --- Legendre brute force --------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from afflat import cones, polyhedra
 from afflat.cones import (cone, desingularize, fan_rays, is_regular_cone,
                           parallelepiped_points)
 from afflat.convexity import clip_simplex
@@ -15,7 +16,8 @@ from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
 from afflat.segments import hj_chain, lambda1
 
 from helpers import (_tiny_det, box_parallelepiped_points, in_hull_by_dets,
-                     rand_point, rand_unimodular, stellar_desingularize)
+                     interval_union, rand_point, rand_unimodular,
+                     stellar_desingularize)
 
 F = Fraction
 
@@ -128,6 +130,24 @@ def test_desingularize_worklist_matches_stellar():
         assert desingularize(gens) == stellar_desingularize(gens), gens
 
 
+def test_desingularize_subdivides_on_faces_like_stellar(monkeypatch):
+    # several subdivision points of these cones lie on proper faces, shared
+    # with a neighbouring cone or on the boundary; the ray index must find
+    # every cone containing such a point, as the oracle's scan does
+    targets = []
+    real = cones._subdivision_point
+    monkeypatch.setattr(cones, "_subdivision_point",
+                        lambda c: targets.append(c) or real(c))
+    for gens, faces in (([(2, 1, 0), (0, 7, 1), (1, 1, 5)], 3),
+                        ([(-1, -3, -3, 3), (0, -1, 2, -3), (0, -1, 3, 2),
+                          (0, 3, 2, 2)], 18)):
+        targets.clear()
+        assert desingularize(gens) == stellar_desingularize(gens), gens
+        coefs = [min(box_parallelepiped_points(c),
+                     key=lambda sc: (sum(sc[0]), sc[1]))[0] for c in targets]
+        assert sum(0 in sc for sc in coefs) == faces, gens
+
+
 def test_parallelepiped_points_match_box_scan():
     rng = random.Random(55)
     seen = 0
@@ -236,6 +256,89 @@ def test_unit_triangle_minus_a_small_triangle_differs():
         assert not poly_set_equal([t], Q)
         assert not poly_set_equal(Q, [t])
         assert polyhedron_equivalence([t], Q) is None
+
+
+def rand_union_1d(rng, pool):
+    """Points and segments with endpoints from pool."""
+    out = []
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        out.append(((a,),) if a == b or rng.random() < 0.25
+                   else tuple(sorted([(a,), (b,)])))
+    return out
+
+
+def retiled_1d(rng, P, pool):
+    """Simplexes with the union of P, cut at pool points, with a duplicated
+    piece and nested points and segments; then, half the time, one piece
+    dropped, moved or added, which may or may not change the union."""
+    Q = []
+    for lo, hi in interval_union(P):
+        cuts = sorted({lo, hi} | {x for x in pool
+                                  if lo < x < hi and rng.random() < 0.5})
+        Q += [((a,), (b,)) for a, b in zip(cuts, cuts[1:])] or [((lo,),)]
+        inner = [x for x in pool if lo <= x <= hi]
+        if rng.random() < 0.5:
+            Q.append(((rng.choice(inner),),))
+        a, b = rng.choice(inner), rng.choice(inner)
+        if a < b and rng.random() < 0.5:
+            Q.append(((a,), (b,)))
+    Q.append(rng.choice(Q))
+    rng.shuffle(Q)
+    change = rng.randrange(6)
+    if change == 0 and len(Q) > 1:
+        Q.pop()
+    elif change == 1:
+        Q += rand_union_1d(rng, pool)[:1]
+    elif change == 2:
+        s = Q.pop()
+        Q.append(tuple(sorted({s[0], (rng.choice(pool),)})))
+    return Q
+
+
+def test_poly_set_equal_matches_interval_oracle_in_r1():
+    rng = random.Random(81)
+    pool = sorted({F(k, d) for d in range(1, 5) for k in range(-d, 2 * d + 1)})
+    verdicts = []
+    for _ in range(400):
+        P = rand_union_1d(rng, pool)
+        Q = retiled_1d(rng, P, pool) if rng.random() < 0.8 \
+            else rand_union_1d(rng, pool)
+        want = interval_union(P) == interval_union(Q)
+        assert poly_set_equal(P, Q) == want, (P, Q)
+        assert poly_set_equal(Q, P) == want, (P, Q)
+        verdicts.append(want)
+    assert 100 < sum(verdicts) < 300
+
+
+def counting(monkeypatch, name):
+    """Record the arguments of every call to polyhedra.<name>."""
+    calls = []
+    real = getattr(polyhedra, name)
+    monkeypatch.setattr(polyhedra, name,
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_poly_set_equal_accepts_own_simplexes_without_clipping(monkeypatch):
+    clips = counting(monkeypatch, "clip_simplex")
+    rng = random.Random(82)
+    for n in (1, 2, 3):
+        P = [rand_simplex(rng, n) for _ in range(4)]
+        Q = P[::-1] + [P[2]]
+        assert poly_set_equal(P, Q) and poly_set_equal(Q, P)
+    assert clips == []
+
+
+def test_poly_set_equal_refines_only_the_uncovered_side(monkeypatch):
+    refined = counting(monkeypatch, "_refined_simplex_cells")
+    t = tri((0, 0), (1, 0), (0, 1))
+    small = quarter_triangles()
+    assert poly_set_equal([t], small)
+    assert poly_set_equal(small, [t])
+    # each quarter lies in T and is accepted whole; T is cut by the
+    # quarters' facet hulls and every cell is found in some quarter
+    assert [P for P, _ in refined] == [[simplex(t)], [simplex(t)]]
 
 
 def edge_det(simp):
