@@ -96,14 +96,14 @@ def min_den_point(F):
     coordinate k, so d_F is the gcd of the last coordinates of a basis of
     that lattice.  One integer solve of the system d_F x in Z^n, a.x = c
     gives the point, which is size-reduced along the direction lattice to
-    keep its coordinates small.  d_F is charged to the search budget.
+    keep its coordinates small.  No search runs, so nothing is charged to
+    the search budget.
     """
     if not F.equations:
         return tuple(Fraction(0) for _ in range(F.n))
     k = 0
     for b in saturated_span_basis([lift(p) for p in F.points]):
         k = math.gcd(k, b[-1])
-    budget.check(k, "minimal denominator search")
     rhs = [k * c for _, c in F.equations]
     if any(t.denominator != 1 for t in rhs):
         raise InternalCheckError("least denominator misses the equations")

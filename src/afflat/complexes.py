@@ -2,11 +2,11 @@
 
 from itertools import combinations
 
-from .convexity import AffineHull, _simplex_rows, simplex_contains
+from .convexity import AffineHull, _barycentric_solver, simplex_tester
 from .core import farey_mediant, simplex
 from .errors import InputError
 from .intlinalg import rational_rank, rational_solve
-from .rationals import vdot
+from .rationals import lift, vadd
 
 
 class Triangulation:
@@ -50,10 +50,9 @@ class Triangulation:
 
     def is_valid_complex(self):
         """Exact check that any two simplexes meet in a common face."""
-        for a, b in combinations(self.maximal, 2):
-            if not _meet_in_common_face(a, b):
-                return False
-        return True
+        cells = [(m, AffineHull(m), _barycentric_solver(m))
+                 for m in self.maximal]
+        return all(_meet_in_common_face(a, b) for a, b in combinations(cells, 2))
 
     def __eq__(self, other):
         return isinstance(other, Triangulation) and self.maximal == other.maximal
@@ -66,28 +65,29 @@ class Triangulation:
 
 
 def _meet_in_common_face(a, b):
-    """True iff conv(a) /\\ conv(b) equals conv of the shared vertices."""
-    common = sorted(set(a) & set(b))
-    ha, hb = AffineHull(a), AffineHull(b)
+    """True iff conv(a) /\\ conv(b) equals conv of the shared vertices; a and
+    b are (vertices, AffineHull, barycentric solver) triples."""
+    (va, ha, bary_a), (vb, hb, bary_b) = a, b
+    common = sorted(set(va) & set(vb))
     inter = ha.intersect(hb)
     if inter is None:
         return not common
-    d = inter.dim
-    # -r.(x, 1) >= 0 for every inequality row r of either simplex (positive
-    # multiples of barycentric coordinates), in x = anchor + basis . mu
+    # every barycentric coordinate of either simplex is >= 0; on the
+    # intersection x = anchor + basis . mu they are affine in mu, read off
+    # at the anchor and at the points anchor + basis_j
+    base = [inter.anchor] + [vadd(inter.anchor, d) for d in inter.basis]
     cons = []
-    for r in _simplex_rows(a)[1] + _simplex_rows(b)[1]:
-        w = r[:-1]
-        g = tuple(-vdot(w, bvec) for bvec in inter.basis)
-        h = -vdot(w, inter.anchor) - r[-1]
-        cons.append((g, h))  # g.mu + h >= 0
-    verts = _vertex_enumeration(cons, d)
-    pts = [inter.embed(v) for v in verts]
+    for bary in (bary_a, bary_b):
+        lam0, *lams = [bary(p) for p in base]
+        for i, h in enumerate(lam0):
+            cons.append((tuple(lam[i] - h for lam in lams), h))  # g.mu + h >= 0
+    pts = [inter.embed(v) for v in _vertex_enumeration(cons, inter.dim)]
     if not pts:
         return not common
     if not common:
         return False
-    return all(simplex_contains(tuple(common), p) for p in pts)
+    inside = simplex_tester(common)
+    return all(inside(lift(p)) for p in pts)
 
 
 def _vertex_enumeration(cons, d):

@@ -23,7 +23,7 @@ from .angles import _triangle_with_witness
 from .core import den
 from .segments import _witness_decision
 from .errors import InputError, InternalCheckError, NotInClass
-from .rationals import lcm, point, rat, vdot, vsub
+from .rationals import point, rat, vdot, vsub
 
 
 class Conic(NamedTuple):
@@ -248,7 +248,7 @@ def _classify_with_witness(co):
     # rational point iff alpha u^2 + beta v^2 = m has one, u = X + bY/2a
     alpha = co.a
     beta = (4 * co.a * co.c - co.b * co.b) / (4 * co.a)
-    scale = lcm(lcm(alpha.denominator, beta.denominator), m.denominator)
+    scale = math.lcm(alpha.denominator, beta.denominator, m.denominator)
     A = int(alpha * scale)
     B = int(beta * scale)
     C = int(m * scale)

@@ -2,23 +2,28 @@
 
 Hulls and facets are built exactly over Fractions, once per object.  The
 predicates the polyhedron decision asks at every grid point and cell
-vertex are fraction-free, on homogeneous integer lifts (num, k) of num/k:
-polytopes and simplexes are cached as integer rows r, and num/k is inside
-iff r.(num, k) == 0 for every equation row and r.(num, k) <= 0 for every
-inequality row.  Simplex clipping, the one arrangement refiner, takes its
-signs and edge crossings from the same lifts and covers each closed half
-of a simplex by simplexes of its dimension.  Facets are enumerated by
-brute force over vertex subsets, which is fine at the scale this package
-targets and keeps every predicate exact.
+vertex are fraction-free, on homogeneous integer lifts (num, k) of num/k.
+A polytope is cached as integer rows r, and num/k is inside iff
+r.(num, k) == 0 for every equation row and r.(num, k) <= 0 for every
+inequality row.  Coordinates over affinely independent points come from
+one `span_solver` over their lifts: a simplex contains num/k iff (num, k)
+is a nonnegative combination of its vertex lifts, and the same solve gives
+barycentric coordinates and a hull's coordinates.  Simplex clipping, the
+one arrangement refiner, takes its signs and edge crossings from the same
+lifts and covers each closed half of a simplex by simplexes of its
+dimension.  Facets are enumerated by brute force over vertex subsets,
+which is fine at the scale this package targets and keeps every predicate
+exact.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import mul
 
 from .errors import InputError
-from .intlinalg import (adjugate, det_int, rational_nullspace, rational_rank,
-                        rational_solve)
+from .intlinalg import (det_int, rational_nullspace, rational_rank,
+                        rational_solve, span_solver)
 from .rationals import (canon_primitive, content, lift, point, primitive, rat,
                         vadd, vdot, vsub)
 
@@ -36,31 +41,26 @@ class AffineHull:
             raise InputError("mixed ambient dimensions")
         self.anchor = pts[0]
         basis = []
-        rows = []
+        frame = [self.anchor]
         for p in pts[1:]:
             d = vsub(p, self.anchor)
-            if rational_rank(rows + [d]) > len(basis):
+            if rational_rank(basis + [d]) > len(basis):
                 basis.append(d)
-                rows.append(d)
+                frame.append(p)
         self.basis = basis
         self.dim = len(basis)
+        self._frame = frame
         self._equations = None
+        self._bary = None
 
     def coords(self, p):
-        """Coordinates of p in the direction basis, or None if p is off-hull."""
-        d = vsub(point(p), self.anchor)
-        if not self.basis:
-            return () if all(c == 0 for c in d) else None
-        cols = list(zip(*self.basis))
-        sol = rational_solve(cols, d)
-        if sol is None:
-            return None
-        # rational_solve ignores inconsistent over-determination only when
-        # there is none; verify exactly.
-        for j in range(self.ambient):
-            if sum(sol[i] * self.basis[i][j] for i in range(self.dim)) != d[j]:
-                return None
-        return sol
+        """Coordinates of p in the direction basis, or None if p is off-hull:
+        the barycentric coordinates of p over the anchor and the points
+        the basis was taken from, less the anchor's."""
+        if self._bary is None:
+            self._bary = _barycentric_solver(self._frame)
+        lam = self._bary(p)
+        return None if lam is None else lam[1:]
 
     def embed(self, coords):
         p = self.anchor
@@ -134,11 +134,10 @@ def _facets_in_coords(pts, e):
     Candidate hyperplanes come from e-subsets via the generalized integer
     cross product (fraction-free) after clearing denominators once.
     """
-    from math import lcm as _lcm
     scale = 1
     for p in pts:
         for c in p:
-            scale = _lcm(scale, c.denominator)
+            scale = lcm(scale, c.denominator)
     ipts = [tuple(int(c * scale) for c in p) for p in pts]
     facets = {}
     for sub in combinations(range(len(pts)), e):
@@ -251,78 +250,49 @@ def _rows_hold(eqs, ineqs, q):
     return True
 
 
+def _barycentric_solver(vertices):
+    """bary(x) -> barycentric coordinates of x over the affinely independent
+    vertices, or None when x is off their span.  One span_solver over the
+    vertex lifts L_i answers every query: lift(x) = sum_i mu_i L_i gives
+    lambda_i = mu_i den(v_i) / den(x)."""
+    lifts = [lift(v) for v in vertices]
+    solve = span_solver(lifts)
+    dens = [q[-1] for q in lifts]
+
+    def bary(x):
+        q = lift(x)
+        sol = solve(q)
+        if sol is None:
+            return None
+        y, d = sol
+        k = d * q[-1]
+        return tuple(Fraction(t * e, k) for t, e in zip(y, dens))
+
+    return bary
+
+
 def simplex_barycentric(vertices, x):
     """Barycentric coordinates of x w.r.t. affinely independent vertices,
     or None when x is outside the affine span."""
-    rows = [list(col) for col in zip(*vertices)]
-    rows.append([Fraction(1)] * len(vertices))
-    rhs = list(point(x)) + [Fraction(1)]
-    lam = rational_solve(rows, rhs)
-    if lam is None:
-        return None
-    for i, r in enumerate(rows):
-        if sum(a * b for a, b in zip(r, lam)) != rhs[i]:
-            return None
-    return lam
-
-
-def simplex_contains(vertices, x):
-    lam = simplex_barycentric(vertices, x)
-    return lam is not None and all(l >= 0 for l in lam)
+    return _barycentric_solver(vertices)(x)
 
 
 def simplex_tester(vertices):
     """Membership predicate for one simplex, over homogeneous lifts:
-    tester((num_1, ..., num_n, k)) is True iff num/k (k > 0) lies in it.
-    The rows are built once; a query costs integer dot products only."""
-    eqs, ineqs = _simplex_rows(vertices)
+    tester((num_1, ..., num_n, k)) is True iff num/k (k > 0) lies in it,
+    that is iff the lift is a nonnegative combination of the vertex lifts.
+    One span_solver, built once, gives the coefficients times its nonzero
+    determinant d; a query costs integer dot products only."""
+    solve = span_solver([lift(v) for v in vertices])
 
     def contains(q):
-        return _rows_hold(eqs, ineqs, q)
+        sol = solve(q)
+        if sol is None:
+            return False
+        y, d = sol
+        return all(t * d >= 0 for t in y)
 
     return contains
-
-
-def _simplex_rows(vertices):
-    """Integer rows (eqs, ineqs) over lifts that cut out the simplex.
-
-    A point is in the simplex iff its lift q is a nonnegative combination
-    q = sum_i mu_i L_i of the vertex lifts L_i.  With A the vertex-lift
-    matrix restricted to independent coordinate rows S, mu = adj(A) q_S /
-    det(A), and the other rows of q must follow from q_S.  Inequality row i
-    is -mu_i up to a positive factor: on the simplex's affine span,
-    -r_i.(x, 1) is a positive multiple of the i-th barycentric coordinate.
-    """
-    lifts = [lift(v) for v in vertices]
-    m = len(lifts[0])
-    size = len(lifts)
-    coord = list(zip(*lifts))  # coord[j][i]: coordinate j of lift i
-    for sel in combinations(range(m), size):
-        a = [coord[j] for j in sel]
-        delta = det_int(a)
-        if delta:
-            break
-    else:
-        raise InputError("vertices are not affinely independent")
-    adj = adjugate(a)
-    sign = 1 if delta > 0 else -1
-    ineqs = []
-    for i in range(size):
-        r = [0] * m
-        for t, j in enumerate(sel):
-            r[j] = -sign * adj[i][t]
-        ineqs.append(primitive(r))
-    eqs = []
-    for j in range(m):
-        if j in sel:
-            continue
-        # q_j = sum_i coord[j][i] mu_i
-        r = [0] * m
-        r[j] = delta
-        for t, jj in enumerate(sel):
-            r[jj] -= sum(coord[j][i] * adj[i][t] for i in range(size))
-        eqs.append(primitive(r))
-    return eqs, ineqs
 
 
 def clip_simplex(simp, g, h, side):

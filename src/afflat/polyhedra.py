@@ -221,13 +221,7 @@ def regular_simplex_in(points):
     and return the cell with the smallest denominators."""
     poly = Polytope(points)
     e = poly.dim
-    verts = sorted(poly.vertices)
-    base = [verts[0]]
-    for v in verts[1:]:
-        if affine_rank(base + [v]) > affine_rank(base):
-            base.append(v)
-        if len(base) == e + 1:
-            break
+    base = _vertex_base(sorted(poly.vertices), e)
     if len(base) != e + 1:
         raise InputError("degenerate input: hull has no spanning simplex")
     fan = desingularize([lift(v) for v in base])
@@ -239,6 +233,18 @@ def regular_simplex_in(points):
         if not poly.contains(v):
             raise InternalCheckError("regular cell left the hull")
     return out
+
+
+def _vertex_base(verts, e):
+    """The first affinely independent e + 1 of verts, taken greedily in
+    their order (fewer when they span less)."""
+    base = [verts[0]]
+    for v in verts[1:]:
+        if len(base) == e + 1:
+            break
+        if affine_rank(base + [v]) == len(base):
+            base.append(v)
+    return base
 
 
 def _min_den_regular_frame(poly, e, d_f):
@@ -333,12 +339,7 @@ def polyhedron_equivalence(P, Q):
     # a valid map bijects hull vertices (it carries conv(P) onto conv(Q)),
     # so its restriction to aff(P) is pinned by the images of an affinely
     # independent vertex base; enumerate those images instead of raw tuples.
-    base = [sorted(hullP)[0]]
-    for v in sorted(hullP):
-        if affine_rank(base + [v]) > affine_rank(base):
-            base.append(v)
-        if len(base) == e + 1:
-            break
+    base = _vertex_base(sorted(hullP), e)
     bary = [simplex_barycentric(tuple(base), r) for r in frame]
     # chain denominator sequences, compared run-encoded
     ref_dens = {}

@@ -52,10 +52,6 @@ def vdot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
 def den(x):
     """Least common denominator of the coordinates of a rational point."""
     return math.lcm(*(c.denominator for c in point(x)))

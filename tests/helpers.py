@@ -135,9 +135,8 @@ def _simplex_has(verts, x):
             break
     else:
         return False
-    for cols2 in combinations(range(n), d + 1):
-        if _tiny_det([[r[c] for c in cols2] for r in diffs + [px]]):
-            return False
+    if not in_span_by_minors(verts, x):
+        return False
     nums = []
     for i in range(d):
         rows = [[r[c] for c in cols] for r in diffs]
@@ -145,6 +144,15 @@ def _simplex_has(verts, x):
         nums.append(_tiny_det(rows))
     s = 1 if base > 0 else -1
     return all(t * s >= 0 for t in nums) and sum(nums) * s <= abs(base)
+
+
+def in_span_by_minors(verts, x):
+    """x in the affine span of affinely independent verts: x - v0 kills
+    every (d+1)-minor against the d edge vectors v_i - v0."""
+    diffs = [[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]
+    px = [a - b for a, b in zip(x, verts[0])]
+    return not any(_tiny_det([[r[c] for c in cols] for r in diffs + [px]])
+                   for cols in combinations(range(len(x)), len(verts)))
 
 
 def in_hull_by_dets(points, x):

@@ -103,11 +103,18 @@ def test_not_in_class_exit_3(tmp_path):
 
 
 def test_budget_exit_5(tmp_path):
-    f = write(tmp_path, "f.json", {"points": [["1/97", "0"], ["0", "1/97"]]})
-    proc = run_cli(["invariant", "--kind", "affine", f],
-                   env_extra={"AFFLAT_MAX_DEN": "8"})
+    # the regular frame of the segment needs denominator 97, past the cap
+    cap = {"AFFLAT_MAX_DEN": "8"}
+    seg = write(tmp_path, "s.json",
+                {"simplexes": [[["1/97", "0"], ["0", "1/97"]]]})
+    proc = run_cli(["equiv", "--kind", "polyhedron", seg, seg], env_extra=cap)
     assert proc.returncode == 5
-    assert "error" in json.loads(proc.stdout)
+    assert "regular frame search" in json.loads(proc.stdout)["error"]
+    # d of its line is read off a lattice basis, with no search to cap
+    f = write(tmp_path, "f.json", {"points": [["1/97", "0"], ["0", "1/97"]]})
+    proc = run_cli(["invariant", "--kind", "affine", f], env_extra=cap)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["d"] == 97
 
 
 def test_side_and_angle_invariants_need_no_capped_search(tmp_path):

@@ -42,6 +42,42 @@ def test_valid_complex_rejects_mid_edge_vertex():
     assert not Triangulation([a, b]).is_valid_complex()
 
 
+def _pts(*coords):
+    return tuple(tuple(F(c) for c in p) for p in coords)
+
+
+T3 = _pts((0, 0, 0), (2, 0, 0), (0, 2, 0))
+
+
+def test_valid_complex_in_r3_accepts_proper_gluings():
+    o, e1, e2, e3 = _pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    (ones,) = _pts((1, 1, 1))
+    tetrahedra = [(o, e1, e2, e3), (e1, e2, e3, ones)]
+    assert Triangulation(tetrahedra).is_valid_complex()
+    hinge = [(o, e1, e2), (o, e1, e3)]
+    assert Triangulation(hinge).is_valid_complex()
+    parallel = [(o, e1, e2), _pts((0, 0, 1), (1, 0, 1), (0, 1, 1))]
+    assert Triangulation(parallel).is_valid_complex()
+    # the planes meet in a line that misses both triangles
+    skew = [T3, _pts((5, 5, -1), (6, 5, 1), (5, 6, 1))]
+    assert Triangulation(skew).is_valid_complex()
+
+
+def test_valid_complex_in_r3_rejects_piercing_segment():
+    seg = _pts(("1/2", "1/2", -1), ("1/2", "1/2", 1))
+    assert not Triangulation([T3, seg]).is_valid_complex()
+
+
+def test_valid_complex_in_r3_rejects_crossing_triangle():
+    crossing = _pts(("1/4", "1/4", -1), ("1/4", "1/4", 1), (1, "1/4", 0))
+    assert not Triangulation([T3, crossing]).is_valid_complex()
+
+
+def test_valid_complex_in_r3_rejects_mid_edge_vertex():
+    touching = _pts((1, 0, 0), (1, 0, 1), (1, -1, 1))
+    assert not Triangulation([T3, touching]).is_valid_complex()
+
+
 def test_blow_up_keeps_support_and_regularity():
     t = Triangulation([unit_triangle()])
     t2 = blow_up(t, unit_triangle())
