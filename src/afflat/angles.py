@@ -16,10 +16,9 @@ from typing import NamedTuple
 
 from .affine import extend_frame
 from .convexity import simplex_barycentric
-from .core import (coords_in_lattice_basis, den, lift, saturated_span_basis,
-                   unlift)
+from .core import den, lattice_coords, lift, saturated_span_basis, unlift
 from .errors import InputError, InternalCheckError, NotInClass
-from .intlinalg import complete_basis, rational_rank, span_solver, xgcd
+from .intlinalg import complete_basis, integer_rank, span_solver, xgcd
 from .rationals import point, primitive, vadd, vscale, vsub
 from .segments import SideInvariant, _side_with_witness, _witness_decision
 
@@ -100,7 +99,7 @@ def angle(h, k):
         raise NotInClass("angles need ambient dimension >= 2")
     if h.origin != k.origin:
         raise InputError("half-lines have different origins")
-    if rational_rank([h.direction, k.direction]) != 2:
+    if integer_rank([h.direction, k.direction]) != 2:
         raise NotInClass("trivial angle: the half-lines span the same line")
     return Angle(h, k)
 
@@ -112,10 +111,11 @@ def max_regular_point(h):
     lv = lift(v)
     w0 = tuple(h.direction) + (0,)
     basis = saturated_span_basis([lv, w0])
-    cv = coords_in_lattice_basis(basis, lv)
+    coords = lattice_coords(basis)
+    cv = coords(lv)
     g, x, y = xgcd(cv[0], cv[1])
     u = (-y, x)
-    cw = _span_coords(basis, w0)
+    cw = _span_coords(coords, w0)
     det = cv[0] * cw[1] - cv[1] * cw[0]
     beta_u = Fraction(cv[0] * u[1] - cv[1] * u[0], det)
     alpha_u = Fraction(u[0] * cw[1] - u[1] * cw[0], det)
@@ -130,10 +130,11 @@ def max_regular_point(h):
     return q
 
 
-def _span_coords(basis, v):
-    """Integer coordinates of a lattice vector of the span in its basis."""
+def _span_coords(coords, v):
+    """coords(v) for a lattice_coords function coords and a vector v that
+    must lie in its lattice."""
     try:
-        return coords_in_lattice_basis(basis, v)
+        return coords(v)
     except InputError:
         raise InternalCheckError("vector outside the sublattice span")
 
@@ -161,12 +162,13 @@ def _completion(ang, q):
     basis = saturated_span_basis([lv, wh, wk])
     if len(basis) != 3:
         raise InternalCheckError("angle plane has the wrong homogeneous rank")
-    cv = coords_in_lattice_basis(basis, lv)
-    cq = coords_in_lattice_basis(basis, lq)
+    coords = lattice_coords(basis)
+    cv = coords(lv)
+    cq = coords(lq)
     s = complete_basis([cv, cq], 3)[2]
 
-    cwh = _span_coords(basis, wh)
-    cwk = _span_coords(basis, wk)
+    cwh = _span_coords(coords, wh)
+    cwk = _span_coords(coords, wk)
 
     frame = span_solver([cv, cwh, cwk])
 
@@ -247,7 +249,7 @@ def triangle(u, v, w):
     pu, pv, pw = point(u), point(v), point(w)
     if len({len(pu), len(pv), len(pw)}) != 1:
         raise InputError("vertex dimensions differ")
-    if rational_rank([vsub(pu, pv), vsub(pw, pv)]) != 2:
+    if integer_rank([lift(pu), lift(pv), lift(pw)]) != 3:
         raise NotInClass("degenerate triangle: vertices are collinear")
     return (pu, pv, pw)
 

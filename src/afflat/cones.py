@@ -32,9 +32,9 @@ from itertools import product
 from operator import mul
 
 from . import budget
-from .core import coords_in_lattice_basis, saturated_span_basis
+from .core import lattice_coords, saturated_span_basis
 from .errors import InputError, InternalCheckError
-from .intlinalg import (adjugate, column_echelon, det_int, is_part_of_basis,
+from .intlinalg import (_det_adj, column_echelon, is_part_of_basis,
                         span_solver, xgcd)
 from .rationals import content, intvec
 
@@ -132,8 +132,8 @@ def _plane_runs(p, q):
     def embed(z):
         return tuple(z[0] * c0 + z[1] * c1 for c0, c1 in zip(b0, b1))
 
-    runs = _walk_runs(coords_in_lattice_basis(basis, p),
-                      coords_in_lattice_basis(basis, q))
+    coords = lattice_coords(basis)
+    runs = _walk_runs(coords(p), coords(q))
     return [(embed(x), embed(s), c) for x, s, c in runs]
 
 
@@ -166,11 +166,11 @@ def _cosets(gens):
         cols = gens
     else:
         basis = saturated_span_basis(gens)
-        cols = [coords_in_lattice_basis(basis, g) for g in gens]
+        cols = list(map(lattice_coords(basis), gens))
     mat = [[c[i] for c in cols] for i in range(t)]
-    size = abs(det_int(mat))
+    d, adj = _det_adj(mat)
+    size = abs(d)
     budget.check(_ceil_root(size, t), "cone multiplicity per axis")
-    adj = adjugate(mat)
     hcols, _, pivots = column_echelon(mat)
     boxes = product(*[range(hcols[c][r]) for r, c in pivots])
     return size, (tuple(sum(map(mul, row, y)) % size for row in adj)

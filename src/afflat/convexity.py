@@ -22,8 +22,8 @@ from math import lcm
 from operator import mul
 
 from .errors import InputError
-from .intlinalg import (det_int, rational_nullspace, rational_rank,
-                        rational_solve, span_solver)
+from .intlinalg import (det_int, integer_rank, rational_nullspace,
+                        rational_rank, rational_solve, span_solver)
 from .rationals import (canon_primitive, content, lift, point, primitive, rat,
                         vadd, vdot, vsub)
 
@@ -57,6 +57,9 @@ class AffineHull:
         """Coordinates of p in the direction basis, or None if p is off-hull:
         the barycentric coordinates of p over the anchor and the points
         the basis was taken from, less the anchor's."""
+        if len(p) != self.ambient:
+            raise InputError("point of dimension %d given to a hull in R^%d"
+                             % (len(p), self.ambient))
         if self._bary is None:
             self._bary = _barycentric_solver(self._frame)
         lam = self._bary(p)
@@ -120,12 +123,9 @@ class AffineHull:
 
 
 def affine_rank(points):
-    """Affine rank (dimension of the affine span) of a point set."""
-    pts = [point(p) for p in points]
-    if not pts:
-        return -1
-    rows = [vsub(p, pts[0]) for p in pts[1:]]
-    return rational_rank(rows) if rows else 0
+    """Affine rank (dimension of the affine span) of a point set: one less
+    than the rank of its lifts."""
+    return integer_rank([lift(p) for p in points]) - 1
 
 
 def _facets_in_coords(pts, e):
@@ -193,7 +193,7 @@ class Polytope:
         verts = []
         for p, c in zip(pts, self._coords):
             tight = [g for (g, h) in self.facets if vdot(g, c) == h]
-            if tight and rational_rank(tight) == self.dim:
+            if tight and integer_rank(tight) == self.dim:
                 verts.append(p)
         self.vertices = verts
 

@@ -6,12 +6,13 @@ extend to a basis of Z^{n+1}.  All other modules build on these notions.
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
 from . import convexity
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, SearchBudgetExceeded
 from .intlinalg import (complete_basis, integer_kernel, invert_unimodular,
                         is_part_of_basis, mat_mul, mat_vec, span_solver)
 from .rationals import content, den, intvec, lift, point, vadd
@@ -223,13 +224,19 @@ def lattice_lifts_at(poly, k):
     in a convexity.Polytope, in coordinate order.  Each grid vector is
     tested on its lift by the polytope's integer rows; a combo with
     gcd(k, *combo) > 1 is skipped, since its point has a smaller
-    denominator.
+    denominator.  A coordinate range longer than sys.maxsize, which no
+    sequence can hold, raises SearchBudgetExceeded.
     """
     pts = poly.vertices
-    n = len(pts[0])
-    ranges = [range(math.ceil(min(p[i] for p in pts) * k),
-                    math.floor(max(p[i] for p in pts) * k) + 1)
-              for i in range(n)]
+    ranges = []
+    for xs in zip(*pts):
+        r = range(math.ceil(min(xs) * k), math.floor(max(xs) * k) + 1)
+        if r.stop - r.start > sys.maxsize:
+            raise SearchBudgetExceeded(
+                "lattice point scan at denominator %d: a coordinate range "
+                "of %d values is longer than any sequence"
+                % (k, r.stop - r.start))
+        ranges.append(r)
     # product order is coordinate order
     return [combo + (k,) for combo in product(*ranges)
             if math.gcd(k, *combo) == 1 and poly.contains_lift(combo + (k,))]
@@ -245,12 +252,24 @@ def saturated_span_basis(vectors):
     return integer_kernel(ann, cols=m)
 
 
+def lattice_coords(basis):
+    """coords(v) -> the integer coordinates of v in the given lattice basis
+    (exact), from one span_solver built here for every query.  coords
+    raises InputError when v is off the span or off the lattice."""
+    solve = span_solver(basis)
+
+    def coords(v):
+        sol = solve(v)
+        if sol is None:
+            raise InputError("vector outside the lattice span")
+        y, d = sol
+        if any(c % d for c in y):
+            raise InputError("vector not in the lattice generated by the basis")
+        return tuple(c // d for c in y)
+
+    return coords
+
+
 def coords_in_lattice_basis(basis, v):
     """Integer coordinates of v in the given lattice basis (exact)."""
-    sol = span_solver(basis)(v)
-    if sol is None:
-        raise InputError("vector outside the lattice span")
-    y, d = sol
-    if any(c % d for c in y):
-        raise InputError("vector not in the lattice generated by the basis")
-    return tuple(c // d for c in y)
+    return lattice_coords(basis)(v)

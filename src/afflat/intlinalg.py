@@ -2,9 +2,12 @@
 
 Column echelon form with a tracked unimodular transform does all the lattice
 work: integer kernels, integer linear solves, basis completion, saturation.
-One Gauss-Jordan elimination over Fraction, `_rref`, covers rank, nullspace
-and dense solves.
-Determinants, adjugates and unimodular inverses are fraction-free (Bareiss).
+The small square kernels are fraction-free (Bareiss): `det_int`, and one
+Gauss-Jordan pass over [A | I] that gives the determinant and the adjugate
+together, behind `span_solver` and `invert_unimodular`.  The rank of an
+integer matrix comes from a row elimination on integers (`integer_rank`).
+One Gauss-Jordan elimination over Fraction, `_rref`, covers the rank,
+nullspace and dense solves of rational matrices.
 """
 
 import math
@@ -52,39 +55,59 @@ def det_int(rows):
     return sign * a[-1][-1]
 
 
-def adjugate(rows):
-    """Adjugate of a square integer matrix (adj(A) A = det(A) I), from
-    fraction-free cofactors."""
+def _det_adj(rows):
+    """(det, adj) of a square integer matrix, adj(A) A = det(A) I, from one
+    fraction-free Gauss-Jordan pass over [A | I] (Bareiss): every pivot
+    step divides exactly by the previous pivot, and the pass ends at
+    [det(PA) I | det(PA) A^-1] for the row permutation P of its swaps, so
+    adj(A) is the right half times the sign of P.  A singular matrix gives
+    (0, None) at its first pivot column with no nonzero entry."""
     n = len(rows)
-    adj = [[0] * n for _ in range(n)]
-    for t in range(n):
-        minor_rows = rows[:t] + rows[t + 1:]
+    a = [list(r) + [0] * n for r in rows]
+    for i in range(n):
+        a[i][n + i] = 1
+    sign, prev = 1, 1
+    for k in range(n):
+        pk = a[k]
+        if not pk[k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], pk
+                    pk = a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, None
+        p = pk[k]
         for i in range(n):
-            minor = [r[:i] + r[i + 1:] for r in minor_rows]
-            c = det_int(minor)
-            adj[i][t] = c if (i + t) % 2 == 0 else -c
-    return adj
+            if i != k:
+                r = a[i]
+                f = r[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(r, pk)]
+        prev = p
+    if sign < 0:
+        return -prev, [[-x for x in r[n:]] for r in a]
+    return prev, [r[n:] for r in a]
 
 
 def span_solver(vectors):
     """Fraction-free coordinates over linearly independent integer vectors.
 
     Returns solve(v) -> (y, d) with sum_i y_i vectors_i = d v, where d is
-    the nonzero determinant of an invertible row subset R of the matrix with
-    the vectors as columns and y = adj(A_R) v_R; solve(v) is None when v is
-    off their span.  Raises InputError on dependent vectors.
+    the determinant of the first invertible row subset R, in combinations
+    order, of the matrix A with the vectors as columns and y = adj(A_R) v_R;
+    solve(v) is None when v is off their span.  Raises InputError on
+    dependent vectors.
     """
     vecs = [tuple(v) for v in vectors]
     t = len(vecs)
     m = len(vecs[0])
     for rows in combinations(range(m), t):
-        sub = [[v[i] for v in vecs] for i in rows]
-        d = det_int(sub)
+        d, adj = _det_adj([[v[i] for v in vecs] for i in rows])
         if d:
             break
     else:
         raise InputError("vectors are linearly dependent")
-    adj = adjugate(sub)
     checks = [(i, [v[i] for v in vecs]) for i in range(m) if i not in rows]
 
     def solve(v):
@@ -123,6 +146,32 @@ def _rref(m, cols):
         pivots.append(j)
         rank += 1
     return pivots
+
+
+def integer_rank(rows):
+    """Rank over Q of an integer matrix given as a list of row sequences,
+    by fraction-free row elimination that keeps each combined row
+    primitive."""
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    while rows:
+        pr = rows.pop()
+        j = next(i for i, x in enumerate(pr) if x)
+        p = pr[j]
+        rest = []
+        for r in rows:
+            f = r[j]
+            if f:
+                r = [p * x - f * y for x, y in zip(r, pr)]
+                g = math.gcd(*r)
+                if not g:
+                    continue
+                if g > 1:
+                    r = [x // g for x in r]
+            rest.append(r)
+        rows = rest
+        rank += 1
+    return rank
 
 
 def rational_rank(rows):
@@ -326,12 +375,12 @@ def is_part_of_basis(vectors, m):
 def invert_unimodular(rows):
     """Inverse of an integer matrix with determinant +-1 (integer result):
     det(A) adj(A), since 1/det = det for a unit."""
-    d = det_int(rows)
+    d, adj = _det_adj(rows)
     if d == 0:
         raise InputError("matrix is singular")
     if d not in (1, -1):
         raise InputError("matrix is not unimodular")
-    return tuple(tuple(d * a for a in row) for row in adjugate(rows))
+    return tuple(tuple(d * a for a in row) for row in adj)
 
 
 def mat_vec(rows, v):

@@ -29,10 +29,12 @@ def intvec(v):
     """Normalize to a tuple of ints; rejects non-integer entries."""
     out = []
     for c in v:
-        f = rat(c)
-        if f.denominator != 1:
-            raise InputError("expected integer entries, got %s" % (c,))
-        out.append(f.numerator)
+        if type(c) is not int:
+            f = rat(c)
+            if f.denominator != 1:
+                raise InputError("expected integer entries, got %s" % (c,))
+            c = f.numerator
+        out.append(c)
     return tuple(out)
 
 

@@ -4,12 +4,14 @@ The oracles deliberately avoid the package's decision routines: regularity
 is checked by half-open parallelepiped enumeration, hulls by a monotone
 chain, Legendre solvability by a plain triple loop and its first point by a
 scan of every x of the Holzer box, x^2 + y^2 = n z^2 by the primes of n
-that are 3 mod 4, and point-set equality in R^1 by merged intervals.
+that are 3 mod 4, point-set equality in R^1 by merged intervals, and
+determinants, adjugates and ranks by permutation sums and Fraction
+elimination.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from afflat.core import UniAffMap, den, lift
 
@@ -43,6 +45,49 @@ def rand_segment(rng, n, dmax=6, span=3):
     while b == a:
         b = rand_point(rng, n, dmax, span)
     return a, b
+
+
+# --- small-matrix oracles ----------------------------------------------------
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over all permutations (Leibniz)."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def cofactor_adjugate(rows):
+    """Adjugate as the transposed matrix of cofactors, each a Leibniz
+    determinant."""
+    n = len(rows)
+    return [[(-1) ** (i + j) *
+              leibniz_det([r[:i] + r[i + 1:] for k, r in enumerate(rows)
+                           if k != j])
+              for j in range(n)] for i in range(n)]
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction with row echelon form."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for j in range(cols):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][j] / m[rank][j]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 # --- parallelepiped oracle (Minkowski criterion) -------------------------

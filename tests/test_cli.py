@@ -343,10 +343,6 @@ def test_malformed_containers_exit_2(tmp_path):
         assert "error" in json.loads(proc.stdout)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="open defect: core.lattice_points_at hands a "
-                          "1e30-long range to itertools.product, and the "
-                          "OverflowError escapes as a traceback (exit 1)")
 def test_polyhedron_huge_vertex_exits_cleanly(tmp_path):
     big = write(tmp_path, "big.json",
                 {"simplexes": [[["0"], ["1"]], [["2"], ["1e30"]]]})

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from afflat.convexity import AffineHull, simplex_barycentric, simplex_tester
 from afflat.core import lift
+from afflat.errors import InputError
 
 from helpers import _simplex_has, in_span_by_minors, rand_point
 
@@ -83,6 +86,14 @@ def test_simplex_barycentric_against_span_oracle():
             assert tuple(sum(t * v[j] for t, v in zip(lam, verts))
                          for j in range(len(x))) == x
     assert off > 0
+
+
+def test_affine_hull_coords_rejects_wrong_length():
+    hull = AffineHull([(0, 0), (1, 1)])
+    assert hull.coords((2, 2)) == (2,)
+    for p in ((2, 2, 5), (2,)):
+        with pytest.raises(InputError, match="dimension"):
+            hull.coords(p)
 
 
 def test_affine_hull_coords_round_trip():
