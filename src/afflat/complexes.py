@@ -1,11 +1,13 @@
 """Finite simplicial complexes with rational vertices, and Farey blow-ups."""
 
+from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .convexity import AffineHull, _barycentric_solver, simplex_tester
 from .core import farey_mediant, simplex
 from .errors import InputError
-from .intlinalg import rational_rank, rational_solve
+from .intlinalg import span_solver
 from .rationals import lift, vadd
 
 
@@ -91,20 +93,23 @@ def _meet_in_common_face(a, b):
 
 
 def _vertex_enumeration(cons, d):
-    """Vertices of {mu in R^d : g.mu + h >= 0 for (g,h) in cons} (bounded)."""
+    """Vertices of {mu in R^d : g.mu + h >= 0 for (g,h) in cons} (bounded):
+    each nonsingular d-subset of the constraints, scaled to integers, is
+    solved at equality by one span_solver over its columns."""
     if d == 0:
         return [()] if all(h >= 0 for (_, h) in cons) else []
+    # (g, h) times the lcm of its denominators
+    rows = [lift(tuple(g) + (h,))[:-1] for g, h in cons]
     verts = set()
-    for sub in combinations(range(len(cons)), d):
-        rows = [list(cons[i][0]) for i in sub]
-        rhs = [-cons[i][1] for i in sub]
-        if rational_rank(rows) != d:
+    for sub in combinations(rows, d):
+        try:
+            solve = span_solver(list(zip(*sub))[:-1])
+        except InputError:
             continue
-        mu = rational_solve(rows, rhs)
-        if mu is None:
-            continue
-        if all(sum(g[j] * mu[j] for j in range(d)) + h >= 0 for (g, h) in cons):
-            verts.add(tuple(mu))
+        y, k = solve([-r[-1] for r in sub])
+        mu = tuple(Fraction(t, k) for t in y)
+        if all(sum(map(mul, r, mu + (1,))) >= 0 for r in rows):
+            verts.add(mu)
     return sorted(verts)
 
 

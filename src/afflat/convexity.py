@@ -1,19 +1,21 @@
 """Exact convex geometry: affine hulls, polytopes, cells, triangulations.
 
-Hulls and facets are built exactly over Fractions, once per object.  The
-predicates the polyhedron decision asks at every grid point and cell
-vertex are fraction-free, on homogeneous integer lifts (num, k) of num/k.
-A polytope is cached as integer rows r, and num/k is inside iff
-r.(num, k) == 0 for every equation row and r.(num, k) <= 0 for every
-inequality row.  Coordinates over affinely independent points come from
-one `span_solver` over their lifts: a simplex contains num/k iff (num, k)
-is a nonnegative combination of its vertex lifts, and the same solve gives
-barycentric coordinates and a hull's coordinates.  Simplex clipping, the
-one arrangement refiner, takes its signs and edge crossings from the same
-lifts and covers each closed half of a simplex by simplexes of its
-dimension.  Facets are enumerated by brute force over vertex subsets,
-which is fine at the scale this package targets and keeps every predicate
-exact.
+Everything is fraction-free and built once per object: hull equations and
+intersections come from one integer Gauss-Jordan pass (`nullspace`),
+ambient facet rows from one `span_solver` per polytope, and the facets in
+hull coordinates from integer cross products.  The predicates the
+polyhedron decision asks at every grid point and cell vertex work on
+homogeneous integer lifts (num, k) of num/k.  A polytope is cached as
+integer rows r, and num/k is inside iff r.(num, k) == 0 for every equation
+row and r.(num, k) <= 0 for every inequality row.  Coordinates over
+affinely independent points come from one `span_solver` over their lifts:
+a simplex contains num/k iff (num, k) is a nonnegative combination of its
+vertex lifts, and the same solve gives barycentric coordinates and a
+hull's coordinates.  Simplex clipping, the one arrangement refiner, takes
+its signs and edge crossings from the same lifts and covers each closed
+half of a simplex by simplexes of its dimension.  Facets are enumerated by
+brute force over vertex subsets, which is fine at the scale this package
+targets and keeps every predicate exact.
 """
 
 from fractions import Fraction
@@ -22,8 +24,7 @@ from math import lcm
 from operator import mul
 
 from .errors import InputError
-from .intlinalg import (det_int, integer_rank, rational_nullspace,
-                        rational_rank, rational_solve, span_solver)
+from .intlinalg import det_int, integer_rank, nullspace, span_solver
 from .rationals import (canon_primitive, content, lift, point, primitive, rat,
                         vadd, vdot, vsub)
 
@@ -39,16 +40,10 @@ class AffineHull:
         self.ambient = len(pts[0])
         if any(len(p) != self.ambient for p in pts):
             raise InputError("mixed ambient dimensions")
-        self.anchor = pts[0]
-        basis = []
-        frame = [self.anchor]
-        for p in pts[1:]:
-            d = vsub(p, self.anchor)
-            if rational_rank(basis + [d]) > len(basis):
-                basis.append(d)
-                frame.append(p)
-        self.basis = basis
-        self.dim = len(basis)
+        frame = affine_frame(pts)
+        self.anchor = frame[0]
+        self.basis = [vsub(p, self.anchor) for p in frame[1:]]
+        self.dim = len(self.basis)
         self._frame = frame
         self._equations = None
         self._bary = None
@@ -82,9 +77,9 @@ class AffineHull:
             if self.dim == self.ambient:
                 self._equations = []
             else:
-                normals = rational_nullspace(self.basis, cols=self.ambient)
+                rows = [primitive(b) for b in self.basis]
                 eqs = []
-                for nrm in normals:
+                for nrm in nullspace(rows, self.ambient):
                     a = canon_primitive(nrm)
                     eqs.append((a, vdot(a, self.anchor)))
                 self._equations = sorted(eqs)
@@ -98,28 +93,47 @@ class AffineHull:
         return g, h
 
     def intersect(self, other):
-        """Intersection with another hull: a new AffineHull, or None if empty."""
+        """Intersection with another hull: a new AffineHull, or None if empty.
+
+        The solutions (num, k) of the stacked lifted equations form a
+        nullspace; the flat is nonempty iff k is a free column, whose vector
+        lifts the solution with the free coordinates at 0.  The vectors of
+        the other free columns, with k = 0, are directions."""
         eqs = self.equations() + other.equations()
         if not eqs:
             return self  # both are the full space
-        rows = [e[0] for e in eqs]
-        rhs = [e[1] for e in eqs]
-        sol = rational_solve(rows, rhs)
-        if sol is None:
+        null = nullspace([_lift_row(a, c) for (a, c) in eqs], self.ambient + 1)
+        if not null or not null[-1][-1]:
             return None
-        for (a, c) in eqs:
-            if vdot(a, sol) != c:
-                return None
-        null = rational_nullspace(rows, cols=self.ambient)
-        pts = [point(sol)] + [vadd(sol, d) for d in null]
+        *dirs, sol = null
+        k = sol[-1]
+        pts = [tuple(Fraction(x, k) for x in sol[:-1])]
+        pts += [tuple(Fraction(x + y, k) for x, y in zip(sol, d[:-1]))
+                for d in dirs]
         return AffineHull(pts)
 
     def key(self):
-        """Canonical hashable identity (equations plus a solved anchor)."""
+        """Canonical hashable identity: the sorted canonical equations, or
+        ("full", n) for all of R^n."""
         eqs = tuple(self.equations())
         if self.dim == self.ambient:
             return ("full", self.ambient)
         return eqs
+
+
+def affine_frame(points):
+    """The greedy affinely independent prefix of the points, in their
+    order: a point is kept when its lift is off the span of the lifts kept
+    so far."""
+    frame, lifts = [], []
+    for p in points:
+        q = lift(p)
+        if integer_rank(lifts + [q]) > len(lifts):
+            frame.append(p)
+            lifts.append(q)
+            if len(lifts) == len(q):
+                break
+    return frame
 
 
 def affine_rank(points):
@@ -211,25 +225,27 @@ class Polytope:
 
     def ambient_facets(self):
         """Facet inequalities (a, c) in ambient coordinates (a integer,
-        meaningful within the affine hull)."""
+        meaningful within the affine hull).
+
+        The row a = sum_i a_i basis_i with Gram . a = g gives
+        a.(x - anchor) = g.coords(x) on the hull.  Over the integer rows
+        b_i = s_i basis_i of the basis lifts (num, s) it is sum_i y_i b_i
+        with G y = (s_i g_i) for the integer Gram matrix G of the b_i, one
+        span_solver for every facet; c is a.v for a point v tight on the
+        facet."""
+        if not self.facets:
+            return []
+        lifts = [lift(b) for b in self.hull.basis]
+        rows = [q[:-1] for q in lifts]
+        solve = span_solver([[vdot(r1, r2) for r2 in rows] for r1 in rows])
         out = []
-        basis = self.hull.basis
-        anchor = self.hull.anchor
-        gram = [[vdot(b1, b2) for b2 in basis] for b1 in basis]
         for (g, h) in self.facets:
-            # want amb with amb . (x - anchor) = g . coords(x) on the hull;
-            # amb = sum a_i basis_i with Gram . a = g does it.
-            a = rational_solve(gram, g)
-            amb = tuple(sum(a[i] * basis[i][j] for i in range(len(basis)))
-                        for j in range(self.hull.ambient))
-            off = h + vdot(amb, anchor)
-            scaled = primitive(amb)  # orientation-preserving
-            factor = None
-            for x, y in zip(scaled, amb):
-                if y != 0:
-                    factor = rat(x) / y
-                    break
-            out.append((scaled, off * factor))
+            y, d = solve([q[-1] * t for q, t in zip(lifts, g)])
+            # y / d solves G y = (s_i g_i); d y is a positive multiple of it
+            a = primitive([d * sum(map(mul, y, col)) for col in zip(*rows)])
+            v = next(p for p, c in zip(self._pts, self._coords)
+                     if vdot(g, c) == h)
+            out.append((a, vdot(a, v)))
         return sorted(out)
 
 

@@ -1,22 +1,19 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
 Column echelon form with a tracked unimodular transform does all the lattice
 work: integer kernels, integer linear solves, basis completion, saturation.
-The small square kernels are fraction-free (Bareiss): `det_int`, and one
-Gauss-Jordan pass over [A | I] that gives the determinant and the adjugate
-together, behind `span_solver` and `invert_unimodular`.  The rank of an
-integer matrix comes from a row elimination on integers (`integer_rank`).
-One Gauss-Jordan elimination over Fraction, `_rref`, covers the rank,
-nullspace and dense solves of rational matrices.
+Linear algebra over Q is fraction-free too.  One Gauss-Jordan pass on
+integers (Bareiss, `_bareiss`) gives the determinant and the adjugate
+together, behind `span_solver` and `invert_unimodular`, and the nullspace
+of an integer matrix (`nullspace`).  `det_int` and `integer_rank` are
+smaller one-sided eliminations for the hot minors and ranks.
 """
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
 from .errors import InputError
-from .rationals import rat
 
 
 def xgcd(a, b):
@@ -55,43 +52,61 @@ def det_int(rows):
     return sign * a[-1][-1]
 
 
-def _det_adj(rows):
-    """(det, adj) of a square integer matrix, adj(A) A = det(A) I, from one
-    fraction-free Gauss-Jordan pass over [A | I] (Bareiss): every pivot
-    step divides exactly by the previous pivot, and the pass ends at
-    [det(PA) I | det(PA) A^-1] for the row permutation P of its swaps, so
-    adj(A) is the right half times the sign of P.  A singular matrix gives
-    (0, None) at its first pivot column with no nonzero entry."""
-    n = len(rows)
-    a = [list(r) + [0] * n for r in rows]
-    for i in range(n):
-        a[i][n + i] = 1
-    sign, prev = 1, 1
-    for k in range(n):
+def _bareiss(a, cols):
+    """One fraction-free Gauss-Jordan pass (Bareiss), in place, over the first
+    cols columns of the integer rows a; a column with no pivot left is
+    skipped.  Every step divides exactly by the previous pivot, and at the
+    end every pivot entry equals the last pivot d, so each pivot row is d
+    times its reduced row echelon row.  Returns (pivots, d, sign): the pivot
+    columns (pivot i in row i), d (1 when there is none) and the sign of
+    the row permutation of the swaps."""
+    pivots = []
+    sign, prev, k = 1, 1, 0
+    m = len(a)
+    for j in range(cols):
+        if k == m:
+            break
         pk = a[k]
-        if not pk[k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
+        if not pk[j]:
+            for i in range(k + 1, m):
+                if a[i][j]:
                     a[k], a[i] = a[i], pk
                     pk = a[k]
                     sign = -sign
                     break
             else:
-                return 0, None
-        p = pk[k]
-        for i in range(n):
+                continue
+        p = pk[j]
+        for i in range(m):
             if i != k:
                 r = a[i]
-                f = r[k]
+                f = r[j]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(r, pk)]
+        pivots.append(j)
         prev = p
+        k += 1
+    return pivots, prev, sign
+
+
+def _det_adj(rows):
+    """(det, adj) of a square integer matrix, adj(A) A = det(A) I: the
+    Bareiss pass over [A | I] ends at [det(PA) I | det(PA) A^-1] for the
+    row permutation P of its swaps, so adj(A) is the right half times the
+    sign of P.  A singular matrix gives (0, None)."""
+    n = len(rows)
+    a = [list(r) + [0] * n for r in rows]
+    for i in range(n):
+        a[i][n + i] = 1
+    pivots, d, sign = _bareiss(a, n)
+    if len(pivots) < n:
+        return 0, None
     if sign < 0:
-        return -prev, [[-x for x in r[n:]] for r in a]
-    return prev, [r[n:] for r in a]
+        return -d, [[-x for x in r[n:]] for r in a]
+    return d, [r[n:] for r in a]
 
 
 def span_solver(vectors):
-    """Fraction-free coordinates over linearly independent integer vectors.
+    """Integer coordinates, up to a common factor d, over independent vectors.
 
     Returns solve(v) -> (y, d) with sum_i y_i vectors_i = d v, where d is
     the determinant of the first invertible row subset R, in combinations
@@ -121,33 +136,6 @@ def span_solver(vectors):
     return solve
 
 
-def _rref(m, cols):
-    """Gauss-Jordan elimination over the first cols columns of the Fraction
-    matrix m (a list of row lists, reduced in place).  Each pivot column is
-    cleared above and below its pivot, and pivot rows stay unnormalized, so
-    readers divide by the pivot entry.  Returns the pivot columns; pivot i
-    sits in row i."""
-    pivots = []
-    rank = 0
-    for j in range(cols):
-        if rank == len(m):
-            break
-        for piv in range(rank, len(m)):
-            if m[piv][j]:
-                break
-        else:
-            continue
-        pr = m[piv]
-        m[rank], m[piv] = pr, m[rank]
-        for i, r in enumerate(m):
-            if i != rank and r[j]:
-                f = r[j] / pr[j]
-                m[i] = [a - f * b if b else a for a, b in zip(r, pr)]
-        pivots.append(j)
-        rank += 1
-    return pivots
-
-
 def integer_rank(rows):
     """Rank over Q of an integer matrix given as a list of row sequences,
     by fraction-free row elimination that keeps each combined row
@@ -174,43 +162,21 @@ def integer_rank(rows):
     return rank
 
 
-def rational_rank(rows):
-    """Rank over Q of a matrix given as a list of row sequences."""
-    m = [[rat(x) for x in r] for r in rows]
-    return len(_rref(m, len(m[0]) if m else 0))
-
-
-def rational_solve(rows, rhs):
-    """Solve rows . x = rhs over Q. Returns one solution or None.
-
-    The system may be over- or under-determined; free variables are set to 0.
-    """
-    m = [[rat(x) for x in r] + [rat(b)] for r, b in zip(rows, rhs)]
-    cols = len(rows[0]) if rows else 0
-    pivots = _rref(m, cols)
-    for i in range(len(pivots), len(m)):
-        if m[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for i, j in enumerate(pivots):
-        x[j] = m[i][cols] / m[i][j]
-    return tuple(x)
-
-
-def rational_nullspace(rows, cols=None):
-    """Basis of {x : rows . x = 0} over Q (list of Fraction tuples)."""
-    if cols is None:
-        cols = len(rows[0]) if rows else 0
-    m = [[rat(x) for x in r] for r in rows]
-    pivots = _rref(m, cols)
+def nullspace(rows, cols):
+    """Basis of {x : rows . x = 0} over Q for integer rows with cols
+    columns: for each free column j of the Bareiss pass, the integer
+    vector with d at j, -a_ij at each pivot column p_i and 0 elsewhere,
+    which is d times the reduced row echelon basis vector."""
+    a = [list(r) for r in rows]
+    pivots, d, _ = _bareiss(a, cols)
     basis = []
     for j in range(cols):
         if j in pivots:
             continue
-        v = [Fraction(0)] * cols
-        v[j] = Fraction(1)
-        for i, pj in enumerate(pivots):
-            v[pj] = -m[i][j] / m[i][pj]
+        v = [0] * cols
+        v[j] = d
+        for r, p in zip(a, pivots):
+            v[p] = -r[j]
         basis.append(tuple(v))
     return basis
 

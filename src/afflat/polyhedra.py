@@ -23,9 +23,9 @@ from .affine import (AffineSpace, affine_equivalence, affine_invariant,
                      extend_frame)
 from .complexes import Triangulation
 from .cones import desingularize, fan_rays
-from .convexity import (AffineHull, Polytope, affine_rank, clip_simplex,
-                        placing_triangulation, simplex_barycentric,
-                        simplex_tester)
+from .convexity import (AffineHull, Polytope, _barycentric_solver,
+                        affine_frame, affine_rank, clip_simplex,
+                        placing_triangulation, simplex_tester)
 from .core import (UniAffMap, den, is_regular, lattice_lifts_at, lift,
                    simplex, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
@@ -221,7 +221,7 @@ def regular_simplex_in(points):
     and return the cell with the smallest denominators."""
     poly = Polytope(points)
     e = poly.dim
-    base = _vertex_base(sorted(poly.vertices), e)
+    base = affine_frame(sorted(poly.vertices))
     if len(base) != e + 1:
         raise InputError("degenerate input: hull has no spanning simplex")
     fan = desingularize([lift(v) for v in base])
@@ -233,18 +233,6 @@ def regular_simplex_in(points):
         if not poly.contains(v):
             raise InternalCheckError("regular cell left the hull")
     return out
-
-
-def _vertex_base(verts, e):
-    """The first affinely independent e + 1 of verts, taken greedily in
-    their order (fewer when they span less)."""
-    base = [verts[0]]
-    for v in verts[1:]:
-        if len(base) == e + 1:
-            break
-        if affine_rank(base + [v]) == len(base):
-            base.append(v)
-    return base
 
 
 def _min_den_regular_frame(poly, e, d_f):
@@ -339,8 +327,8 @@ def polyhedron_equivalence(P, Q):
     # a valid map bijects hull vertices (it carries conv(P) onto conv(Q)),
     # so its restriction to aff(P) is pinned by the images of an affinely
     # independent vertex base; enumerate those images instead of raw tuples.
-    base = _vertex_base(sorted(hullP), e)
-    bary = [simplex_barycentric(tuple(base), r) for r in frame]
+    base = affine_frame(sorted(hullP))
+    bary = list(map(_barycentric_solver(base), frame))
     # chain denominator sequences, compared run-encoded
     ref_dens = {}
     for i in range(e + 1):

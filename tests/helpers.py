@@ -6,7 +6,8 @@ chain, Legendre solvability by a plain triple loop and its first point by a
 scan of every x of the Holzer box, x^2 + y^2 = n z^2 by the primes of n
 that are 3 mod 4, point-set equality in R^1 by merged intervals, and
 determinants, adjugates and ranks by permutation sums and Fraction
-elimination.
+elimination, and rational solves and nullspaces by a Fraction Gauss-Jordan
+pass.
 """
 
 import math
@@ -88,6 +89,69 @@ def fraction_rank(rows):
             m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def _rref(m, cols):
+    """Gauss-Jordan elimination over the first cols columns of the Fraction
+    matrix m (a list of row lists, reduced in place).  Each pivot column is
+    cleared above and below its pivot, and pivot rows stay unnormalized, so
+    readers divide by the pivot entry.  Returns the pivot columns; pivot i
+    sits in row i."""
+    pivots = []
+    rank = 0
+    for j in range(cols):
+        if rank == len(m):
+            break
+        for piv in range(rank, len(m)):
+            if m[piv][j]:
+                break
+        else:
+            continue
+        pr = m[piv]
+        m[rank], m[piv] = pr, m[rank]
+        for i, r in enumerate(m):
+            if i != rank and r[j]:
+                f = r[j] / pr[j]
+                m[i] = [a - f * b if b else a for a, b in zip(r, pr)]
+        pivots.append(j)
+        rank += 1
+    return pivots
+
+
+def rational_solve(rows, rhs):
+    """Solve rows . x = rhs over Q. Returns one solution or None.
+
+    The system may be over- or under-determined; free variables are set to 0.
+    """
+    m = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    cols = len(rows[0]) if rows else 0
+    pivots = _rref(m, cols)
+    for i in range(len(pivots), len(m)):
+        if m[i][cols]:
+            return None
+    x = [Fraction(0)] * cols
+    for i, j in enumerate(pivots):
+        x[j] = m[i][cols] / m[i][j]
+    return tuple(x)
+
+
+def rational_nullspace(rows, cols=None):
+    """Basis of {x : rows . x = 0} over Q (list of Fraction tuples), one
+    vector per free column of the reduced row echelon form."""
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = _rref(m, cols)
+    basis = []
+    for j in range(cols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[j] = Fraction(1)
+        for i, pj in enumerate(pivots):
+            v[pj] = -m[i][j] / m[i][pj]
+        basis.append(tuple(v))
+    return basis
 
 
 # --- parallelepiped oracle (Minkowski criterion) -------------------------

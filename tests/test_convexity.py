@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from afflat.convexity import AffineHull, simplex_barycentric, simplex_tester
+from afflat.complexes import _vertex_enumeration
+from afflat.convexity import (AffineHull, Polytope, simplex_barycentric,
+                              simplex_tester)
 from afflat.core import lift
 from afflat.errors import InputError
+from afflat.rationals import canon_primitive, primitive
 
-from helpers import _simplex_has, in_span_by_minors, rand_point
+from helpers import (_simplex_has, fraction_rank, in_span_by_minors,
+                     rand_point, rational_nullspace, rational_solve)
 
 F = Fraction
 
@@ -112,3 +117,133 @@ def test_affine_hull_coords_round_trip():
             assert len(c) == hull.dim
             assert hull.embed(c) == x
     assert off > 0
+
+
+# --- hull algebra against the Fraction Gauss-Jordan oracle -------------------
+
+def _oracle_equations(pts):
+    """Canonical equations of aff(pts): the oracle's nullspace of all the
+    differences to the first point, each row made primitive."""
+    n = len(pts[0])
+    diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
+    eqs = []
+    for v in rational_nullspace(diffs, n):
+        a = canon_primitive(v)
+        eqs.append((a, sum(x * y for x, y in zip(a, pts[0]))))
+    return sorted(eqs)
+
+
+def _flat_points(rng, n):
+    """Random points spanning a flat of random dimension in R^n, with
+    repeated and dependent points among them."""
+    base = [rand_point(rng, n, 4, 2) for _ in range(rng.randint(1, n + 1))]
+    pts = list(base)
+    for _ in range(rng.randint(0, 3)):
+        pts.append(_combination(rng, base, -3) if len(base) > 1 else base[0])
+    return pts
+
+
+def _flats(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        yield rng, n, _flat_points(rng, n)
+
+
+def test_hull_key_is_canonical():
+    for rng, n, pts in _flats(94, 300):
+        hull = AffineHull(pts)
+        assert hull.equations() == _oracle_equations(pts)
+        diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
+        assert hull.dim == fraction_rank(diffs or [(0,) * n])
+        # the same flat from shuffled points, plus points of the flat
+        more = list(pts) + [_combination(rng, pts, -3) for _ in range(2)]
+        rng.shuffle(more)
+        assert AffineHull(more).key() == hull.key()
+
+
+def test_hull_intersect_against_oracle():
+    empty = 0
+    for rng, n, pts in _flats(95, 300):
+        a = AffineHull(pts)
+        # another random flat, and a translate of a: parallel, often disjoint
+        shift = rand_point(rng, n, 4, 2)
+        others = [_flat_points(rng, n),
+                  [tuple(s + t for s, t in zip(p, shift)) for p in pts]]
+        for b in map(AffineHull, others):
+            eqs = a.equations() + b.equations()
+            got = a.intersect(b)
+            if not eqs:
+                assert got.key() == ("full", n)
+                continue
+            x = rational_solve([e[0] for e in eqs], [e[1] for e in eqs])
+            if x is None:
+                assert got is None
+                empty += 1
+                continue
+            null = rational_nullspace([e[0] for e in eqs], n)
+            flat = [x] + [tuple(s + t for s, t in zip(x, v)) for v in null]
+            assert got is not None
+            assert got.dim == len(null)
+            assert got.key() == AffineHull(flat).key()
+            assert got.equations() == _oracle_equations(flat)
+    assert empty > 0
+
+
+def _oracle_ambient_facets(poly):
+    """One Fraction solve of the Gram system per facet."""
+    basis, anchor = poly.hull.basis, poly.hull.anchor
+    gram = [[sum(x * y for x, y in zip(b1, b2)) for b2 in basis]
+            for b1 in basis]
+    out = []
+    for (g, h) in poly.facets:
+        a = rational_solve(gram, g)
+        amb = tuple(sum(a[i] * b[j] for i, b in enumerate(basis))
+                    for j in range(len(anchor)))
+        row = primitive(amb)
+        factor = next(F(x) / y for x, y in zip(row, amb) if y)
+        off = h + sum(x * y for x, y in zip(amb, anchor))
+        out.append((row, off * factor))
+    return sorted(out)
+
+
+def test_ambient_facets_against_gram_oracle():
+    for _, _, pts in _flats(96, 200):
+        poly = Polytope(pts)
+        facets = poly.ambient_facets()
+        assert facets == _oracle_ambient_facets(poly)
+        # every point satisfies every facet, and each facet is tight somewhere
+        for a, c in facets:
+            vals = [sum(x * y for x, y in zip(a, p)) for p in pts]
+            assert max(vals) == c
+
+
+def test_vertex_enumeration_against_brute_force():
+    rng = random.Random(97)
+    nonempty = 0
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        # a box keeps the region bounded; random cuts give other vertices
+        cons = []
+        for j in range(d):
+            e = tuple(F(int(i == j)) for i in range(d))
+            for sign in (1, -1):
+                cons.append((tuple(sign * t for t in e),
+                             F(rng.randint(1, 6), rng.randint(1, 3))))
+        for _ in range(rng.randint(0, 3)):
+            cons.append((tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(d)),
+                         F(rng.randint(-2, 4), rng.randint(1, 3))))
+        expect = set()
+        for sub in combinations(cons, d):
+            rows = [g for g, _ in sub]
+            if fraction_rank(rows) != d:
+                continue
+            mu = rational_solve(rows, [-h for _, h in sub])
+            if all(sum(x * y for x, y in zip(g, mu)) + h >= 0
+                   for g, h in cons):
+                expect.add(mu)
+        got = _vertex_enumeration(cons, d)
+        assert got == sorted(expect)
+        nonempty += bool(got)
+    assert nonempty > 0

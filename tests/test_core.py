@@ -5,16 +5,17 @@ from itertools import combinations, product
 
 import pytest
 
+from afflat.convexity import AffineHull
 from afflat.core import (UniAffMap, apply, complete_to_lattice_basis,
                          coords_in_lattice_basis, den, extends_to_basis,
                          farey_mediant, is_regular,
                          lattice_points_in, lift, simplex_map, unlift)
 from afflat.errors import InputError
-from afflat.intlinalg import (det_int, invert_unimodular, rational_nullspace,
-                              rational_rank, rational_solve)
+from afflat.intlinalg import det_int, invert_unimodular, nullspace
 
-from helpers import (_tiny_det, in_hull_by_dets, parallelepiped_extends,
-                     rand_point, rand_unimodular)
+from helpers import (_tiny_det, fraction_rank, in_hull_by_dets,
+                     parallelepiped_extends, rand_point, rand_unimodular,
+                     rational_nullspace, rational_solve)
 
 F = Fraction
 
@@ -83,9 +84,8 @@ def test_extends_to_basis_vs_parallelepiped_pairs_3d():
     vecs = [v for v in product(range(-2, 3), repeat=3) if any(v)]
     rng = random.Random(5)
     sample = rng.sample(list(combinations(vecs, 2)), 1200)
-    from afflat.intlinalg import rational_rank
     for a, b in sample:
-        if rational_rank([a, b]) != 2:
+        if fraction_rank([a, b]) != 2:
             continue
         assert extends_to_basis([a, b]) == parallelepiped_extends([a, b])
 
@@ -330,26 +330,54 @@ def rank_by_minors(rows):
     return 0
 
 
+def _flat(rows, rhs):
+    """AffineHull of {x : rows . x = rhs} from the Fraction oracle's
+    solution and nullspace, or None when the system is inconsistent."""
+    x = rational_solve(rows, rhs)
+    if x is None:
+        return None
+    return AffineHull([x] + [tuple(a + b for a, b in zip(x, v))
+                             for v in rational_nullspace(rows)])
+
+
+def _same_line(u, v):
+    """u and v are nonzero multiples of each other."""
+    i = next(i for i, a in enumerate(u) if a)
+    return v[i] != 0 and all(a * v[i] == b * u[i] for a, b in zip(u, v))
+
+
 def test_rational_elimination_against_minors():
     rng = random.Random(67)
     dot = lambda u, v: sum(a * b for a, b in zip(u, v))
     for _ in range(300):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [[F(rng.randint(-3, 3), rng.randint(1, 3))
-                 if rng.random() < 0.7 else F(0) for _ in range(c)]
-                for _ in range(r)]
+        rows = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0
+                 for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3:  # a zero column
+            j = rng.randrange(c)
+            for row in rows:
+                row[j] = 0
         if r > 2 and rng.random() < 0.4:  # a dependent row
-            rows[-1] = [a - F(2, 3) * b for a, b in zip(rows[0], rows[1])]
+            rows[-1] = [3 * a - 2 * b for a, b in zip(rows[0], rows[1])]
         rank = rank_by_minors(rows)
-        assert rational_rank(rows) == rank
-        null = rational_nullspace(rows)
+        null = nullspace(rows, c)
         assert len(null) == c - rank
         assert all(dot(row, v) == 0 for row in rows for v in null)
         assert not null or rank_by_minors(null) == len(null)
+        oracle = rational_nullspace(rows)
+        assert len(oracle) == len(null)
+        assert all(_same_line(u, v) for u, v in zip(oracle, null))
+        # solves, through intersections of the rows' hyperplanes
         x0 = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(c)]
         rhs = [dot(row, x0) for row in rows]
-        x = rational_solve(rows, rhs)
-        assert [dot(row, x) for row in rows] == rhs
+        flat = _flat([[0] * c], [0])  # all of R^c
+        for row, b in zip(rows, rhs):
+            if any(row):
+                flat = flat.intersect(_flat([row], [b]))
+        assert flat.dim == c - rank
+        assert flat.contains(x0)
+        assert flat.key() == _flat(rows, rhs).key()
         # the sum of the rows with a shifted right-hand side is inconsistent
         total = [sum(col) for col in zip(*rows)]
-        assert rational_solve(rows + [total], rhs + [sum(rhs) + 1]) is None
+        if any(total):
+            assert flat.intersect(_flat([total], [sum(rhs) + 1])) is None
