@@ -11,7 +11,9 @@ Rational points are enumerated one denominator at a time, so the
 minimal-index search adds denominator j's points and tests only the pairs
 that involve them.  As for the other kinds, the invariant and its witness
 come from one pass: the minimal-index pairs are found once, and the witness
-is that of the first sorted pair with the least invariant.
+is that of the first sorted pair with the least invariant.  The decision
+compares areas first, and walks the second ellipse's pairs only up to that
+witness pair.
 """
 
 import math
@@ -409,6 +411,11 @@ def ellipse_from_semidiameters(o, x, y):
     return co
 
 
+def _require_conjugate_pairs(ell):
+    if not ell.has_conjugate_pairs():
+        raise NotInClass("ellipse has no rational conjugate semi-diameter pairs")
+
+
 def min_index_pairs(ell):
     """(d, pairs): the least index d = den(x) + den(y) over conjugate
     semi-diameter pairs, and all ordered pairs attaining it.
@@ -416,8 +423,7 @@ def min_index_pairs(ell):
     Raises NotInClass when the ellipse has no rational conjugate pairs at
     all (non-square det(Q)); the published termination argument silently
     assumes that case away."""
-    if not ell.has_conjugate_pairs():
-        raise NotInClass("ellipse has no rational conjugate semi-diameter pairs")
+    _require_conjugate_pairs(ell)
     pts = []
     pairs = []
     best = None
@@ -460,14 +466,39 @@ def ellipse_invariant(ell):
     return _ellipse_with_witness(ell)[0]
 
 
+def _area_squared(ell):
+    """m^2 / det(Q): the squared area over pi^2, the same for every conic
+    equation of the ellipse and kept by every map of determinant +-1."""
+    q = ell.qmat
+    return ell.level ** 2 / (q[0][0] * q[1][1] - q[0][1] * q[1][0])
+
+
 def ellipse_equivalence(e1, e2):
     """A unimodular affine map of the first ellipse onto the second, or
-    None when the invariants differ; verified by conic pullback."""
-    g = _witness_decision(_ellipse_with_witness(e1), _ellipse_with_witness(e2))
-    if g is not None and not conics_match_up_to_scalar(pullback(e2.conic, g),
-                                                       e1.conic):
-        raise InternalCheckError("witness map does not carry the ellipse")
-    return g
+    None when the invariants differ; verified by conic pullback.
+
+    An ellipse is fixed by its center and one pair of conjugate
+    semi-diameters, so a map carrying one minimal-index triangle (O, x, y)
+    of e1 onto one of e2 carries e1 onto e2.  Once both ellipses are known
+    to have conjugate pairs, differing areas answer None with no search.
+    Otherwise e1's invariant is built in full, and e2's minimal-index pairs
+    are walked in sorted order to the first whose triangle invariant is
+    e1's least: the pair that e2's full invariant would pick as witness, so
+    the map is the same.  When no pair matches, the invariants differ.
+    """
+    _require_conjugate_pairs(e1)
+    _require_conjugate_pairs(e2)
+    if _area_squared(e1) != _area_squared(e2):
+        return None
+    invs, wit, marks = _ellipse_with_witness(e1)
+    for x, y in min_index_pairs(e2)[1]:
+        found = _triangle_with_witness((e2.center, x, y))
+        if found[0] == invs[0]:
+            g = _witness_decision((invs[0], wit, marks), found)
+            if not conics_match_up_to_scalar(pullback(e2.conic, g), e1.conic):
+                raise InternalCheckError("witness map does not carry the ellipse")
+            return g
+    return None
 
 
 def pullback(co, g):

@@ -208,16 +208,18 @@ def parallelepiped_extends(vectors):
     sign = 1 if d > 0 else -1
     dd = abs(d)
     others = [i for i in range(m) if i not in rows]
-    for x in product(*[range(lo[j], hi[j] + 1) for j in range(m)]):
-        if all(t == 0 for t in x):
+    # a point of the span is fixed by its coordinates in `rows`, so only
+    # those are scanned over the box; the point lies in the parallelepiped
+    # when its coefficients y / dd are in [0, 1), and then in the box too,
+    # so it is a lattice point when the remaining coordinates are integers
+    for xsel in product(*[range(lo[j], hi[j] + 1) for j in rows]):
+        if all(t == 0 for t in xsel):
             continue
-        xsel = [x[i] for i in rows]
         y = [sign * sum(adj[i][j] * xsel[j] for j in range(k))
              for i in range(k)]
         if not all(0 <= yi < dd for yi in y):
             continue
-        # x must actually lie in the span: remaining rows reconstruct
-        if all(dd * x[j] == sum(mat[j][i] * y[i] for i in range(k))
+        if all(sum(mat[j][i] * y[i] for i in range(k)) % dd == 0
                for j in others):
             return False
     return True

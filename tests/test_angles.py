@@ -54,26 +54,37 @@ def _regular_points_upto(h, dmax):
     """Brute force H_reg members with denominator <= dmax (oracle).
 
     Every regular partner lies within the farthest one's distance from the
-    origin, so a grid box of that radius is exhaustive.
+    origin, so a grid box of that radius is exhaustive.  Only the box's
+    points on the half-line's line are visited: per denominator k, the one
+    y of each x = i/k, or every y at the one x of a vertical line.
     """
     import math
     v = h.origin
+    dx, dy = h.direction
     q = max_regular_point(h)
     radius = max(abs(qc - vc) for qc, vc in zip(q, v)) + 1
     out = []
     for k in range(1, dmax + 1):
-        ranges = [range(math.ceil((vc - radius) * k),
-                        math.floor((vc + radius) * k) + 1) for vc in v]
-        for i in ranges[0]:
-            for j in ranges[1]:
-                p = (F(i, k), F(j, k))
-                if den(p) != k:
-                    continue
-                t = h.parameter(p)
-                if t is None or t == 0:
-                    continue
-                if regular_by_parallelepiped((v, p)):
-                    out.append(p)
+        lo, hi = ([math.ceil((vc - radius) * k) for vc in v],
+                  [math.floor((vc + radius) * k) for vc in v])
+        if dx == 0:
+            grid = ([(int(v[0] * k), j) for j in range(lo[1], hi[1] + 1)]
+                    if (v[0] * k).denominator == 1 else [])
+        else:
+            grid = []
+            for i in range(lo[0], hi[0] + 1):
+                j = (v[1] + (F(i, k) - v[0]) * F(dy, dx)) * k
+                if j.denominator == 1 and lo[1] <= j <= hi[1]:
+                    grid.append((i, j))
+        for i, j in grid:
+            p = (F(i, k), F(j, k))
+            if den(p) != k:
+                continue
+            t = h.parameter(p)
+            if t is None or t == 0:
+                continue
+            if regular_by_parallelepiped((v, p)):
+                out.append(p)
     return out
 
 

@@ -117,6 +117,34 @@ def test_budget_exit_5(tmp_path):
     assert json.loads(proc.stdout)["d"] == 97
 
 
+def test_ellipse_areas_decide_before_the_capped_search(tmp_path):
+    # E: (x - 1/101)^2 + y^2 = 1, whose minimal-index search passes the
+    # default cap 64, and 2E: (x - 2/101)^2 + y^2 = 4; their areas differ,
+    # so the pair is answered with no search, while E against itself
+    # still needs the search
+    e = write(tmp_path, "e.json", {"a": "1", "b": "0", "c": "1", "d": "-2/101",
+                                   "e": "0", "f": "-10200/10201"})
+    e2 = write(tmp_path, "e2.json", {"a": "1", "b": "0", "c": "1",
+                                     "d": "-4/101", "e": "0",
+                                     "f": "-40800/10201"})
+    for pair in ((e, e2), (e2, e)):
+        proc = run_cli(["equiv", "--kind", "ellipse", *pair])
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"equivalent": False, "map": None}
+    proc = run_cli(["equiv", "--kind", "ellipse", e, e])
+    assert proc.returncode == 5
+    assert "semi-diameter index search" in json.loads(proc.stdout)["error"]
+    # x^2 + 2y^2 = 1 has no rational conjugate pair: reported on either
+    # side, before E's search
+    no_pairs = write(tmp_path, "n.json", {"a": "1", "b": "0", "c": "2",
+                                          "d": "0", "e": "0", "f": "-1"})
+    for pair in ((e, no_pairs), (no_pairs, e)):
+        proc = run_cli(["equiv", "--kind", "ellipse", *pair])
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout) == {
+            "error": "ellipse has no rational conjugate semi-diameter pairs"}
+
+
 def test_side_and_angle_invariants_need_no_capped_search(tmp_path):
     # c of a line or plane is read from the witness extension, so a least
     # denominator (65) above the cap runs no capped search; the uncapped

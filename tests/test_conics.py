@@ -8,17 +8,19 @@ from fractions import Fraction
 import pytest
 
 from afflat.conics import (ELLIPSE, ELLIPSE_NO_POINT, NOT_ELLIPSE, _holzer_search,
-                           classify,
+                           _ellipse_with_witness, classify,
                            conic, conjugate_diameter, ellipse,
                            ellipse_equivalence, ellipse_from_semidiameters,
                            ellipse_invariant, legendre_solve, min_index_pairs,
                            pullback, conics_match_up_to_scalar,
                            rational_points)
+from afflat import budget
 from afflat.core import den
-from afflat.errors import InputError, NotInClass
+from afflat.errors import InputError, NotInClass, SearchBudgetExceeded
+from afflat.segments import _witness_decision
 
-from helpers import (holzer_box_scan, is_sum_of_two_squares, legendre_brute,
-                     rand_unimodular, trial_factor)
+from helpers import (apply_affine, holzer_box_scan, is_sum_of_two_squares,
+                     legendre_brute, rand_point, rand_unimodular, trial_factor)
 
 F = Fraction
 
@@ -311,6 +313,108 @@ def test_ellipse_equivalence_pinned_witnesses():
         pulled = _pullback_oracle(co2, A, t)
         s = next(p / q for p, q in zip(pulled, co1) if q)
         assert s != 0 and pulled == tuple(s * q for q in co1)
+
+
+def _conic_at(co, p):
+    a, b, c, d, e, f = co
+    x, y = p
+    return a * x * x + b * x * y + c * y * y + d * x + e * y + f
+
+
+def _grid_points_on(co, o, x, y, kmax):
+    """Test-side brute force: the points of denominator <= kmax on the
+    conic, scanned over the box that holds the ellipse with center o and
+    conjugate semi-diameters (o, x), (o, y)."""
+    r = [abs(xc - oc) + abs(yc - oc) for oc, xc, yc in zip(o, x, y)]
+    out = []
+    for k in range(1, kmax + 1):
+        xs, ys = (range(math.floor((oc - rc) * k), math.ceil((oc + rc) * k) + 1)
+                  for oc, rc in zip(o, r))
+        out += [p for i in xs for j in ys
+                if _conic_at(co, p := (F(i, k), F(j, k))) == 0]
+    return out
+
+
+def _shifted(o, w, k=1):
+    return tuple(oc + k * wc for oc, wc in zip(o, w))
+
+
+def _area_over_pi(o, x, y):
+    return abs((x[0] - o[0]) * (y[1] - o[1]) - (x[1] - o[1]) * (y[0] - o[0]))
+
+
+def ellipse_decision_corpus(n=36):
+    """(kind, (o, x, y), (o', x', y')): two ellipses, each by its center and
+    the ends of two conjugate semi-diameters, cycling over three kinds: the
+    second is the image of the first under a random unimodular map
+    ("positive"), that image with doubled semi-diameters ("scaled"), or the
+    first's semi-diameters at a center of another denominator
+    ("equal-area")."""
+    rng = random.Random(63)
+    cases = []
+    for i in range(n):
+        o = rand_point(rng, 2, 2, 1)
+        while True:
+            u, v = rand_point(rng, 2, 2, 1), rand_point(rng, 2, 2, 1)
+            if u[0] * v[1] - u[1] * v[0]:
+                break
+        kind = ("positive", "scaled", "equal-area")[i % 3]
+        if kind == "equal-area":
+            # den(o_x + 1/(d + 1)) is a multiple of d + 1, with d = den(o)
+            o2 = (o[0] + F(1, den(o) + 1), o[1])
+            second = (o2, _shifted(o2, u), _shifted(o2, v))
+        else:
+            g = rand_unimodular(rng, 2, tmax=2)
+            k = 1 if kind == "positive" else 2
+            second = tuple(apply_affine(g.matrix, g.translation, p)
+                           for p in (o, _shifted(o, u, k), _shifted(o, v, k)))
+        cases.append((kind, (o, _shifted(o, u), _shifted(o, v)), second))
+    return cases
+
+
+def test_ellipse_equivalence_against_full_invariants():
+    # the decision (areas, then one anchored walk) against the two full
+    # invariants it replaces
+    equal_area_negatives = 0
+    for kind, first, second in ellipse_decision_corpus():
+        co1, co2 = (ellipse_from_semidiameters(*s) for s in (first, second))
+        e1, e2 = ellipse(co1), ellipse(co2)
+        g = ellipse_equivalence(e1, e2)
+        assert (g is None) == (ellipse_invariant(e1) != ellipse_invariant(e2))
+        assert (g is None) == (kind != "positive")
+        oracle = _witness_decision(_ellipse_with_witness(e1),
+                                   _ellipse_with_witness(e2))
+        if g is None:
+            assert oracle is None
+            equal_area_negatives += _area_over_pi(*first) == _area_over_pi(*second)
+            continue
+        assert (g.matrix, g.translation) == (oracle.matrix, oracle.translation)
+        pts = _grid_points_on(co1, *first, 3)
+        assert len(pts) >= 4
+        assert all(_conic_at(co2, apply_affine(g.matrix, g.translation, p)) == 0
+                   for p in pts)
+    # these reach the walk over the second ellipse's pairs and find no match
+    assert equal_area_negatives == 12
+
+
+def test_ellipse_equivalence_checks_pairs_before_any_search():
+    # x^2 + 2y^2 = 1 has rational points but no rational conjugate pair;
+    # either side reports it, before the other side's search can pass a cap
+    message = "ellipse has no rational conjugate semi-diameter pairs"
+    no_pairs = ellipse(conic(1, 0, 2, 0, 0, -1))
+    o = (F(1, 101), F(0))
+    far = ellipse(ellipse_from_semidiameters(o, (o[0] + 1, o[1]), (o[0], o[1] + 1)))
+    old = budget.set_max_den(64)
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            ellipse_equivalence(far, far)
+        for other in (ellipse(CIRCLE), far, no_pairs):
+            for e1, e2 in ((no_pairs, other), (other, no_pairs)):
+                with pytest.raises(NotInClass) as exc:
+                    ellipse_equivalence(e1, e2)
+                assert str(exc.value) == message
+    finally:
+        budget.set_max_den(old)
 
 
 def test_legendre_reduction_vs_brute_force():
