@@ -16,6 +16,7 @@ set equality; for the right map every simplex is accepted whole.
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from . import budget
@@ -23,8 +24,8 @@ from .affine import (AffineSpace, affine_equivalence, affine_invariant,
                      extend_frame)
 from .complexes import Triangulation
 from .cones import desingularize, fan_rays
-from .convexity import (AffineHull, Polytope, _barycentric_solver,
-                        affine_frame, affine_rank, clip_simplex,
+from .convexity import (AffineHull, Polytope, _barycentric_solver, _clip,
+                        _lift_row, affine_frame, affine_rank,
                         placing_triangulation, simplex_tester)
 from .core import (UniAffMap, den, is_regular, lattice_lifts_at, lift,
                    simplex, simplex_map, unlift)
@@ -136,16 +137,20 @@ def _refined_simplex_cells(P, family):
     closed side of every cut of s's hull (clip recursion in hull
     coordinates).  Returns (hull, sides, cell) triples, sides holding +1 or
     -1 per cut; the cells of one hull with equal sides tile one convex cell
-    of the arrangement, s cut down to those closed halves."""
+    of the arrangement, s cut down to those closed halves.  Each cut's row
+    and each cell's lifts and values are computed once for both sides."""
     out = []
     for s in P:
         hull = AffineHull(s)
         cells = {tuple(sorted(hull.coords(v) for v in s)): ()}
         for (g, h) in _cuts_for(hull, family):
+            row = _lift_row(g, h)
             nxt = {}
             for cell, sides in cells.items():
-                for side in (1, -1):
-                    for piece in clip_simplex(cell, g, h, side):
+                lifts = [lift(v) for v in cell]
+                vals = [sum(map(mul, row, q)) for q in lifts]
+                for side, svals in ((1, vals), (-1, [-v for v in vals])):
+                    for piece in _clip(cell, lifts, svals):
                         nxt[piece] = sides + (side,)
             cells = nxt
         out.extend((hull, sides, cell) for cell, sides in sorted(cells.items()))

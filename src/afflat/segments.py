@@ -10,7 +10,12 @@ progressions; a chain has at most one run more than half the partial
 quotients (rounded up) of the regular continued fraction of that cone.
 lambda_1, the side invariant, the witness marks and the polyhedron pair
 filter read the runs, so they take time independent of the chain's length;
-only hj_chain expands them.
+only hj_chain expands them, each coordinate of a run by the cheapest
+construction its shape allows (_coordinate): a coordinate constant along a
+run of constant denominator is one Fraction shared by every vertex of the
+run, which is safe because Fractions are immutable, and along a run of
+denominator 1 the integer numerators take Fraction's integer path, with no
+gcd.  Other runs build each Fraction from its numerator and denominator.
 
 Every kind computes its invariant once, with a witness simplex and marked
 points (_side_with_witness here); _witness_decision, shared by all kinds,
@@ -58,7 +63,10 @@ def _chain_runs(a, b):
 def hj_chain(a, b):
     """The canonical regular chain of the oriented segment conv(a, b),
     expanded from its runs: vertex j of a run is (num + j dnum) / (d + j dd)
-    for the run's start lift (num, d) and step (dnum, dd)."""
+    for the run's start lift (num, d) and step (dnum, dd).  Where dd = 0, a
+    coordinate with dnum = 0 is one shared Fraction and, when d = 1, the
+    others are built from integers; the chain is a tuple of tuples of
+    Fractions either way."""
     a, b, runs = _chain_runs(a, b)
     size = 1 + sum(count for _, _, count in runs)
     if size > sys.maxsize:
@@ -67,8 +75,7 @@ def hj_chain(a, b):
     chain = []
     for start, step, count in runs:
         d, dd = start[-1], step[-1]
-        chain += zip(*[map(Fraction, _progression(x, s, count),
-                           _progression(d, dd, count))
+        chain += zip(*[_coordinate(x, s, d, dd, count)
                        for x, s in zip(start[:-1], step[:-1])])
     chain.append(b)
     return tuple(chain)
@@ -77,6 +84,18 @@ def hj_chain(a, b):
 def _progression(x, s, count):
     """x, x + s, ..., x + (count - 1) s."""
     return range(x, x + count * s, s) if s else repeat(x, count)
+
+
+def _coordinate(x, s, d, dd, count):
+    """The Fractions (x + j s) / (d + j dd), j < count, of one coordinate
+    along a run: one shared Fraction when constant, integer-built when the
+    denominator is 1."""
+    if dd == 0:
+        if s == 0:
+            return repeat(Fraction(x, d), count)
+        if d == 1:
+            return map(Fraction, range(x, x + count * s, s))
+    return map(Fraction, _progression(x, s, count), _progression(d, dd, count))
 
 
 def _runs_lambda1(runs):

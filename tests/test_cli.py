@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -70,6 +71,25 @@ def test_hj_and_lambda1(tmp_path):
         "vertices": [["-1/2"], ["0"], ["1/2"], ["3/5"], ["5/8"]]}
     proc = run_cli(["lambda1", s])
     assert json.loads(proc.stdout) == {"lambda1": "9/8"}
+
+
+@pytest.mark.parametrize("doc, fmt, digest", [
+    ({"a": ["-1/3"], "b": ["34995/7"]}, "json",
+     "c79cd01b3eea12060530eab5ba0abcbeab942346aeba055e53bb704381d6554c"),
+    ({"a": ["-1/3"], "b": ["34995/7"]}, "text",
+     "89c65bfbcc235b2722ed818af777c83566f000ebeec3b78845a68ed543afbe04"),
+    ({"a": ["-2/5", "1/2"], "b": ["1500", "1/2"]}, "json",
+     "3e2c9f314047eba2dd3db1743edbb4f3e7fd7caca1ee102f17488a62f696d61b"),
+    ({"a": ["-2/5", "1/2"], "b": ["1500", "1/2"]}, "text",
+     "0ddfb9061e429f9589de23382c369924830515c0d72d64ecfc963a4d3f0e646e"),
+])
+def test_hj_long_chains_byte_stable(tmp_path, doc, fmt, digest):
+    # a 1-D chain of 5003 vertices (integer runs between fractional ends)
+    # and the 3005-vertex chain of a segment on the line y = 1/2
+    s = write(tmp_path, "s.json", doc)
+    proc = run_cli(["--format", fmt, "hj", s])
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_desingularize(tmp_path):

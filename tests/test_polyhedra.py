@@ -321,7 +321,7 @@ def counting(monkeypatch, name):
 
 
 def test_poly_set_equal_accepts_own_simplexes_without_clipping(monkeypatch):
-    clips = counting(monkeypatch, "clip_simplex")
+    clips = counting(monkeypatch, "_clip")
     rng = random.Random(82)
     for n in (1, 2, 3):
         P = [rand_simplex(rng, n) for _ in range(4)]

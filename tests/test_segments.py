@@ -277,6 +277,61 @@ def test_hj_runs_expand_to_oracle_chains():
         assert [lift(x) for x in hj_chain(a, b)] == mapped
 
 
+def _lift_map(rows, q):
+    """The integer lift rows . q, one row per coordinate, the last one the
+    denominator."""
+    return tuple(r0 * q[0] + r1 * q[1] for r0, r1 in rows)
+
+
+# (rows of an integer map from the lifts of R^1 onto the lifts of a line in
+# R^n, 1-D segments carried onto that line): axis-parallel lines through
+# integer and half-integer points, a line of integer slope and a line of
+# least denominator 3, with long integer runs and runs of varying denominator
+RUN_SHAPE_LINES = (
+    (((1, 0), (0, 3), (0, 1)), ((F(-5), F(2995)), (F(7, 2), F(-60)))),
+    (((0, -2), (1, 0), (0, 5), (0, 1)), ((F(1, 3), F(2000)), (F(9), F(2, 5)))),
+    (((1, 0), (0, 1), (0, 2)), ((F(0), F(80)), (F(-7, 4), F(301, 3)))),
+    (((1, 0), (2, 7), (0, 1)), ((F(-5), F(2995)), (F(60, 7), F(-1, 2)))),
+    (((1, 0), (0, -4), (3, 1), (0, 1)), ((F(3000), F(0)), (F(1, 6), F(13)))),
+    (((1, 0), (0, 1), (0, 3)), ((F(-7, 4), F(91, 3)), (F(0), F(500)))),
+)
+
+
+def test_hj_run_shapes_against_hull_oracle():
+    # every shape a run's coordinate can take: constant over a constant
+    # denominator (axis-parallel lines), varying over denominator 1 (integer
+    # runs), varying over a constant denominator > 1, and varying denominator
+    shapes = set()
+    for rows, segs in RUN_SHAPE_LINES:
+        # the map is onto the lattice of the line's lifts: its 2x2 minors
+        # are coprime
+        minors = [p[0] * q[1] - p[1] * q[0]
+                  for i, p in enumerate(rows) for q in rows[i + 1:]]
+        assert math.gcd(*minors) == 1
+        for alpha, beta in segs:
+            want = [_lift_map(rows, lift((x,)))
+                    for x in hj_chain_by_hull((alpha,), (beta,))]
+            a = tuple(F(c, want[0][-1]) for c in want[0][:-1])
+            b = tuple(F(c, want[-1][-1]) for c in want[-1][:-1])
+            chain = hj_chain(a, b)
+            assert [lift(x) for x in chain] == want
+            assert all(type(c) is Fraction for x in chain for c in x)
+            assert hj_chain(b, a) == chain[::-1]
+            # (denominator varies, starts at 1, coordinate varies)
+            for start, step, _ in _chain_runs(a, b)[2]:
+                shapes.update((step[-1] != 0, start[-1] == 1, c != 0)
+                              for c in step[:-1])
+    assert {(False, True, False), (False, False, False), (False, True, True),
+            (False, False, True), (True, False, True)} <= shapes
+    # the half-integer line y = 1/2: one run of constant denominator 2, so x
+    # takes the general path and y is one shared Fraction
+    a, b = (F(0), F(1, 2)), (F(40), F(1, 2))
+    assert _chain_runs(a, b)[2] == [((0, 1, 2), (1, 0, 0), 80)]
+    chain = hj_chain(a, b)
+    assert chain == tuple((F(j, 2), F(1, 2)) for j in range(81))
+    assert all(type(c) is Fraction for x in chain for c in x)
+
+
 def test_hj_runs_expand_to_step_oracle_in_r3():
     rng = random.Random(30)
     done = 0
