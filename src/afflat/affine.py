@@ -242,6 +242,38 @@ def _bezout_combination(values, target):
     return [c * q for c in coeffs]
 
 
+def _frame_lifts(frame):
+    """The lifts of a regular frame, checked to be part of a basis."""
+    pts = simplex(frame)
+    lifts = [lift(p) for p in pts]
+    if not is_part_of_basis(lifts, len(pts[0]) + 1):
+        raise InputError("frame is not regular")
+    return pts, lifts
+
+
+def _codim_one_completion(lifts):
+    """(c, eps, u) for the lifts of a regular frame of codimension one: u
+    completes them to a lattice basis, and eps*u plus an integer combination
+    of the lifts is a completion of least last coordinate c.  The last
+    coordinates of eps*u plus combinations are the integers congruent to
+    eps*u_last modulo the gcd of the lifts' last coordinates."""
+    u = complete_basis(lifts, len(lifts) + 1)[-1]
+    g = 0
+    for l in lifts:
+        g = math.gcd(g, l[-1])
+    c, neg_eps = min((((eps * u[-1] - 1) % g) + 1, -eps) for eps in (1, -1))
+    return c, -neg_eps, u
+
+
+def completion_den(frame):
+    """c of the frame's affine span, as extend_frame(frame)[0] but with no
+    extension built: a basis completion in codimension one, else 1."""
+    pts, lifts = _frame_lifts(frame)
+    if len(pts) == len(pts[0]):
+        return _codim_one_completion(lifts)[0]
+    return 1
+
+
 def extend_frame(frame):
     """Extend a regular e-frame to a regular n-simplex by n-e points, all of
     denominator c of the frame's affine span.  Returns (c, extension).
@@ -250,27 +282,14 @@ def extend_frame(frame):
     combinations of the frame lifts for any lattice-basis completion u, so
     the least achievable last coordinate is a modular expression.
     """
-    pts = simplex(frame)
-    lifts = [lift(p) for p in pts]
+    pts, lifts = _frame_lifts(frame)
     n = len(pts[0])
     e = len(pts) - 1
-    if not is_part_of_basis(lifts, n + 1):
-        raise InputError("frame is not regular")
     if e == n:
         return 1, ()
     if e == n - 1:
-        u = complete_basis(lifts, n + 1)[e + 1]
-        dens = [l[-1] for l in lifts]
-        g = 0
-        for d in dens:
-            g = math.gcd(g, d)
-        options = []
-        for eps in (1, -1):
-            c = ((eps * u[-1] - 1) % g) + 1
-            options.append((c, -eps))
-        c, neg_eps = min(options)
-        eps = -neg_eps
-        ks = _bezout_combination(dens, c - eps * u[-1])
+        c, eps, u = _codim_one_completion(lifts)
+        ks = _bezout_combination([l[-1] for l in lifts], c - eps * u[-1])
         stilde = tuple(eps * uc + sum(k * l[i] for k, l in zip(ks, lifts))
                        for i, uc in enumerate(u))
         s = unlift(stilde)

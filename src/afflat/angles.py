@@ -256,12 +256,13 @@ def triangle(u, v, w):
 
 def _triangle_with_witness(tri):
     """(triangle invariant, witness simplex, marks), from the sides v->u,
-    v->w and the angle at v."""
+    v->w and the angle at v; the witness is the angle's, so the sides'
+    c is computed with no extension built."""
     u, v, w = triangle(*tri)
-    side_vu, _, marks_vu = _side_with_witness(v, u)
+    side_vu, _, marks_vu = _side_with_witness(v, u, witness=False)
     ang, wit, marks = _angle_with_witness(
         angle(HalfLine(v, through=u), HalfLine(v, through=w)))
-    side_vw, _, marks_vw = _side_with_witness(v, w)
+    side_vw, _, marks_vw = _side_with_witness(v, w, witness=False)
     marks.update({"the first side": marks_vu["the chain"],
                   "the second side": marks_vw["the chain"],
                   "the vertices": (u, v, w)})

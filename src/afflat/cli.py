@@ -168,28 +168,32 @@ def _max_den():
 
 
 def run(argv):
+    """Run one CLI command and return its exit code.  The cap from
+    AFFLAT_MAX_DEN holds for this call only, so a caller's own cap is back
+    in place when it returns."""
     args = build_parser().parse_args(argv)
     try:
-        budget.set_max_den(_max_den())
-        if args.verb == "invariant":
-            result = _invariant(args.kind, _read_json(args.file))
-        elif args.verb == "equiv":
-            result = _equiv(args.kind, _read_json(args.file1),
-                            _read_json(args.file2))
-        elif args.verb == "hj":
-            a, b = jsonio.parse_segment(_read_json(args.file))
-            result = jsonio.hj_json(hj_chain(a, b))
-        elif args.verb == "lambda1":
-            a, b = jsonio.parse_segment(_read_json(args.file))
-            result = {"lambda1": jsonio.frac_str(lambda1(a, b))}
-        elif args.verb == "classify-conic":
-            cls = classify(jsonio.parse_conic(_read_json(args.file)))
-            _emit({"class": cls}, args.format)
-            return EXIT_OK if cls == ELLIPSE else EXIT_NOT_IN_CLASS
-        elif args.verb == "desingularize":
-            result = jsonio.fan_json(desingularize(jsonio.parse_cone(_read_json(args.file))))
-        else:
-            raise InputError("unknown verb %r" % args.verb)
+        with budget.capped(_max_den()):
+            if args.verb == "invariant":
+                result = _invariant(args.kind, _read_json(args.file))
+            elif args.verb == "equiv":
+                result = _equiv(args.kind, _read_json(args.file1),
+                                _read_json(args.file2))
+            elif args.verb == "hj":
+                a, b = jsonio.parse_segment(_read_json(args.file))
+                result = jsonio.hj_json(hj_chain(a, b))
+            elif args.verb == "lambda1":
+                a, b = jsonio.parse_segment(_read_json(args.file))
+                result = {"lambda1": jsonio.frac_str(lambda1(a, b))}
+            elif args.verb == "classify-conic":
+                cls = classify(jsonio.parse_conic(_read_json(args.file)))
+                _emit({"class": cls}, args.format)
+                return EXIT_OK if cls == ELLIPSE else EXIT_NOT_IN_CLASS
+            elif args.verb == "desingularize":
+                cone = jsonio.parse_cone(_read_json(args.file))
+                result = jsonio.fan_json(desingularize(cone))
+            else:
+                raise InputError("unknown verb %r" % args.verb)
     except InputError as exc:
         _emit({"error": str(exc)}, args.format)
         return EXIT_BAD_INPUT
@@ -202,8 +206,6 @@ def run(argv):
     except InternalCheckError as exc:
         _emit({"error": str(exc)}, args.format)
         return EXIT_INTERNAL
-    finally:
-        budget.set_max_den(None)
     _emit(result, args.format)
     return EXIT_OK
 

@@ -11,7 +11,10 @@ one simplex of the other side, by an integer test of its vertices; it cuts
 the rest along the other side's facet hulls only and tests each cell by
 its barycenter.  The orbit decision enumerates the finite candidate set of
 matched regular frames in the target hull and tests each candidate map by
-set equality; for the right map every simplex is accepted whole.
+set equality; for the right map every simplex is accepted whole.  Hulls of
+different dimensions, or hull segments of different lambda_1, are answered
+before any search.  When both hulls span the ambient space, the affine-span
+step is skipped: both spans are R^n, and the frame is a regular n-simplex.
 """
 
 from fractions import Fraction
@@ -32,7 +35,7 @@ from .core import (UniAffMap, den, is_regular, lattice_lifts_at, lift,
 from .errors import InputError, InternalCheckError
 from .intlinalg import invert_unimodular, mat_mul, minor_gcd
 from .rationals import canon_primitive
-from .segments import _den_runs
+from .segments import _den_runs, lambda1
 
 __all__ = [
     "polyhedron", "convex_hull", "Hull", "desingularize", "fan_rays",
@@ -282,23 +285,38 @@ def polyhedron_equivalence(P, Q):
     frame of conv(P) extended to a regular simplex, then try every matched
     tuple of equal-denominator points of conv(Q) (a finite set) and test the
     induced map by exact set equality.
+
+    A valid map carries conv(P) onto conv(Q), so hulls of different
+    dimensions answer None at once, and so do hull segments of different
+    lambda_1 (read off the chain's runs, with no scan).  When the hulls
+    span R^n, their affine spans are R^n itself, of invariant (n, 1, 1):
+    matching them cannot fail, and the frame, searched from denominator 1,
+    is already a regular n-simplex, so no AffineSpace is built.
     """
     P = polyhedron(P)
     Q = polyhedron(Q)
-    if len(P[0][0]) != len(Q[0][0]):
+    n = len(P[0][0])
+    if len(Q[0][0]) != n:
         raise InputError("ambient dimensions differ")
-    FP = AffineSpace(poly_vertices(P))
-    FQ = AffineSpace(poly_vertices(Q))
-    gamma = affine_equivalence(FP, FQ)
-    if gamma is None:
-        return None
-    e = FP.dim
     CP = Polytope(poly_vertices(P))
     CQ = Polytope(poly_vertices(Q))
-    frame = _min_den_regular_frame(CP, e, affine_invariant(FP).d)
-    _, ext = extend_frame(frame)
-    V = frame + ext
-    g_rest = tuple(gamma(p) for p in ext)
+    e = CP.dim
+    if CQ.dim != e:
+        return None
+    if e == 1 and lambda1(*CP.vertices) != lambda1(*CQ.vertices):
+        return None
+    if e == n:
+        frame = _min_den_regular_frame(CP, n, 1)
+        V, g_rest = frame, ()
+    else:
+        FP = AffineSpace(poly_vertices(P))
+        gamma = affine_equivalence(FP, AffineSpace(poly_vertices(Q)))
+        if gamma is None:
+            return None
+        frame = _min_den_regular_frame(CP, e, affine_invariant(FP).d)
+        _, ext = extend_frame(frame)
+        V = frame + ext
+        g_rest = tuple(gamma(p) for p in ext)
     hullP = set(CP.vertices)
     hullQ = sorted(CQ.vertices)
     tests_p = [simplex_tester(s) for s in P]
@@ -307,7 +325,6 @@ def polyhedron_equivalence(P, Q):
     lifts_q = [lift(w) for w in poly_vertices(Q)]
     hull_lifts_p = [lift(v) for v in hullP]
     hull_lifts_q = {lift(u) for u in hullQ}
-    n = len(V[0])
     lv = [lift(v) for v in V]
     mv_inv = invert_unimodular([[lv[j][i] for j in range(n + 1)]
                                 for i in range(n + 1)])

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
-from .affine import extend_frame
+from .affine import completion_den, extend_frame
 from .complexes import Triangulation
 from .cones import _plane_runs
 from .core import den, is_regular, lift, simplex_map, unlift
@@ -164,19 +164,24 @@ def lambda1_via(a, b, tri):
     return total
 
 
-def _side_with_witness(a, b):
+def _side_with_witness(a, b, witness=True):
     """(side invariant, witness simplex, marks).  The witness extends the
     chain's first cell; the extension denominator is c of the line, as that
     depends only on the line's lattice, of which the cell's lifts are a basis.
     The marks are the first two vertices of each run and b: a map carrying
-    them carries each run's start and step lift, hence the whole chain."""
+    them carries each run's start and step lift, hence the whole chain.
+    With witness False, for callers that drop the witness, c is computed
+    with no extension built and the witness is the first cell alone."""
     a, b, runs = _chain_runs(a, b)
     marks = []
     for start, step, _ in runs:
         marks += [unlift(start), unlift(vadd(start, step))]
     marks.append(b)
     first = (a, marks[1])
-    c, ext = extend_frame(first)
+    if witness:
+        c, ext = extend_frame(first)
+    else:
+        c, ext = completion_den(first), ()
     inv = SideInvariant(c, _runs_lambda1(runs), den(a), den(marks[1]))
     return inv, first + ext, {"the chain": tuple(marks)}
 

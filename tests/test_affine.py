@@ -7,13 +7,13 @@ from itertools import product
 import pytest
 
 from afflat.affine import (affine_equivalence, affine_invariant,
-                           affine_span, extend_frame, map_space,
+                           affine_span, completion_den, extend_frame, map_space,
                            min_den_point, regular_frame, same_space)
 from afflat.core import den, is_regular, lift
 from afflat.errors import InputError
 
-from helpers import (parallelepiped_extends, rand_point,
-                     regular_by_parallelepiped, rand_unimodular)
+from helpers import (_tiny_det, fraction_rank, parallelepiped_extends,
+                     rand_point, regular_by_parallelepiped, rand_unimodular)
 
 F = Fraction
 
@@ -201,6 +201,66 @@ def test_extend_frame_produces_regular_simplex():
         assert len(frame) + len(ext) == n + 1
         assert is_regular(frame + ext)
         assert all(den(s) == c for s in ext)
+
+
+def _rand_frame(rng, n, e):
+    """A regular e-frame in R^n with coordinates in [-1, 1] and every
+    vertex of one denominator d <= 9, so that in codimension one c ranges
+    over the units modulo d."""
+    while True:
+        d = rng.randint(1, 9)
+        pts = [tuple(F(rng.randint(-d, d), d) for _ in range(n))
+               for _ in range(e + 1)]
+        if all(den(p) == d for p in pts) and \
+                fraction_rank([lift(p) for p in pts]) == e + 1 and \
+                regular_by_parallelepiped(pts):
+            return tuple(pts)
+
+
+def _least_completing_den(frame, radius, kmax=6):
+    """Brute force: the least k such that a point of denominator exactly k
+    with coordinates in [-radius, radius], nearest first, adds a lift that
+    keeps the frame's lifts part of a lattice basis.  In codimension one
+    the lifts are then square, and they are a basis iff the determinant,
+    expanded by cofactors along the new row, is +-1; otherwise the test is
+    the Minkowski parallelepiped criterion."""
+    lifts = [lift(v) for v in frame]
+    n = len(frame[0])
+    square = len(frame) == n
+    cof = [(-1) ** (n + j) * _tiny_det([l[:j] + l[j + 1:] for l in lifts])
+           for j in range(n + 1)] if square else None
+    for k in range(1, kmax + 1):
+        box = sorted(product(range(-radius * k, radius * k + 1), repeat=n),
+                     key=lambda x: max(map(abs, x)))
+        for x in box:
+            if math.gcd(k, *x) != 1:
+                continue
+            q = x + (k,)
+            if square:
+                if abs(sum(c * t for c, t in zip(cof, q))) == 1:
+                    return k
+            elif parallelepiped_extends(lifts + [q]):
+                return k
+    return None
+
+
+def test_completion_den_matches_brute_force():
+    # R^1-R^3 frames of every dimension below n: c is the least denominator
+    # of a completing point, found by scanning, and extend_frame's c; it is
+    # unchanged by a unimodular map of the frame
+    rng = random.Random(23)
+    cs = []
+    for n in (1, 2, 3):
+        for e in range(n):
+            for _ in range(10 if e == n - 1 else 2):
+                frame = _rand_frame(rng, n, e)
+                c = completion_den(frame)
+                assert c == extend_frame(frame)[0]
+                assert c == _least_completing_den(frame, 8)
+                g = rand_unimodular(rng, n, tmax=2)
+                assert completion_den(tuple(g(v) for v in frame)) == c
+                cs.append(c)
+    assert max(cs) > 2
 
 
 def test_equivalence_examples():

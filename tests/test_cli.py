@@ -137,6 +137,64 @@ def test_budget_exit_5(tmp_path):
     assert json.loads(proc.stdout)["d"] == 97
 
 
+def test_cli_run_keeps_the_callers_cap(tmp_path, capsys, monkeypatch):
+    # cli.run caps its own call from AFFLAT_MAX_DEN; the caller's cap, set
+    # or not, is back in place afterwards, whatever the exit code
+    from afflat import budget, cli
+    from afflat.polyhedra import polyhedron_equivalence
+    seg = write(tmp_path, "s.json",
+                {"simplexes": [[["1/97", "0"], ["0", "1/97"]]]})
+    f = write(tmp_path, "f.json", {"a": ["0"], "b": ["1/3"]})
+    missing = str(tmp_path / "missing.json")
+    monkeypatch.setenv("AFFLAT_MAX_DEN", "8")
+    old = budget.set_max_den(None)
+    try:
+        assert cli.run(["equiv", "--kind", "polyhedron", seg, seg]) == 5
+        # the caller is uncapped again: the same search answers
+        P = [((Fraction(1, 97), Fraction(0)), (Fraction(0), Fraction(1, 97)))]
+        assert polyhedron_equivalence(P, P) is not None
+        budget.set_max_den(100)
+        codes = [cli.run(["lambda1", f]), cli.run(["lambda1", missing]),
+                 cli.run(["equiv", "--kind", "polyhedron", seg, seg])]
+        cap = budget.set_max_den(None)
+    finally:
+        budget.set_max_den(old)
+    assert codes == [0, 2, 5]
+    assert cap == 100
+
+
+def test_search_cap_belongs_to_its_thread():
+    # two threads run one search at once, one under cap 8 and one uncapped;
+    # a barrier has both set their caps before either searches, and again
+    # before either reads its cap back
+    import threading
+    from afflat import budget
+    from afflat.errors import SearchBudgetExceeded
+    from afflat.polyhedra import polyhedron_equivalence
+    P = [((Fraction(1, 97), Fraction(0)), (Fraction(0), Fraction(1, 97)))]
+    barrier = threading.Barrier(2, timeout=60)
+    out = {}
+
+    def worker(cap):
+        budget.set_max_den(cap)
+        barrier.wait()
+        try:
+            out[cap] = polyhedron_equivalence(P, P) is not None
+        except SearchBudgetExceeded as exc:
+            out[cap] = str(exc)
+        barrier.wait()
+        out[cap, "after"] = budget.set_max_den(None)
+
+    threads = [threading.Thread(target=worker, args=(cap,))
+               for cap in (8, None)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert out == {8: "regular frame search passed the cap 8 (AFFLAT_MAX_DEN)",
+                   None: True, (8, "after"): 8, (None, "after"): None}
+
+
 def test_ellipse_areas_decide_before_the_capped_search(tmp_path):
     # E: (x - 1/101)^2 + y^2 = 1, whose minimal-index search passes the
     # default cap 64, and 2E: (x - 2/101)^2 + y^2 = 4; their areas differ,
@@ -396,7 +454,15 @@ def test_polyhedron_huge_vertex_exits_cleanly(tmp_path):
                 {"simplexes": [[["0"], ["1"]], [["2"], ["1e30"]]]})
     small = write(tmp_path, "small.json",
                   {"simplexes": [[["0"], ["1"]], [["2"], ["3"]]]})
-    proc = run_cli(["equiv", "--kind", "polyhedron", big, small], timeout=60)
+    # the hull segments conv(0, 1e30) and conv(0, 3) differ in lambda_1,
+    # which is read off the chain's runs: both orders answer at once
+    for pair in ((big, small), (small, big)):
+        proc = run_cli(["equiv", "--kind", "polyhedron", *pair], timeout=60)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"equivalent": False, "map": None}
+    # against itself the frame search must scan the 1e30-long hull: it
+    # refuses with one error line, never a traceback
+    proc = run_cli(["equiv", "--kind", "polyhedron", big, big], timeout=60)
     assert proc.returncode in (2, 5)
     assert len(proc.stdout.splitlines()) == 1
     assert "error" in json.loads(proc.stdout)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from afflat import cones, polyhedra
+from afflat.affine import AffineSpace
 from afflat.cones import (cone, desingularize, fan_rays, is_regular_cone,
                           parallelepiped_points)
 from afflat.convexity import clip_simplex
@@ -15,9 +16,9 @@ from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
                               triangulate)
 from afflat.segments import hj_chain, lambda1
 
-from helpers import (_tiny_det, box_parallelepiped_points, in_hull_by_dets,
-                     interval_union, rand_point, rand_unimodular,
-                     stellar_desingularize)
+from helpers import (_tiny_det, box_parallelepiped_points, fraction_rank,
+                     in_hull_by_dets, interval_union, rand_point,
+                     rand_unimodular, stellar_desingularize)
 
 F = Fraction
 
@@ -543,6 +544,63 @@ def test_polyhedron_equivalence_pinned_witnesses():
         for sq in Q:
             for w in sq:
                 assert any(in_hull_by_dets(si, w) for si in imP)
+
+
+def flat_polyhedron(rng, n, h):
+    """One or two simplexes in R^n whose convex hull has dimension h: built
+    in R^h around a full simplex (denominators <= 2, span 1), padded with
+    zero coordinates and moved by a random unimodular map."""
+    while True:
+        pts = [rand_point(rng, h, 2, 1) for _ in range(h + 1)]
+        if fraction_rank([[x - y for x, y in zip(p, pts[0])]
+                          for p in pts[1:]]) == h:
+            break
+    simps = [tuple(pts)]
+    if h and rng.random() < 0.5:
+        simps.append(rand_simplex(rng, h, 2, 1))
+    g = rand_unimodular(rng, n, tmax=2)
+    pad = (F(0),) * (n - h)
+    return [tuple(g(v + pad) for v in s) for s in simps]
+
+
+def hull_pairs(seed):
+    """(n, h, P, Q) with Q the image of P under a random unimodular map,
+    for every hull dimension h <= n in R^1-R^3."""
+    rng = random.Random(seed)
+    out = []
+    for n in (1, 2, 3):
+        for h in range(n + 1):
+            for _ in range(3):
+                P = flat_polyhedron(rng, n, h)
+                g = rand_unimodular(rng, n, tmax=2)
+                out.append((n, h, P, [tuple(g(v) for v in s) for s in P]))
+    return out
+
+
+def test_polyhedron_equivalence_by_hull_dimension(monkeypatch):
+    # full-dimensional pairs never build an AffineSpace; lower-dimensional
+    # ones go through the affine spans; either way the map carries P onto
+    # Q, and a pair whose hulls differ in dimension is answered None
+    spans = []
+
+    def counted(points):
+        spans.append(points)
+        return AffineSpace(points)
+
+    monkeypatch.setattr(polyhedra, "AffineSpace", counted)
+    pairs = hull_pairs(61)
+    for n, h, P, Q in pairs:
+        before = len(spans)
+        m = polyhedron_equivalence(P, Q)
+        assert m is not None
+        assert poly_set_equal([tuple(m(v) for v in s) for s in P], Q)
+        assert (len(spans) == before) == (h == n)
+    rng = random.Random(62)
+    for n, h, P, _ in pairs:
+        other = rng.choice([k for k in range(n + 1) if k != h])
+        Q = flat_polyhedron(rng, n, other)
+        assert polyhedron_equivalence(P, Q) is None
+        assert polyhedron_equivalence(Q, P) is None
 
 
 def test_polyhedron_equivalence_dimension_mismatch():
