@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 from .affine import extend_frame
 from .convexity import simplex_barycentric
-from .core import den, lattice_coords, lift, saturated_span_basis, unlift
+from .core import (den, lattice_coords, lift, plane_basis,
+                   saturated_span_basis, unlift)
 from .errors import InputError, InternalCheckError, NotInClass
 from .intlinalg import complete_basis, integer_rank, span_solver, xgcd
 from .rationals import point, primitive, vadd, vscale, vsub
@@ -106,25 +107,18 @@ def angle(h, k):
 
 def max_regular_point(h):
     """The farthest point of the half-line forming a regular segment with
-    its origin; equivalently the one of minimal denominator."""
-    v = h.origin
-    lv = lift(v)
-    w0 = tuple(h.direction) + (0,)
-    basis = saturated_span_basis([lv, w0])
-    coords = lattice_coords(basis)
-    cv = coords(lv)
-    g, x, y = xgcd(cv[0], cv[1])
-    u = (-y, x)
-    cw = _span_coords(coords, w0)
-    det = cv[0] * cw[1] - cv[1] * cw[0]
-    beta_u = Fraction(cv[0] * u[1] - cv[1] * u[0], det)
-    alpha_u = Fraction(u[0] * cw[1] - u[1] * cw[0], det)
-    eps = 1 if beta_u > 0 else -1
-    alpha = eps * alpha_u
-    k = math.floor(-alpha) + 1
-    z = (eps * u[0] + k * cv[0], eps * u[1] + k * cv[1])
-    amb = vadd(vscale(z[0], basis[0]), vscale(z[1], basis[1]))
-    q = unlift(amb)
+    its origin; equivalently the one of minimal denominator.
+
+    In the basis (lift(v), b) of the saturated lattice of the plane of
+    lift(v) and the direction lift w = (direction, 0), w = a lift(v) + g b
+    with g > 0 (core.plane_basis).  The partners of lift(v) in a basis of
+    that lattice on the half-line's side are k lift(v) + b, whose last
+    entry den(v) (k - a/g) must be positive, and the point moves towards
+    v as k grows; so k = floor(a/g) + 1.
+    """
+    lv = lift(h.origin)
+    b, a, g = plane_basis(lv, tuple(h.direction) + (0,))
+    q = unlift(vadd(vscale(a // g + 1, lv), b))
     if h.parameter(q) is None:
         raise InternalCheckError("computed point left the half-line")
     return q

@@ -8,7 +8,10 @@ chain p = x_0, ..., x_N = q: consecutive vectors are a basis of the saturated
 plane lattice, and x_{i-1} + x_{i+1} = b_i x_i with b_i >= 2.  A maximal
 stretch of b_i = 2 is an arithmetic progression, so the chain is kept as runs
 (start, step, count), each found with one division (_plane_runs; segments
-reads its chains off the same runs, on the endpoint lifts).
+reads its chains off the same runs, on the endpoint lifts).  For vectors
+of length above 2 the walk runs from (1, 0) to (a, g) in the basis (p, b)
+of the plane's saturated lattice that core.plane_basis gives in closed
+form, q = a p + g b; the chain does not depend on the basis.
 
 In higher dimension, desingularization subdivides stellarly at the lattice
 point of the half-open fundamental parallelepiped with the least coefficient
@@ -32,7 +35,7 @@ from itertools import product
 from operator import mul
 
 from . import budget
-from .core import lattice_coords, saturated_span_basis
+from .core import lattice_coords, plane_basis, saturated_span_basis
 from .errors import InputError, InternalCheckError
 from .intlinalg import (_det_adj, column_echelon, is_part_of_basis,
                         span_solver, xgcd)
@@ -121,19 +124,16 @@ def _walk_runs(p, q):
 def _plane_runs(p, q):
     """Maximal runs (start, step, count) of the Hirzebruch-Jung chain from p
     to q, linearly independent primitive integer vectors of any length: the
-    walk runs in coordinates of the saturated lattice of their plane."""
+    walk runs from (1, 0) to (a, g), the coordinates of p and q in the basis
+    (p, b) of their plane's saturated lattice (core.plane_basis)."""
     if len(p) == 2:
         return _walk_runs(p, q)
-    basis = saturated_span_basis([p, q])
-    if len(basis) != 2:
-        raise InternalCheckError("chain ends span the wrong rank")
-    b0, b1 = basis
+    b, a, g = plane_basis(p, q)
 
     def embed(z):
-        return tuple(z[0] * c0 + z[1] * c1 for c0, c1 in zip(b0, b1))
+        return tuple(z[0] * c0 + z[1] * c1 for c0, c1 in zip(p, b))
 
-    coords = lattice_coords(basis)
-    runs = _walk_runs(coords(p), coords(q))
+    runs = _walk_runs((1, 0), (a, g))
     return [(embed(x), embed(s), c) for x, s, c in runs]
 
 

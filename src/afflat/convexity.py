@@ -15,7 +15,9 @@ hull's coordinates.  Simplex clipping, the one arrangement refiner, takes
 its signs and edge crossings from the same lifts and covers each closed
 half of a simplex by simplexes of its dimension.  Facets are enumerated by
 brute force over vertex subsets, which is fine at the scale this package
-targets and keeps every predicate exact.
+targets and keeps every predicate exact.  The integer scan that accepts a
+facet also records which points lie on it, so a polytope's vertices and
+facet witnesses come from that table, with no dot product over Fractions.
 """
 
 from fractions import Fraction
@@ -143,10 +145,14 @@ def affine_rank(points):
 
 
 def _facets_in_coords(pts, e):
-    """Facet inequalities (g, h), g.x <= h, of conv(pts) in R^e, full-dim.
+    """(scale, facets) of conv(pts) in R^e, full-dim: the lcm `scale` of
+    the coordinate denominators, and {(g, h): mask} for the facet
+    inequalities g.x <= h / scale, g primitive and h an integer, mask having
+    bit i set when pts[i] is on the facet.
 
     Candidate hyperplanes come from e-subsets via the generalized integer
-    cross product (fraction-free) after clearing denominators once.
+    cross product (fraction-free) over the points times scale; a hyperplane
+    found before is not scanned again.
     """
     scale = 1
     for p in pts:
@@ -165,29 +171,35 @@ def _facets_in_coords(pts, e):
         if g0 == 0:
             continue
         n = tuple(t // g0 for t in n)
-        h = sum(a * b for a, b in zip(n, base))
+        h = sum(map(mul, n, base))
+        neg = tuple(-a for a in n)
+        if (n, h) in facets or (neg, -h) in facets:
+            continue
         lo = hi = False
-        for q in ipts:
-            s = sum(a * b for a, b in zip(n, q)) - h
+        mask = 0
+        for i, q in enumerate(ipts):
+            s = sum(map(mul, n, q)) - h
             if s > 0:
                 hi = True
             elif s < 0:
                 lo = True
+            else:
+                mask |= 1 << i
             if lo and hi:
                 break
         if lo and hi:
             continue
-        if hi:
-            n = tuple(-a for a in n)
-            h = -h
-        facets[(n, Fraction(h, scale))] = True
-    return sorted(facets)
+        facets[(neg, -h) if hi else (n, h)] = mask
+    return scale, facets
 
 
 class Polytope:
     """Convex hull of finitely many rational points with exact V- and H-data.
 
     Handles lower-dimensional hulls by working in affine-hull coordinates.
+    The facets come with the set of points on each (a bitmask over the
+    sorted points), so vertices and facet witnesses are read off integer
+    tightness, with no dot product over Fractions.
     """
 
     def __init__(self, points):
@@ -198,18 +210,25 @@ class Polytope:
         self.dim = self.hull.dim
         self._pts = pts
         self._rows = None
-        self._coords = [self.hull.coords(p) for p in pts]
         if self.dim == 0:
             self.facets = []
+            self._on = []
             self.vertices = [pts[0]]
             return
-        self.facets = _facets_in_coords(self._coords, self.dim)
-        verts = []
-        for p, c in zip(pts, self._coords):
-            tight = [g for (g, h) in self.facets if vdot(g, c) == h]
-            if tight and integer_rank(tight) == self.dim:
-                verts.append(p)
-        self.vertices = verts
+        scale, facets = _facets_in_coords(
+            [self.hull.coords(p) for p in pts], self.dim)
+        keys = sorted(facets)
+        self.facets = [(g, Fraction(h, scale)) for g, h in keys]
+        self._on = [facets[k] for k in keys]
+        self.vertices = [
+            p for i, p in enumerate(pts)
+            if integer_rank([g for (g, _), on in zip(keys, self._on)
+                             if on >> i & 1]) == self.dim]
+
+    def on_facet(self, j):
+        """The points that lie on facet j, in sorted order."""
+        on = self._on[j]
+        return [p for i, p in enumerate(self._pts) if on >> i & 1]
 
     def contains_lift(self, q):
         """Membership of num/k for q = (num_1, ..., num_n, k), k > 0, by
@@ -231,7 +250,7 @@ class Polytope:
         a.(x - anchor) = g.coords(x) on the hull.  Over the integer rows
         b_i = s_i basis_i of the basis lifts (num, s) it is sum_i y_i b_i
         with G y = (s_i g_i) for the integer Gram matrix G of the b_i, one
-        span_solver for every facet; c is a.v for a point v tight on the
+        span_solver for every facet; c is a.v for the first point v on the
         facet."""
         if not self.facets:
             return []
@@ -239,12 +258,11 @@ class Polytope:
         rows = [q[:-1] for q in lifts]
         solve = span_solver([[vdot(r1, r2) for r2 in rows] for r1 in rows])
         out = []
-        for (g, h) in self.facets:
+        for (g, _), on in zip(self.facets, self._on):
             y, d = solve([q[-1] * t for q, t in zip(lifts, g)])
             # y / d solves G y = (s_i g_i); d y is a positive multiple of it
             a = primitive([d * sum(map(mul, y, col)) for col in zip(*rows)])
-            v = next(p for p, c in zip(self._pts, self._coords)
-                     if vdot(g, c) == h)
+            v = self._pts[(on & -on).bit_length() - 1]
             out.append((a, vdot(a, v)))
         return sorted(out)
 
@@ -377,12 +395,12 @@ def placing_triangulation(pts):
     if len(verts) == d + 1:
         return [tuple(verts)]
     v0 = verts[0]
-    c0 = poly.hull.coords(v0)
     out = []
-    for (g, h) in poly.facets:
-        if vdot(g, c0) == h:
+    for j in range(len(poly.facets)):
+        on = poly.on_facet(j)
+        if v0 in on:
             continue
-        fverts = [v for v in verts if vdot(g, poly.hull.coords(v)) == h]
+        fverts = [v for v in on if v in verts]
         for cell in placing_triangulation(fverts):
             out.append(tuple(sorted((v0,) + cell)))
     return sorted(set(out))
