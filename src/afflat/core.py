@@ -215,16 +215,9 @@ def lattice_points_in(region, max_den):
 
 
 def lattice_points_at(poly, k):
-    """The points of denominator exactly k in a convexity.Polytope, in
-    coordinate order."""
-    return [tuple(Fraction(c, k) for c in q[:-1])
-            for q in lattice_lifts_at(poly, k)]
-
-
-def lattice_lifts_at(poly, k):
-    """The lifts (combo, k) of the points combo/k of denominator exactly k
-    in a convexity.Polytope, in coordinate order.  Each grid vector is
-    tested on its lift by the polytope's integer rows; a combo with
+    """The points combo/k of denominator exactly k in a
+    convexity.Polytope, in coordinate order.  Each grid vector is tested on
+    its lift (combo, k) by the polytope's integer rows; a combo with
     gcd(k, *combo) > 1 is skipped, since its point has a smaller
     denominator.  A coordinate range longer than sys.maxsize, which no
     sequence can hold, raises SearchBudgetExceeded.
@@ -240,7 +233,7 @@ def lattice_lifts_at(poly, k):
                 % (k, r.stop - r.start))
         ranges.append(r)
     # product order is coordinate order
-    return [combo + (k,) for combo in product(*ranges)
+    return [tuple(Fraction(c, k) for c in combo) for combo in product(*ranges)
             if math.gcd(k, *combo) == 1 and poly.contains_lift(combo + (k,))]
 
 

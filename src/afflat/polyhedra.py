@@ -9,12 +9,13 @@ cuts along the intersection-closed hulls of all faces and places each
 arrangement cell.  Set equality accepts whole each simplex that lies in
 one simplex of the other side, by an integer test of its vertices; it cuts
 the rest along the other side's facet hulls only and tests each cell by
-its barycenter.  The orbit decision enumerates the finite candidate set of
-matched regular frames in the target hull and tests each candidate map by
-set equality; for the right map every simplex is accepted whole.  Hulls of
-different dimensions, or hull segments of different lambda_1, are answered
-before any search.  When both hulls span the ambient space, the affine-span
-step is skipped: both spans are R^n, and the frame is a regular n-simplex.
+its barycenter.  The orbit decision tries the images of an affinely
+independent base of hull vertices among the target's hull vertices and
+tests each induced map by set equality; for the right map every simplex is
+accepted whole.  The maps are built on a fixed regular simplex: the
+standard simplex when both hulls span the ambient space, else the witness
+simplex of the source's affine span.  Hulls of different dimensions, or
+hull segments of different lambda_1, are answered before any enumeration.
 """
 
 from fractions import Fraction
@@ -22,18 +23,16 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from . import budget
-from .affine import (AffineSpace, affine_equivalence, affine_invariant,
-                     extend_frame)
+from .affine import AffineSpace, affine_equivalence, c_invariant
 from .complexes import Triangulation
 from .cones import desingularize, fan_rays
 from .convexity import (AffineHull, Polytope, _barycentric_solver, _clip,
                         _lift_row, affine_frame, affine_rank,
                         placing_triangulation, simplex_tester)
-from .core import (UniAffMap, den, is_regular, lattice_lifts_at, lift,
-                   simplex, simplex_map, unlift)
+from .core import (UniAffMap, den, is_regular, lift, simplex, simplex_map,
+                   unlift)
 from .errors import InputError, InternalCheckError
-from .intlinalg import invert_unimodular, mat_mul, minor_gcd
+from .intlinalg import invert_unimodular, mat_mul
 from .rationals import canon_primitive
 from .segments import _den_runs, lambda1
 
@@ -243,55 +242,19 @@ def regular_simplex_in(points):
     return out
 
 
-def _min_den_regular_frame(poly, e, d_f):
-    """Smallest-denominator regular e-frame inside the Polytope, searched in
-    (denominator, coords)-lexicographic DFS order; round d adds the points
-    of denominator d to those already found.  Only multiples d of d_f, the
-    least denominator of the polytope's affine hull, have points there."""
-    lifts = []
-    d = 0
-    while True:
-        d += d_f
-        budget.check(d, "regular frame search")
-        lifts += lattice_lifts_at(poly, d)
-        found = _frame_dfs([], lifts, e + 1)
-        if found is not None:
-            return tuple(unlift(q) for q in found)
-
-
-def _frame_dfs(prefix, lifts, size):
-    """The first size-tuple of the lifts, extending prefix, that is part of
-    a lattice basis, in DFS order; None when there is none."""
-    if len(prefix) == size:
-        return list(prefix)
-    if not lifts:
-        return None
-    m = len(lifts[0])
-    for q in lifts:
-        if q in prefix:
-            continue
-        if minor_gcd(prefix + [q], m) != 1:
-            continue
-        res = _frame_dfs(prefix + [q], lifts, size)
-        if res is not None:
-            return res
-    return None
-
-
 def polyhedron_equivalence(P, Q):
     """A unimodular affine map of P onto Q, or None.
 
-    Implements the decision procedure: match the affine hulls, fix a regular
-    frame of conv(P) extended to a regular simplex, then try every matched
-    tuple of equal-denominator points of conv(Q) (a finite set) and test the
-    induced map by exact set equality.
-
-    A valid map carries conv(P) onto conv(Q), so hulls of different
-    dimensions answer None at once, and so do hull segments of different
-    lambda_1 (read off the chain's runs, with no scan).  When the hulls
-    span R^n, their affine spans are R^n itself, of invariant (n, 1, 1):
-    matching them cannot fail, and the frame, searched from denominator 1,
-    is already a regular n-simplex, so no AffineSpace is built.
+    A valid map bijects the hull vertices, so it is pinned on aff(P) by the
+    images of an affinely independent base of P's hull vertices: every
+    matched tuple of Q's hull vertices is tried, and the map it induces is
+    tested by exact set equality.  The map is built on a fixed regular
+    n-simplex V whose first e+1 vertices lie in aff(P), so no search runs:
+    the standard simplex when the hulls span R^n (no AffineSpace is built),
+    else the witness simplex of aff(P), whose extension goes where the
+    spans' witness map sends it.  Hulls of different dimensions answer None
+    at once, and so do hull segments of different lambda_1 (read off the
+    chain's runs, with no scan).
     """
     P = polyhedron(P)
     Q = polyhedron(Q)
@@ -306,17 +269,18 @@ def polyhedron_equivalence(P, Q):
     if e == 1 and lambda1(*CP.vertices) != lambda1(*CQ.vertices):
         return None
     if e == n:
-        frame = _min_den_regular_frame(CP, n, 1)
-        V, g_rest = frame, ()
+        # the standard simplex 0, e_1, ..., e_n
+        V = tuple(tuple(Fraction(int(i == j)) for j in range(1, n + 1))
+                  for i in range(n + 1))
+        g_rest = ()
     else:
         FP = AffineSpace(poly_vertices(P))
         gamma = affine_equivalence(FP, AffineSpace(poly_vertices(Q)))
         if gamma is None:
             return None
-        frame = _min_den_regular_frame(CP, e, affine_invariant(FP).d)
-        _, ext = extend_frame(frame)
-        V = frame + ext
-        g_rest = tuple(gamma(p) for p in ext)
+        V = c_invariant(FP)[1]
+        g_rest = tuple(gamma(p) for p in V[e + 1:])
+    frame = V[:e + 1]
     hullP = set(CP.vertices)
     hullQ = sorted(CQ.vertices)
     tests_p = [simplex_tester(s) for s in P]

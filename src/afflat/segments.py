@@ -128,7 +128,6 @@ def _chain_of_triangulation(a, b, tri):
     nrm = sum(d * d for d in direction)
 
     def param(x):
-        ts = set()
         t = sum((xc - ac) * d for xc, ac, d in zip(x, a, direction)) / nrm
         # membership in the line, exactly
         for xc, ac, d in zip(x, a, direction):

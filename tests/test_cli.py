@@ -122,14 +122,32 @@ def test_not_in_class_exit_3(tmp_path):
     assert proc.returncode == 3
 
 
+# (x - 1/9)^2 + y^2 = 1: its minimal-index search passes the cap 8, and
+# answers in well under a second uncapped
+CAPPED_ELLIPSE = {"a": "1", "b": "0", "c": "1", "d": "-2/9", "e": "0",
+                  "f": "-80/81"}
+
+
+def capped_ellipse():
+    from afflat.conics import conic, ellipse
+    return ellipse(conic(*(Fraction(CAPPED_ELLIPSE[k]) for k in "abcdef")))
+
+
 def test_budget_exit_5(tmp_path):
-    # the regular frame of the segment needs denominator 97, past the cap
     cap = {"AFFLAT_MAX_DEN": "8"}
+    ell = write(tmp_path, "e.json", CAPPED_ELLIPSE)
+    proc = run_cli(["equiv", "--kind", "ellipse", ell, ell], env_extra=cap)
+    assert proc.returncode == 5
+    assert "semi-diameter index search" in json.loads(proc.stdout)["error"]
+    # the polyhedron decision builds its map on a fixed regular simplex, so
+    # a segment whose points all have denominator >= 97 runs no capped search
     seg = write(tmp_path, "s.json",
                 {"simplexes": [[["1/97", "0"], ["0", "1/97"]]]})
     proc = run_cli(["equiv", "--kind", "polyhedron", seg, seg], env_extra=cap)
-    assert proc.returncode == 5
-    assert "regular frame search" in json.loads(proc.stdout)["error"]
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "equivalent": True,
+        "map": {"matrix": [[1, 0], [0, 1]], "translation": [0, 0]}}
     # d of its line is read off a lattice basis, with no search to cap
     f = write(tmp_path, "f.json", {"points": [["1/97", "0"], ["0", "1/97"]]})
     proc = run_cli(["invariant", "--kind", "affine", f], env_extra=cap)
@@ -137,25 +155,43 @@ def test_budget_exit_5(tmp_path):
     assert json.loads(proc.stdout)["d"] == 97
 
 
+def test_polyhedron_tiny_segment_against_its_translate(tmp_path):
+    # conv((1/999983, 0), (0, 1/999983)) against its translate by (0, 1)
+    # under the default cap: no lattice point of the hull is scanned
+    a = write(tmp_path, "a.json",
+              {"simplexes": [[["1/999983", "0"], ["0", "1/999983"]]]})
+    b = write(tmp_path, "b.json",
+              {"simplexes": [[["1/999983", "1"], ["0", "999984/999983"]]]})
+    proc = run_cli(["equiv", "--kind", "polyhedron", a, b], timeout=60)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["equivalent"] is True
+    from afflat.core import UniAffMap
+    g = UniAffMap(out["map"]["matrix"], out["map"]["translation"])
+    P = ((Fraction(1, 999983), Fraction(0)), (Fraction(0), Fraction(1, 999983)))
+    Q = ((Fraction(1, 999983), Fraction(1)),
+         (Fraction(0), Fraction(999984, 999983)))
+    assert sorted(map(g, P)) == sorted(Q)
+
+
 def test_cli_run_keeps_the_callers_cap(tmp_path, capsys, monkeypatch):
     # cli.run caps its own call from AFFLAT_MAX_DEN; the caller's cap, set
     # or not, is back in place afterwards, whatever the exit code
     from afflat import budget, cli
-    from afflat.polyhedra import polyhedron_equivalence
-    seg = write(tmp_path, "s.json",
-                {"simplexes": [[["1/97", "0"], ["0", "1/97"]]]})
+    from afflat.conics import ellipse_equivalence
+    ell = write(tmp_path, "e.json", CAPPED_ELLIPSE)
     f = write(tmp_path, "f.json", {"a": ["0"], "b": ["1/3"]})
     missing = str(tmp_path / "missing.json")
     monkeypatch.setenv("AFFLAT_MAX_DEN", "8")
     old = budget.set_max_den(None)
     try:
-        assert cli.run(["equiv", "--kind", "polyhedron", seg, seg]) == 5
+        assert cli.run(["equiv", "--kind", "ellipse", ell, ell]) == 5
         # the caller is uncapped again: the same search answers
-        P = [((Fraction(1, 97), Fraction(0)), (Fraction(0), Fraction(1, 97)))]
-        assert polyhedron_equivalence(P, P) is not None
+        E = capped_ellipse()
+        assert ellipse_equivalence(E, E) is not None
         budget.set_max_den(100)
         codes = [cli.run(["lambda1", f]), cli.run(["lambda1", missing]),
-                 cli.run(["equiv", "--kind", "polyhedron", seg, seg])]
+                 cli.run(["equiv", "--kind", "ellipse", ell, ell])]
         cap = budget.set_max_den(None)
     finally:
         budget.set_max_den(old)
@@ -169,9 +205,9 @@ def test_search_cap_belongs_to_its_thread():
     # before either reads its cap back
     import threading
     from afflat import budget
+    from afflat.conics import ellipse_equivalence
     from afflat.errors import SearchBudgetExceeded
-    from afflat.polyhedra import polyhedron_equivalence
-    P = [((Fraction(1, 97), Fraction(0)), (Fraction(0), Fraction(1, 97)))]
+    E = capped_ellipse()
     barrier = threading.Barrier(2, timeout=60)
     out = {}
 
@@ -179,7 +215,7 @@ def test_search_cap_belongs_to_its_thread():
         budget.set_max_den(cap)
         barrier.wait()
         try:
-            out[cap] = polyhedron_equivalence(P, P) is not None
+            out[cap] = ellipse_equivalence(E, E) is not None
         except SearchBudgetExceeded as exc:
             out[cap] = str(exc)
         barrier.wait()
@@ -191,8 +227,9 @@ def test_search_cap_belongs_to_its_thread():
         t.start()
     for t in threads:
         t.join()
-    assert out == {8: "regular frame search passed the cap 8 (AFFLAT_MAX_DEN)",
-                   None: True, (8, "after"): 8, (None, "after"): None}
+    assert out == {
+        8: "semi-diameter index search passed the cap 8 (AFFLAT_MAX_DEN)",
+        None: True, (8, "after"): 8, (None, "after"): None}
 
 
 def test_ellipse_areas_decide_before_the_capped_search(tmp_path):
@@ -460,9 +497,9 @@ def test_polyhedron_huge_vertex_exits_cleanly(tmp_path):
         proc = run_cli(["equiv", "--kind", "polyhedron", *pair], timeout=60)
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"equivalent": False, "map": None}
-    # against itself the frame search must scan the 1e30-long hull: it
-    # refuses with one error line, never a traceback
+    # against itself no lattice point of the 1e30-long hull is scanned:
+    # the map is built on the standard simplex, and it is the identity
     proc = run_cli(["equiv", "--kind", "polyhedron", big, big], timeout=60)
-    assert proc.returncode in (2, 5)
-    assert len(proc.stdout.splitlines()) == 1
-    assert "error" in json.loads(proc.stdout)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "equivalent": True, "map": {"matrix": [[1]], "translation": [0]}}

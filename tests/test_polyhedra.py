@@ -546,6 +546,73 @@ def test_polyhedron_equivalence_pinned_witnesses():
                 assert any(in_hull_by_dets(si, w) for si in imP)
 
 
+def assert_carries_by_oracles(P, Q, pinned):
+    """The map (matrix, translation) is unimodular, sends every vertex of P
+    into Q, and its image of P covers every vertex of Q, by Cramer tests."""
+    A, t = pinned
+    assert _tiny_det([list(r) for r in A]) in (1, -1)
+
+    def phi(x):
+        return tuple(sum(a * c for a, c in zip(r, x)) + b
+                     for r, b in zip(A, t))
+
+    imP = [tuple(phi(v) for v in s) for s in P]
+    for s in P:
+        for v in s:
+            assert any(in_hull_by_dets(sq, phi(v)) for sq in Q)
+    for sq in Q:
+        for w in sq:
+            assert any(in_hull_by_dets(si, w) for si in imP)
+
+
+def witness_corpus_r3():
+    """12 pairs in R^3 with full-dimensional hulls: P and its image under a
+    random map; every fourth image has its last simplex replaced by a
+    random one."""
+    rng = random.Random(31)
+    cases = []
+    for i in range(12):
+        while True:
+            P = [rand_simplex(rng, 3, 4, 1) for _ in range(rng.randint(1, 3))]
+            pts = [v for s in P for v in s]
+            if fraction_rank([[x - y for x, y in zip(p, pts[0])]
+                              for p in pts[1:]]) == 3:
+                break
+        g = rand_unimodular(rng, 3, tmax=2)
+        image = P[:-1] + [rand_simplex(rng, 3, 4, 1)] if i % 4 == 3 else P
+        cases.append((P, [tuple(g(v) for v in s) for s in image]))
+    return cases
+
+
+# (matrix, translation) per witness_corpus_r3 case, or None; recorded while
+# the full-dimensional decision still searched the smallest regular frame of
+# conv(P), before it built its maps on the standard simplex
+PINNED_WITNESSES_R3 = [
+    (((0, 1, 1), (1, 0, -1), (0, 0, 1)), (-1, -1, 1)),
+    (((0, 1, 0), (-1, -2, 0), (0, -2, 1)), (-2, -1, -2)),
+    (((0, 1, 0), (-1, 0, 0), (0, 0, 1)), (0, -1, 1)),
+    None,
+    (((1, -1, 2), (0, 1, 0), (0, 1, 1)), (2, 0, -2)),
+    (((1, 1, -1), (2, 1, 1), (0, 0, 1)), (-1, 0, -2)),
+    (((-1, 2, -2), (0, 1, 0), (0, -1, 1)), (-2, -2, 1)),
+    None,
+    (((0, 1, 0), (-1, 0, 0), (1, 0, 1)), (2, 0, 2)),
+    (((1, 0, 0), (-8, 3, 1), (-2, 2, 1)), (1, -1, 1)),
+    (((1, 1, 0), (0, 1, 0), (0, -1, 1)), (0, 0, 2)),
+    None,
+]
+
+
+def test_polyhedron_equivalence_pinned_witnesses_r3():
+    for (P, Q), pinned in zip(witness_corpus_r3(), PINNED_WITNESSES_R3):
+        g = polyhedron_equivalence(P, Q)
+        if pinned is None:
+            assert g is None
+            continue
+        assert (g.matrix, g.translation) == pinned
+        assert_carries_by_oracles(P, Q, pinned)
+
+
 def flat_polyhedron(rng, n, h):
     """One or two simplexes in R^n whose convex hull has dimension h: built
     in R^h around a full simplex (denominators <= 2, span 1), padded with
@@ -601,6 +668,22 @@ def test_polyhedron_equivalence_by_hull_dimension(monkeypatch):
         Q = flat_polyhedron(rng, n, other)
         assert polyhedron_equivalence(P, Q) is None
         assert polyhedron_equivalence(Q, P) is None
+
+
+def test_polyhedron_equivalence_flat_hulls_by_oracles():
+    # hulls of dimension 1 <= e < n: the map is built on the witness simplex
+    # of aff(P), so off aff(P) it is one valid map of many; check each one
+    # by the Cramer oracles, not by the set equality under test
+    rng = random.Random(63)
+    for _ in range(4):
+        for n in (2, 3, 4):
+            for h in range(1, n):
+                P = flat_polyhedron(rng, n, h)
+                g = rand_unimodular(rng, n, tmax=2)
+                Q = [tuple(g(v) for v in s) for s in P]
+                m = polyhedron_equivalence(P, Q)
+                assert m is not None
+                assert_carries_by_oracles(P, Q, (m.matrix, m.translation))
 
 
 def test_polyhedron_equivalence_dimension_mismatch():
