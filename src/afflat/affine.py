@@ -61,17 +61,6 @@ def affine_span(points):
     return AffineSpace(points)
 
 
-def map_space(g, F):
-    """Image of an affine space under a unimodular affine map."""
-    return AffineSpace([g(p) for p in F.points])
-
-
-def same_space(F, G):
-    return (F.n == G.n and F.dim == G.dim
-            and all(G.contains(p) for p in F.points)
-            and all(F.contains(p) for p in G.points))
-
-
 def _size_reduce(F, p):
     """Shift p by integer direction-lattice vectors of F to shrink its
     coordinates (denominator is unchanged, membership preserved)."""

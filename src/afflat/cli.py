@@ -2,8 +2,9 @@
 desingularization over JSON files or stdin.
 
 Exit codes: 0 success, 2 malformed input, 3 not in the operation's class,
-4 internal assertion failure, 5 resource bound exceeded.  AFFLAT_MAX_DEN
-(default 64, a positive integer) caps enumeration-based searches.
+4 internal assertion failure, 5 resource bound exceeded (a search passed
+its cap, or memory ran out).  AFFLAT_MAX_DEN (default 64, a positive
+integer) caps enumeration-based searches.
 """
 
 import argparse
@@ -194,6 +195,7 @@ def run(argv):
                 result = jsonio.fan_json(desingularize(cone))
             else:
                 raise InputError("unknown verb %r" % args.verb)
+        _emit(result, args.format)
     except InputError as exc:
         _emit({"error": str(exc)}, args.format)
         return EXIT_BAD_INPUT
@@ -206,7 +208,9 @@ def run(argv):
     except InternalCheckError as exc:
         _emit({"error": str(exc)}, args.format)
         return EXIT_INTERNAL
-    _emit(result, args.format)
+    except MemoryError:
+        _emit({"error": "%s ran out of memory" % args.verb}, args.format)
+        return EXIT_BUDGET
     return EXIT_OK
 
 

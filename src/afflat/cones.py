@@ -30,7 +30,6 @@ ones that have that face, found in an index from each ray to its cones
 without solving for coordinates.
 """
 
-from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -58,20 +57,6 @@ def cone(generators):
     except InputError:
         raise InputError("cone generators are linearly dependent") from None
     return tuple(sorted(gens))
-
-
-def cone_coords(gens, v):
-    """Rational coefficients of v over the generators, or None off-span."""
-    sol = span_solver(gens)(v)
-    if sol is None:
-        return None
-    y, d = sol
-    return tuple(Fraction(c, d) for c in y)
-
-
-def cone_contains(gens, v):
-    sol = cone_coords(gens, v)
-    return sol is not None and all(c >= 0 for c in sol)
 
 
 def is_regular_cone(gens):
@@ -180,15 +165,6 @@ def _cosets(gens):
 def _coset_point(gens, r, size):
     """The point sum_i (r_i / size) gens_i."""
     return tuple(sum(map(mul, r, coord)) // size for coord in zip(*gens))
-
-
-def parallelepiped_points(gens):
-    """Nonzero integer points of the half-open fundamental parallelepiped
-    of the generators, as (coefficients, point) sorted by point."""
-    size, cosets = _cosets(gens)
-    return sorted(((tuple(Fraction(a, size) for a in r),
-                    _coset_point(gens, r, size)) for r in cosets),
-                  key=lambda sc: sc[1])
 
 
 def _subdivision_point(gens):

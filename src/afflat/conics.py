@@ -7,23 +7,26 @@ point is Legendre's theorem on one factorization of its coefficients; the
 point itself comes from a Holzer-box scan, run only when one exists, that
 visits only the x of each row whose congruence class modulo the third
 coefficient can complete a solution.
-Rational points are enumerated one denominator at a time, so the
-minimal-index search adds denominator j's points and tests only the pairs
+Rational points are enumerated one denominator at a time, in integers
+(one isqrt per x of the ellipse's range), so the minimal-index search adds
+denominator j's points and tests, by integer dot products, only the pairs
 that involve them.  As for the other kinds, the invariant and its witness
 come from one pass: the minimal-index pairs are found once, and the witness
 is that of the first sorted pair with the least invariant.  The decision
-compares areas first, and walks the second ellipse's pairs only up to that
+compares areas first, builds only the first ellipse's least triangle, cut
+down field by field, and walks the second ellipse's pairs only up to that
 witness pair.
 """
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from . import budget
-from .angles import _triangle_with_witness
+from .angles import HalfLine, _triangle_with_witness, angle, angle_invariant
 from .core import den
-from .segments import _witness_decision
+from .segments import _side_with_witness, _witness_decision
 from .errors import InputError, InternalCheckError, NotInClass
 from .rationals import point, rat, vdot, vsub
 
@@ -320,32 +323,36 @@ def rational_points(ell, max_den):
 
 
 def _rational_points_at(ell, j):
-    """The rational points of the ellipse of denominator exactly j, sorted;
-    their x is some i/j, so one scan of those x finds them all."""
+    """The rational points of the ellipse of denominator exactly j, sorted."""
+    return [(Fraction(i, j), Fraction(k, j)) for i, k in _numerators_at(ell, j)]
+
+
+def _numerators_at(ell, j):
+    """The (i, k) with (i/j, k/j) on the ellipse and gcd(i, k, j) = 1, sorted.
+    With the conic scaled to integer coefficients, k solves
+    c k^2 + B k + C = 0 for B = b i + e j and C = a i^2 + d j i + f j^2,
+    and c > 0, so each i of the ellipse's x-range needs one isqrt."""
     o, qmat, m = ell.center, ell.qmat, ell.level
     detq = qmat[0][0] * qmat[1][1] - qmat[0][1] * qmat[1][0]
     xspread2 = m * qmat[1][1] / detq  # max (x - Ox)^2 on the ellipse
-    co = ell.conic
     s = math.isqrt(math.floor(j * j * xspread2)) + 1
     base = o[0] * j
-    found = set()
+    scale = math.lcm(*(t.denominator for t in ell.conic))
+    a, b, c, d, e, f = (int(t * scale) for t in ell.conic)
+    found = []
     for i in range(math.ceil(base - s), math.floor(base + s) + 1):
-        x = Fraction(i, j)
-        # c y^2 + (b x + e) y + (a x^2 + d x + f) = 0
-        B = co.b * x + co.e
-        C = co.a * x * x + co.d * x + co.f
-        disc = B * B - 4 * co.c * C
+        B = b * i + e * j
+        disc = B * B - 4 * c * ((a * i + d * j) * i + f * j * j)
         if disc < 0:
             continue
-        root = _rational_sqrt(disc)
-        if root is None:
+        r = math.isqrt(disc)
+        if r * r != disc:
             continue
-        for sign in ((1,) if root == 0 else (1, -1)):
-            y = (-B + sign * root) / (2 * co.c)
-            p = (x, y)
-            if den(p) == j and co(p) == 0:
-                found.add(p)
-    return sorted(found)
+        for n in ((-B,) if r == 0 else (-B - r, -B + r)):
+            k, rem = divmod(n, 2 * c)
+            if rem == 0 and math.gcd(i, k, j) == 1:
+                found.append((i, k))
+    return found
 
 
 def _rational_sqrt(f):
@@ -420,25 +427,35 @@ def min_index_pairs(ell):
     """(d, pairs): the least index d = den(x) + den(y) over conjugate
     semi-diameter pairs, and all ordered pairs attaining it.
 
+    Conjugacy (x - O)^T Q (y - O) = 0 is tested in integers: a point
+    (i, k)/j gives u = od (i, k) - j On, a positive multiple of x - O for
+    the center O = On/od, and Q is scaled by the lcm of its denominators.
+
     Raises NotInClass when the ellipse has no rational conjugate pairs at
     all (non-square det(Q)); the published termination argument silently
     assumes that case away."""
     _require_conjugate_pairs(ell)
-    pts = []
+    od = math.lcm(*(t.denominator for t in ell.center))
+    on0, on1 = (int(t * od) for t in ell.center)
+    qd = math.lcm(*(t.denominator for row in ell.qmat for t in row))
+    (q00, q01), (_, q11) = ((int(t * qd) for t in row) for row in ell.qmat)
+    pts = []  # (point, its denominator, u)
     pairs = []
     best = None
     j = 0
     while True:
         j += 1
         budget.check(j, "semi-diameter index search")
-        new = _rational_points_at(ell, j)
+        new = [((Fraction(i, j), Fraction(k, j)), j,
+                (od * i - j * on0, od * k - j * on1))
+               for i, k in _numerators_at(ell, j)]
         pts.extend(new)
         # only pairs with a point of denominator j are new; Q is symmetric,
         # so (y, x) is a pair whenever (x, y) is
-        for x in new:
-            for y in pts:
-                if ell.conjugacy_product(x, y) == 0:
-                    dy = den(y)
+        for x, _, (u0, u1) in new:
+            qu0, qu1 = q00 * u0 + q01 * u1, q01 * u0 + q11 * u1
+            for y, dy, (v0, v1) in pts:
+                if qu0 * v0 + qu1 * v1 == 0:
                     pairs.append((x, y))
                     if dy < j:
                         pairs.append((y, x))
@@ -458,6 +475,30 @@ def _ellipse_with_witness(ell):
         first.setdefault(inv, (wit, marks))
     invs = tuple(sorted(first))
     return (invs,) + first[invs[0]]
+
+
+def _least_triangle(ell):
+    """The least entry (invariant, witness, marks) of _ellipse_with_witness,
+    with one triangle built in full.  A triangle invariant compares the side
+    x -> O, then the angle at x, then the side x -> y, so the sorted pairs
+    are cut to the least of each in turn; the first survivor is the pair
+    whose triangle the full invariant takes as witness."""
+    o = ell.center
+    side_to_o = cache(lambda x: _side_with_witness(x, o, witness=False)[0])
+    pairs = min_index_pairs(ell)[1]
+    for key in (lambda x, y: side_to_o(x), lambda x, y: _angle_at(o, x, y),
+                lambda x, y: _side_with_witness(x, y, witness=False)[0]):
+        if len(pairs) == 1:
+            break
+        keys = [key(x, y) for x, y in pairs]
+        least = min(keys)
+        pairs = [p for p, k in zip(pairs, keys) if k == least]
+    return _triangle_with_witness((o,) + pairs[0])
+
+
+def _angle_at(o, x, y):
+    """The invariant of the angle at x of the triangle (o, x, y)."""
+    return angle_invariant(angle(HalfLine(x, through=o), HalfLine(x, through=y)))
 
 
 def ellipse_invariant(ell):
@@ -481,20 +522,27 @@ def ellipse_equivalence(e1, e2):
     semi-diameters, so a map carrying one minimal-index triangle (O, x, y)
     of e1 onto one of e2 carries e1 onto e2.  Once both ellipses are known
     to have conjugate pairs, differing areas answer None with no search.
-    Otherwise e1's invariant is built in full, and e2's minimal-index pairs
-    are walked in sorted order to the first whose triangle invariant is
-    e1's least: the pair that e2's full invariant would pick as witness, so
-    the map is the same.  When no pair matches, the invariants differ.
+    Otherwise only e1's least triangle is built (_least_triangle), and e2's
+    minimal-index pairs are walked in sorted order to the first whose
+    triangle invariant is that one: the pair that e2's full invariant would
+    pick as witness, so the map is the same.  A pair whose side x -> O or
+    angle at x already differs is passed before its triangle is built.
+    When no pair matches, the invariants differ.
     """
     _require_conjugate_pairs(e1)
     _require_conjugate_pairs(e2)
     if _area_squared(e1) != _area_squared(e2):
         return None
-    invs, wit, marks = _ellipse_with_witness(e1)
+    least = _least_triangle(e1)
+    inv = least[0]
+    o = e2.center
+    side_to_o = cache(lambda x: _side_with_witness(x, o, witness=False)[0])
     for x, y in min_index_pairs(e2)[1]:
-        found = _triangle_with_witness((e2.center, x, y))
-        if found[0] == invs[0]:
-            g = _witness_decision((invs[0], wit, marks), found)
+        if side_to_o(x) != inv.side_vu or _angle_at(o, x, y) != inv.angle:
+            continue
+        found = _triangle_with_witness((o, x, y))
+        if found[0] == inv:
+            g = _witness_decision(least, found)
             if not conics_match_up_to_scalar(pullback(e2.conic, g), e1.conic):
                 raise InternalCheckError("witness map does not carry the ellipse")
             return g

@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from afflat.affine import AffineSpace
+from afflat.cones import _coset_point, _cosets
 from afflat.core import UniAffMap, den, lift
 
 
@@ -428,6 +430,22 @@ def box_parallelepiped_points(gens):
     return out
 
 
+def cone_contains(gens, v):
+    """v lies in pos[gens]: its Cramer coefficients are nonnegative."""
+    sol = _cramer(gens)(v)
+    return sol is not None and all(c >= 0 for c in sol[0])
+
+
+def parallelepiped_points(gens):
+    """Nonzero integer points of the half-open fundamental parallelepiped
+    of the generators, as (coefficients, point) sorted by point, from the
+    package's coset enumeration (cones._cosets)."""
+    size, cosets = _cosets(gens)
+    return sorted(((tuple(Fraction(a, size) for a in r),
+                    _coset_point(gens, r, size)) for r in cosets),
+                  key=lambda sc: sc[1])
+
+
 def _unit_cone(gens):
     """The generators extend to a basis: their maximal minors have gcd 1."""
     t, m = len(gens), len(gens[0])
@@ -463,6 +481,19 @@ def stellar_desingularize(generators):
                 if coef > 0:
                     new.add(tuple(sorted(c[:i] + c[i + 1:] + (p,))))
         fan = tuple(sorted(new))
+
+
+# --- affine spaces ----------------------------------------------------------
+
+def map_space(g, F):
+    """Image of an affine space under a unimodular affine map."""
+    return AffineSpace([g(p) for p in F.points])
+
+
+def same_space(F, G):
+    return (F.n == G.n and F.dim == G.dim
+            and all(G.contains(p) for p in F.points)
+            and all(F.contains(p) for p in G.points))
 
 
 # --- point sets in R^1 ------------------------------------------------------

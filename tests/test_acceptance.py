@@ -7,8 +7,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from afflat.affine import (affine_equivalence, affine_invariant,
-                           affine_span, map_space, same_space)
+from afflat.affine import affine_equivalence, affine_invariant, affine_span
 from afflat.angles import (HalfLine, angle, angle_equivalence,
                            angle_invariant, triangle, triangle_equivalence)
 from afflat.complexes import Triangulation, blow_up
@@ -23,8 +22,9 @@ from afflat.polyhedra import poly_set_equal, polyhedron_equivalence
 from afflat.segments import (hj_chain, lambda1, lambda1_via,
                              segment_equivalence)
 
-from helpers import (hj_step_oracle, legendre_brute, parallelepiped_extends,
-                     rand_point, rand_segment, rand_unimodular)
+from helpers import (hj_step_oracle, legendre_brute, map_space,
+                     parallelepiped_extends, rand_point, rand_segment,
+                     rand_unimodular, same_space)
 
 F = Fraction
 

@@ -7,13 +7,14 @@ from itertools import product
 import pytest
 
 from afflat.affine import (affine_equivalence, affine_invariant,
-                           affine_span, completion_den, extend_frame, map_space,
-                           min_den_point, regular_frame, same_space)
+                           affine_span, completion_den, extend_frame,
+                           min_den_point, regular_frame)
 from afflat.core import den, is_regular, lift
 from afflat.errors import InputError
 
-from helpers import (_tiny_det, fraction_rank, parallelepiped_extends,
-                     rand_point, regular_by_parallelepiped, rand_unimodular)
+from helpers import (_tiny_det, fraction_rank, map_space,
+                     parallelepiped_extends, rand_point,
+                     regular_by_parallelepiped, rand_unimodular, same_space)
 
 F = Fraction
 

@@ -199,6 +199,20 @@ def test_cli_run_keeps_the_callers_cap(tmp_path, capsys, monkeypatch):
     assert cap == 100
 
 
+def test_out_of_memory_exits_5(tmp_path, capsys, monkeypatch):
+    # a chain too long for memory (a 1e8-vertex hj ends so) exits 5 with
+    # an error naming the verb, not a traceback
+    from afflat import cli
+
+    def exhausted(a, b):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "hj_chain", exhausted)
+    f = write(tmp_path, "s.json", {"a": ["0"], "b": ["99999999/100000000"]})
+    assert cli.run(["hj", f]) == 5
+    assert json.loads(capsys.readouterr().out) == {"error": "hj ran out of memory"}
+
+
 def test_search_cap_belongs_to_its_thread():
     # two threads run one search at once, one under cap 8 and one uncapped;
     # a barrier has both set their caps before either searches, and again

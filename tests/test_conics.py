@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from afflat.conics import (ELLIPSE, ELLIPSE_NO_POINT, NOT_ELLIPSE, _holzer_search,
-                           _ellipse_with_witness, classify,
+                           _ellipse_with_witness, _least_triangle,
+                           _rational_points_at, classify,
                            conic, conjugate_diameter, ellipse,
                            ellipse_equivalence, ellipse_from_semidiameters,
                            ellipse_invariant, legendre_solve, min_index_pairs,
@@ -589,3 +590,99 @@ def test_legendre_large_solvable_prime_answers():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _box_points_at(co, o, x, y, j):
+    """Test-side brute force: the points of denominator exactly j on the
+    conic, by Conic.__call__ at every Fraction point over j of the box that
+    holds the ellipse with center o and conjugate semi-diameters (o, x),
+    (o, y)."""
+    r = [abs(xc - oc) + abs(yc - oc) for oc, xc, yc in zip(o, x, y)]
+    xs, ys = (range(math.floor((oc - rc) * j), math.ceil((oc + rc) * j) + 1)
+              for oc, rc in zip(o, r))
+    return sorted(p for i in xs for k in ys
+                  if den(p := (F(i, j), F(k, j))) == j and co(p) == 0)
+
+
+def test_rational_points_at_against_box_scan():
+    # the integer scan (one isqrt per x) against Conic.__call__ at every
+    # point of the box: centers of denominator up to 11 and j up to 25,
+    # with j = den(O) too, where O plus a semi-diameter is a point
+    rng = random.Random(81)
+    hits = 0
+    for _ in range(8):
+        dc = rng.randint(1, 11)
+        o = (F(rng.randint(-2 * dc, 2 * dc), dc), F(rng.randint(-2 * dc, 2 * dc), dc))
+        while True:
+            u, v = ((rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(2))
+            if u[0] * v[1] - u[1] * v[0]:
+                break
+        semis = (o, _shifted(o, u), _shifted(o, v))
+        E = ellipse(ellipse_from_semidiameters(*semis))
+        for j in (den(o), rng.randint(1, 25)):
+            got = _rational_points_at(E, j)
+            assert got == _box_points_at(E.conic, *semis, j)
+            hits += len(got)
+    assert hits >= 32
+
+
+def test_rational_points_at_far_center_circle():
+    # (x - 1/101)^2 + y^2 = 1: its points have odd denominators, so j = 202
+    # has none and j = 101 has the image of the circle's twelve points of
+    # denominator 1.  The box at j = 202 holds 164k points, so the conic
+    # times (101 j)^2 is evaluated at each in integers, and each point
+    # found is checked by Conic.__call__
+    co = conic(1, 0, 1, F(-2, 101), 0, F(-10200, 10201))
+    E = ellipse(co)
+    for j, count in ((101, 12), (202, 0)):
+        want = [(F(i, j), F(k, j)) for i in range(-j, j + 3)
+                for k in range(-j, j + 1)
+                if (101 * i - j) ** 2 + (101 * k) ** 2 == (101 * j) ** 2
+                and math.gcd(i, k, j) == 1]
+        assert all(co(p) == 0 for p in want)
+        assert _rational_points_at(E, j) == want and len(want) == count
+
+
+def _least_first_corpus():
+    """Circles of radius 1, 5 and 25 (the last two with many pairs), unit
+    circles centered at (1/k, 0), three ellipses whose least triangle is
+    missed when the side x -> y is compared before the angle, and their
+    images under two shears."""
+    base = [conic(1, 0, 1, 0, 0, -r * r) for r in (1, 5, 25)]
+    base += [conic(1, 0, 1, F(-2, k), 0, F(1, k * k) - 1) for k in (2, 3, 5, 7)]
+    base += [conic(2, -2, 1, 0, F(1, 2), F(-7, 8)),
+             conic(5, 4, 1, F(-20, 3), F(-8, 3), F(11, 9)),
+             conic(F(5, 9), F(-2, 9), F(2, 9), F(-4, 15), F(-4, 15), F(-21, 25))]
+    cases = []
+    for co in base:
+        cases.append(co)
+        for A, t in ((((1, 1), (0, 1)), (0, 0)), (((1, 0), (-2, 1)), (1, -1))):
+            cases.append(conic(*_pullback_oracle(co, A, t)))
+    return cases
+
+
+def test_least_triangle_matches_full_invariant():
+    # the least-first search against the least entry of the full invariant,
+    # and the decision's map against the two full invariants'
+    cases = [ellipse(co) for co in _least_first_corpus()]
+    full = [_ellipse_with_witness(E) for E in cases]
+    for n, E in enumerate(cases):
+        assert _least_triangle(E) == (full[n][0][0],) + full[n][1:]
+        # each case against itself and against its sheared images
+        for m in range(n - n % 3, n - n % 3 + 3):
+            g = ellipse_equivalence(E, cases[m])
+            oracle = _witness_decision(full[n], full[m])
+            assert (g.matrix, g.translation) == (oracle.matrix, oracle.translation)
+    assert sum(len(min_index_pairs(E)[1]) >= 16 for E in cases) >= 6
+
+
+def test_far_center_self_equivalence_uncapped():
+    # (x - 1/101)^2 + y^2 = 1 exits 5 under the CLI's default cap, and the
+    # library, uncapped, answers with the identity
+    E = ellipse(conic(1, 0, 1, F(-2, 101), 0, F(-10200, 10201)))
+    old = budget.set_max_den(None)
+    try:
+        g = ellipse_equivalence(E, E)
+    finally:
+        budget.set_max_den(old)
+    assert (g.matrix, g.translation) == (((1, 0), (0, 1)), (0, 0))

@@ -6,8 +6,7 @@ import pytest
 
 from afflat import cones, polyhedra
 from afflat.affine import AffineSpace
-from afflat.cones import (cone, desingularize, fan_rays, is_regular_cone,
-                          parallelepiped_points)
+from afflat.cones import cone, desingularize, fan_rays, is_regular_cone
 from afflat.convexity import clip_simplex
 from afflat.core import is_regular, lift, simplex
 from afflat.errors import InputError
@@ -16,9 +15,10 @@ from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
                               triangulate)
 from afflat.segments import hj_chain, lambda1
 
-from helpers import (_tiny_det, box_parallelepiped_points, fraction_rank,
-                     in_hull_by_dets, interval_union, rand_point,
-                     rand_unimodular, stellar_desingularize)
+from helpers import (_tiny_det, box_parallelepiped_points, cone_contains,
+                     fraction_rank, in_hull_by_dets, interval_union,
+                     parallelepiped_points, rand_point, rand_unimodular,
+                     stellar_desingularize)
 
 F = Fraction
 
@@ -65,7 +65,6 @@ def test_desingularize_output_regular_and_supported():
             assert is_regular_cone(c)
         rays = set(fan_rays(fan))
         assert set(cone(gens)) <= rays
-        from afflat.cones import cone_contains
         for r in rays:
             assert cone_contains(cone(gens), r)
 
