@@ -12,10 +12,11 @@ the rest along the other side's facet hulls only and tests each cell by
 its barycenter.  The orbit decision tries the images of an affinely
 independent base of hull vertices among the target's hull vertices and
 tests each induced map by set equality; for the right map every simplex is
-accepted whole.  The maps are built on a fixed regular simplex: the
-standard simplex when both hulls span the ambient space, else the witness
-simplex of the source's affine span.  Hulls of different dimensions, or
-hull segments of different lambda_1, are answered before any enumeration.
+accepted whole.  Each map is built once, in integers, from the adjugate of
+the base's homogeneous lifts; a flat hull's base is completed by the
+extension of the witness simplex of the source's affine span.  Hulls of
+different dimensions, or hull segments of different lambda_1, are answered
+before any enumeration.
 """
 
 from fractions import Fraction
@@ -26,13 +27,11 @@ from typing import NamedTuple
 from .affine import AffineSpace, affine_equivalence, c_invariant
 from .complexes import Triangulation
 from .cones import desingularize, fan_rays
-from .convexity import (AffineHull, Polytope, _barycentric_solver, _clip,
-                        _lift_row, affine_frame, affine_rank,
-                        placing_triangulation, simplex_tester)
-from .core import (UniAffMap, den, is_regular, lift, simplex, simplex_map,
-                   unlift)
+from .convexity import (AffineHull, Polytope, _clip, _lift_row, affine_frame,
+                        affine_rank, placing_triangulation, simplex_tester)
+from .core import UniAffMap, den, is_regular, lift, simplex, unlift
 from .errors import InputError, InternalCheckError
-from .intlinalg import invert_unimodular, mat_mul
+from .intlinalg import _det_adj, mat_mul
 from .rationals import canon_primitive
 from .segments import _den_runs, lambda1
 
@@ -248,13 +247,15 @@ def polyhedron_equivalence(P, Q):
     A valid map bijects the hull vertices, so it is pinned on aff(P) by the
     images of an affinely independent base of P's hull vertices: every
     matched tuple of Q's hull vertices is tried, and the map it induces is
-    tested by exact set equality.  The map is built on a fixed regular
-    n-simplex V whose first e+1 vertices lie in aff(P), so no search runs:
-    the standard simplex when the hulls span R^n (no AffineSpace is built),
-    else the witness simplex of aff(P), whose extension goes where the
-    spans' witness map sends it.  Hulls of different dimensions answer None
-    at once, and so do hull segments of different lambda_1 (read off the
-    chain's runs, with no scan).
+    tested by exact set equality.  With L the matrix of the base's lifts,
+    the map of a candidate is L' adj(L) / det(L), L' the lifts of the
+    images: one integer product, kept when det(L) divides it and the
+    result has det +-1.  When the hulls span R^n no AffineSpace is built;
+    else L is completed to a square matrix by the lifts of the extension
+    of aff(P)'s witness simplex, sent where the spans' witness map sends
+    them.  Hulls of different dimensions answer None at once, and so do
+    hull segments of different lambda_1 (read off the chain's runs, with
+    no scan).
     """
     P = polyhedron(P)
     Q = polyhedron(Q)
@@ -269,52 +270,32 @@ def polyhedron_equivalence(P, Q):
     if e == 1 and lambda1(*CP.vertices) != lambda1(*CQ.vertices):
         return None
     if e == n:
-        # the standard simplex 0, e_1, ..., e_n
-        V = tuple(tuple(Fraction(int(i == j)) for j in range(1, n + 1))
-                  for i in range(n + 1))
-        g_rest = ()
+        ext, g_ext = [], []
     else:
         FP = AffineSpace(poly_vertices(P))
         gamma = affine_equivalence(FP, AffineSpace(poly_vertices(Q)))
         if gamma is None:
             return None
-        V = c_invariant(FP)[1]
-        g_rest = tuple(gamma(p) for p in V[e + 1:])
-    frame = V[:e + 1]
-    hullP = set(CP.vertices)
+        ext = [lift(p) for p in c_invariant(FP)[1][e + 1:]]
+        g_ext = [gamma.map_lift(q) for q in ext]
+    # a valid map bijects hull vertices (it carries conv(P) onto conv(Q)),
+    # so its restriction to aff(P) is pinned by the images of an affinely
+    # independent vertex base; enumerate those images instead of raw tuples.
+    base = affine_frame(sorted(CP.vertices))
+    # columns of L: the lifts of the base, then of the extension; the map
+    # of a candidate is B = L' adj(L) / det(L), L' the lifts of the images
+    cols = [lift(v) for v in base] + ext
+    d, adj = _det_adj([[c[i] for c in cols] for i in range(n + 1)])
+    if not d:
+        raise InternalCheckError("base and extension lifts are dependent")
     hullQ = sorted(CQ.vertices)
     tests_p = [simplex_tester(s) for s in P]
     tests_q = [simplex_tester(s) for s in Q]
     lifts_p = [lift(v) for v in poly_vertices(P)]
     lifts_q = [lift(w) for w in poly_vertices(Q)]
-    hull_lifts_p = [lift(v) for v in hullP]
+    hull_lifts_p = [lift(v) for v in CP.vertices]
     hull_lifts_q = {lift(u) for u in hullQ}
-    lv = [lift(v) for v in V]
-    mv_inv = invert_unimodular([[lv[j][i] for j in range(n + 1)]
-                                for i in range(n + 1)])
-    last_row = tuple([0] * n + [1])
 
-    def build_map(U):
-        """phi with phi(V_i) = U_i, from the cached homogeneous inverse."""
-        try:
-            lu = [lift(u) for u in U]
-        except InputError:
-            return None
-        mu = [[lu[j][i] for j in range(n + 1)] for i in range(n + 1)]
-        b = mat_mul(mu, mv_inv)
-        if b[n] != last_row:
-            return None
-        try:
-            return UniAffMap(tuple(r[:n] for r in b[:n]),
-                             tuple(r[n] for r in b[:n]))
-        except InputError:
-            return None
-
-    # a valid map bijects hull vertices (it carries conv(P) onto conv(Q)),
-    # so its restriction to aff(P) is pinned by the images of an affinely
-    # independent vertex base; enumerate those images instead of raw tuples.
-    base = affine_frame(sorted(hullP))
-    bary = list(map(_barycentric_solver(base), frame))
     # chain denominator sequences, compared run-encoded
     ref_dens = {}
     for i in range(e + 1):
@@ -329,16 +310,16 @@ def polyhedron_equivalence(P, Q):
         return pair_cache[key]
 
     def check_candidate(images):
-        s = []
-        for lam in bary:
-            pt = tuple(sum(lam[t] * images[t][j] for t in range(e + 1))
-                       for j in range(n))
-            s.append(pt)
-        for r, sv in zip(frame, s):
-            if den(sv) != den(r):
-                return None
-        phi = build_map(tuple(s) + g_rest)
-        if phi is None:
+        # images match the base's denominators, so B fixes the last
+        # coordinate; B is in the group iff it is integral with det +-1
+        imgs = [lift(u) for u in images] + g_ext
+        b = mat_mul([[m[i] for m in imgs] for i in range(n)], adj)
+        if any(x % d for r in b for x in r):
+            return None
+        try:
+            phi = UniAffMap(tuple(tuple(x // d for x in r[:n]) for r in b),
+                            tuple(r[n] // d for r in b))
+        except InputError:
             return None
         if {phi.map_lift(q) for q in hull_lifts_p} != hull_lifts_q:
             return None
@@ -350,8 +331,9 @@ def polyhedron_equivalence(P, Q):
         imP = [tuple(phi(v) for v in sx) for sx in P]
         if not poly_set_equal(imP, Q):
             return None
-        if simplex_map(V, tuple(s) + g_rest) != phi:
-            raise InternalCheckError("fast map construction diverged")
+        if any(phi.map_lift(c) != m for c, m in zip(cols, imgs)):
+            raise InternalCheckError("candidate map failed re-application "
+                                     "check")
         return phi
 
     def enum_images(chosen):

@@ -573,3 +573,19 @@ def apply_affine(matrix, translation, x):
     """x -> A x + t for a map given as plain (matrix, translation) rows."""
     return tuple(sum(a * c for a, c in zip(r, x)) + t
                  for r, t in zip(matrix, translation))
+
+
+def freudenthal_cube(n, side=1):
+    """The Freudenthal triangulation of the cube [0, side]^n: for every
+    permutation s of the axes, the simplex conv(0, side e_s1,
+    side (e_s1 + e_s2), ..., side (1, ..., 1)); n! simplexes."""
+    side = Fraction(side)
+    out = []
+    for perm in permutations(range(n)):
+        v = [Fraction(0)] * n
+        verts = [tuple(v)]
+        for axis in perm:
+            v[axis] = side
+            verts.append(tuple(v))
+        out.append(tuple(verts))
+    return out

@@ -139,8 +139,9 @@ def test_budget_exit_5(tmp_path):
     proc = run_cli(["equiv", "--kind", "ellipse", ell, ell], env_extra=cap)
     assert proc.returncode == 5
     assert "semi-diameter index search" in json.loads(proc.stdout)["error"]
-    # the polyhedron decision builds its map on a fixed regular simplex, so
-    # a segment whose points all have denominator >= 97 runs no capped search
+    # the polyhedron decision builds its maps from the lifts of hull
+    # vertices and of the span's witness simplex, so a segment whose points
+    # all have denominator >= 97 runs no capped search
     seg = write(tmp_path, "s.json",
                 {"simplexes": [[["1/97", "0"], ["0", "1/97"]]]})
     proc = run_cli(["equiv", "--kind", "polyhedron", seg, seg], env_extra=cap)
@@ -512,7 +513,8 @@ def test_polyhedron_huge_vertex_exits_cleanly(tmp_path):
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"equivalent": False, "map": None}
     # against itself no lattice point of the 1e30-long hull is scanned:
-    # the map is built on the standard simplex, and it is the identity
+    # the map is built from the lifts of the hull's vertices, and it is the
+    # identity
     proc = run_cli(["equiv", "--kind", "polyhedron", big, big], timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {

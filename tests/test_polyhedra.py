@@ -8,7 +8,7 @@ from afflat import cones, polyhedra
 from afflat.affine import AffineSpace
 from afflat.cones import cone, desingularize, fan_rays, is_regular_cone
 from afflat.convexity import clip_simplex
-from afflat.core import is_regular, lift, simplex
+from afflat.core import UniAffMap, is_regular, lift, simplex
 from afflat.errors import InputError
 from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
                               polyhedron_equivalence, regular_simplex_in,
@@ -16,9 +16,9 @@ from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
 from afflat.segments import hj_chain, lambda1
 
 from helpers import (_tiny_det, box_parallelepiped_points, cone_contains,
-                     fraction_rank, in_hull_by_dets, interval_union,
-                     parallelepiped_points, rand_point, rand_unimodular,
-                     stellar_desingularize)
+                     fraction_rank, freudenthal_cube, in_hull_by_dets,
+                     interval_union, parallelepiped_points, rand_point,
+                     rand_unimodular, stellar_desingularize)
 
 F = Fraction
 
@@ -669,11 +669,69 @@ def test_polyhedron_equivalence_by_hull_dimension(monkeypatch):
         assert polyhedron_equivalence(Q, P) is None
 
 
+# (matrix, translation) per pair of the flat-hull corpus below (seed 63, in
+# its order) and per point-hull pair (h = 0) of hull_pairs(61); recorded
+# while the maps were still built on the witness simplex of aff(P) through
+# barycentric coordinates.  Off aff(P) the map is pinned by the extension
+# of that simplex, which a Cramer oracle alone does not see.
+PINNED_FLAT_MAPS = [
+    (((6, 5), (1, 1)), (-10, -2)),
+    (((3, 1, 2), (0, 1, -2), (-4, -4, 3)), (0, 0, 0)),
+    (((3, -2, -2), (-2, 1, 2), (2, 0, -3)), (-4, 4, -2)),
+    (((1, 0, 12, 9), (-2, -1, 7, 6), (0, 0, -4, -3), (-1, -1, 6, 5)),
+     (2, -3, 0, -1)),
+    (((0, -3, -2, 0), (-1, -8, -4, -4), (1, 5, 3, 2), (0, -8, -5, -1)),
+     (0, 2, -3, -1)),
+    (((1, -2, 0, 1), (0, 1, 0, 0), (0, 3, 1, -1), (0, 2, 0, 1)),
+     (1, 0, -3, -1)),
+    (((87, -125), (16, -23)), (45, 7)),
+    (((-1, 0, -2), (1, -1, 1), (-1, 0, -1)), (0, 4, 0)),
+    (((0, 1, 0), (-1, 0, -1), (0, 0, -1)), (-1, 2, -1)),
+    (((2, -3, 5, 0), (-1, 2, -3, -1), (2, -2, 3, -3), (0, 0, -2, -1)),
+     (0, 0, 0, 0)),
+    (((1, 2, 4, 0), (1, -1, -1, -1), (2, 2, 5, -2), (1, -1, -1, 0)),
+     (4, 1, 8, -1)),
+    (((0, -7, 24, 8), (-1, 2, -6, -2), (-1, 2, -5, -2), (-3, -2, 6, 3)),
+     (-22, 5, 4, -6)),
+    (((4, -1), (-3, 1)), (8, -5)),
+    (((-1, 0, -1), (-2, 1, 0), (4, -2, 1)), (0, 3, -6)),
+    (((-5, -2, -1), (-20, -5, -3), (136, 42, 23)), (-14, -46, 352)),
+    (((8, 1, -6, -8), (5, -4, -10, -2), (-4, 1, 5, 3), (0, 2, 2, -1)),
+     (8, 2, -3, 2)),
+    (((5, -1, -5, -5), (-12, -8, 7, 11), (-3, 6, 5, 3), (1, 2, 1, 0)),
+     (6, -12, -5, 1)),
+    (((0, 1, 0, 2), (-1, -2, 0, -4), (0, 0, 1, -2), (0, -1, -1, -1)),
+     (3, -5, -4, 0)),
+    (((1, -1), (0, 1)), (1, 2)),
+    (((8, -1, 5), (-9, 1, -6), (14, -2, 9)), (-1, -3, -2)),
+    (((-1, 0, -2), (0, 1, -1), (0, 0, 1)), (0, 0, 1)),
+    (((0, 0, 0, -1), (5, 1, 11, 3), (-1, 0, -1, -4), (-5, -1, -10, 0)),
+     (0, -1, 0, 1)),
+    (((2, 1, -2, 1), (3, -1, -1, 1), (-2, -1, 1, -1), (-4, 2, 2, -1)),
+     (1, 0, -1, 0)),
+    (((1, 1, -1, 0), (0, 1, -1, -1), (0, 0, -2, -3), (2, 2, -1, 2)),
+     (-3, -2, -5, -4)),
+]
+
+PINNED_POINT_MAPS = [
+    (((1,),), (0,)),
+    (((1,),), (-4,)),
+    (((-1,),), (-1,)),
+    (((-1, 0), (-2, -1)), (-3, -6)),
+    (((1, -4), (0, 1)), (3, -1)),
+    (((-1, -1), (0, 1)), (1, -1)),
+    (((-2, -1, -7), (0, 0, -1), (-1, -1, -5)), (0, 0, 0)),
+    (((-2, -3, 0), (1, 2, 0), (0, 1, 1)), (0, 0, 0)),
+    (((5, -5, -16), (1, -1, -3), (0, -1, -6)), (-16, -3, -7)),
+]
+
+
 def test_polyhedron_equivalence_flat_hulls_by_oracles():
-    # hulls of dimension 1 <= e < n: the map is built on the witness simplex
-    # of aff(P), so off aff(P) it is one valid map of many; check each one
-    # by the Cramer oracles, not by the set equality under test
+    # hulls of dimension 1 <= e < n: the map is pinned off aff(P) by the
+    # extension of aff(P)'s witness simplex; check each one by the Cramer
+    # oracles, not by the set equality under test, and by its pinned map
     rng = random.Random(63)
+    pinned = iter(PINNED_FLAT_MAPS)
     for _ in range(4):
         for n in (2, 3, 4):
             for h in range(1, n):
@@ -683,6 +741,56 @@ def test_polyhedron_equivalence_flat_hulls_by_oracles():
                 m = polyhedron_equivalence(P, Q)
                 assert m is not None
                 assert_carries_by_oracles(P, Q, (m.matrix, m.translation))
+                assert (m.matrix, m.translation) == next(pinned)
+    assert next(pinned, None) is None
+
+
+def test_polyhedron_equivalence_pinned_point_maps():
+    pairs = [(P, Q) for _, h, P, Q in hull_pairs(61) if h == 0]
+    assert len(pairs) == len(PINNED_POINT_MAPS) == 9
+    for (P, Q), want in zip(pairs, PINNED_POINT_MAPS):
+        m = polyhedron_equivalence(P, Q)
+        assert (m.matrix, m.translation) == want
+        assert_carries_by_oracles(P, Q, want)
+
+
+def normalized_volume_by_dets(P):
+    """n! times the summed volume of P's simplexes, by cofactor expansion
+    of their edge determinants."""
+    return sum(abs(_tiny_det([[a - b for a, b in zip(v, s[0])]
+                              for v in s[1:]])) for s in P)
+
+
+def test_polyhedron_equivalence_freudenthal_cube_hard_negative():
+    # the unit 3-cube against itself less one simplex: the hulls agree, so
+    # the candidate loop tries and rejects every base image (hundreds of
+    # maps) before it answers None; the simplexes do not overlap, so the
+    # volumes 6/6 and 5/6 certify the None
+    P = freudenthal_cube(3)
+    assert len(P) == 6 and len(set(P)) == 6
+    assert normalized_volume_by_dets(P) == 6
+    assert normalized_volume_by_dets(P[:-1]) == 5
+    assert polyhedron_equivalence(P, P[:-1]) is None
+    g = UniAffMap(((1, 1, 0), (0, 1, 1), (0, 0, 1)), (1, 0, -1))
+    Q = [tuple(g(v) for v in s) for s in P]
+    m = polyhedron_equivalence(P, Q)
+    assert m is not None
+    assert_carries_by_oracles(P, Q, (m.matrix, m.translation))
+
+
+def test_polyhedron_equivalence_non_integral_candidate_maps():
+    # a lattice quadrilateral whose hull-vertex base (-10, 4), (-3, -1),
+    # (-2, 0) has lifts of determinant 12: before the valid map is reached,
+    # a candidate induces a non-integral map whose entries, rounded down or
+    # toward zero, give a valid map of P onto Q that does not carry the
+    # base onto that candidate; the candidate must be dropped as
+    # non-integral, not answered with that map
+    P = [((0, -3), (-2, 0), (-10, 4)), ((0, -3), (-10, 4), (-3, -1))]
+    Q = [((1, -1), (-4, 3), (0, 3)), ((1, -1), (0, 3), (1, 0))]
+    want = (((-2, -3), (1, 2)), (-8, 5))
+    m = polyhedron_equivalence(P, Q)
+    assert (m.matrix, m.translation) == want
+    assert_carries_by_oracles(P, Q, want)
 
 
 def test_polyhedron_equivalence_dimension_mismatch():

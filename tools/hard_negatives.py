@@ -1,0 +1,69 @@
+"""Times of equal-hull hard negatives of the polyhedron decision.
+
+    python3 tools/hard_negatives.py
+
+Run from the root of a source checkout; afflat is imported from ./src and
+freudenthal_cube from tests/helpers.py.  P is the Freudenthal triangulation
+of a cube, n! simplexes.  P against P less its last simplex shares P's
+hull, so every base image of the hull vertices is tried and rejected
+before the answer None; P against its image under a fixed unimodular map
+answers with a map.  The cases are the unit 3-cube and the 4-cube of side
+3/2.  Each decision is a library call, timed REPEATS times in this
+process, and the least time is printed with the verdict.  The unit 4-cube
+is left out: less one simplex, it took 356 s on a 2-vCPU host.  Exits 1
+when a verdict is not the expected one.
+"""
+
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+from afflat.core import UniAffMap  # noqa: E402
+from afflat.polyhedra import polyhedron_equivalence  # noqa: E402
+from helpers import freudenthal_cube  # noqa: E402
+
+REPEATS = 3
+
+# (name, n, side, the unimodular map (matrix, translation) of the image)
+CASES = [
+    ("unit 3-cube", 3, 1,
+     (((1, 1, 0), (0, 1, 1), (0, 0, 1)), (1, 0, -1))),
+    ("4-cube of side 3/2", 4, "3/2",
+     (((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)),
+      (1, 0, -1, 2))),
+]
+
+
+def best_of(P, Q):
+    """(least seconds, result) of REPEATS polyhedron_equivalence(P, Q)."""
+    best = None
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        res = polyhedron_equivalence(P, Q)
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best, res
+
+
+def main():
+    wrong = 0
+    for name, n, side, (A, t) in CASES:
+        P = freudenthal_cube(n, side)
+        g = UniAffMap(A, t)
+        image = [tuple(g(v) for v in s) for s in P]
+        for what, Q, expect_map in (("less one simplex", P[:-1], False),
+                                    ("image", image, True)):
+            secs, res = best_of(P, Q)
+            ok = (res is not None) == expect_map
+            wrong += not ok
+            print("%s, %s: %.3f s, %s%s"
+                  % (name, what, secs, "None" if res is None else "a map",
+                     "" if ok else " (UNEXPECTED)"), flush=True)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
