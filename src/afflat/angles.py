@@ -12,15 +12,15 @@ for triangles both side chains and the vertices.
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .affine import extend_frame
 from .convexity import simplex_barycentric
-from .core import (den, lattice_coords, lift, plane_basis,
-                   saturated_span_basis, unlift)
+from .core import den, dual_vector, lift, plane_basis, unlift
 from .errors import InputError, InternalCheckError, NotInClass
-from .intlinalg import complete_basis, integer_rank, span_solver, xgcd
-from .rationals import point, primitive, vadd, vscale, vsub
+from .intlinalg import integer_rank
+from .rationals import content, point, primitive, vadd, vscale, vsub
 from .segments import SideInvariant, _side_with_witness, _witness_decision
 
 
@@ -45,6 +45,8 @@ class HalfLine:
 
     def parameter(self, x):
         """t >= 0 with x = origin + t*direction, or None off the half-line."""
+        if len(x) != self.dim:
+            raise InputError("point dimension mismatch")
         t = None
         for xc, oc, dc in zip(point(x), self.origin, self.direction):
             if dc == 0:
@@ -124,85 +126,52 @@ def max_regular_point(h):
     return q
 
 
-def _span_coords(coords, v):
-    """coords(v) for a lattice_coords function coords and a vector v that
-    must lie in its lattice."""
-    try:
-        return coords(v)
-    except InputError:
-        raise InternalCheckError("vector outside the sublattice span")
-
-
 def min_den_completion(ang):
     """The minimal-denominator rational point of the angle's convex region
-    that completes (v, q_H) to a regular triangle, nearest to the second arm.
-
-    Candidate lifts are +-s + alpha*lift(v) + beta*lift(q_H) for a basis
-    completion s of the rank-3 sublattice of the angle's plane; the region
-    pins the sign, the minimal achievable last coordinate pins the
-    denominator, and distance to K is monotone along the candidate line, so
-    the nearest candidate is the first admissible one.
-    """
+    that completes (v, q_H) to a regular triangle, nearest to the second
+    arm: the least admissible beta of _completion."""
     return _completion(ang, max_regular_point(ang.h))
 
 
 def _completion(ang, q):
-    """min_den_completion of the angle, given q = max_regular_point(H)."""
-    h, k = ang
-    v = h.origin
-    lv, lq = lift(v), lift(q)
-    wh = tuple(h.direction) + (0,)
-    wk = tuple(k.direction) + (0,)
-    basis = saturated_span_basis([lv, wh, wk])
-    if len(basis) != 3:
-        raise InternalCheckError("angle plane has the wrong homogeneous rank")
-    coords = lattice_coords(basis)
-    cv = coords(lv)
-    cq = coords(lq)
-    s = complete_basis([cv, cq], 3)[2]
+    """min_den_completion of the angle, given q = max_regular_point(H).
 
-    cwh = _span_coords(coords, wh)
-    cwk = _span_coords(coords, wk)
-
-    frame = span_solver([cv, cwh, cwk])
-
-    def frame_coords(z3):
-        sol = frame(z3)
-        if sol is None:
-            raise InternalCheckError("frame decomposition failed")
-        y, d = sol
-        # (a, b, c) over (lift(v), dir H, dir K)
-        return tuple(Fraction(c, d) for c in y)
-
-    a_s, b_s, c_s = frame_coords(s)
-    if c_s == 0:
-        raise InternalCheckError("completion vector lies in the half-line plane")
-    eps = 1 if c_s > 0 else -1
-    dv, dq = den(v), den(q)
-    s_amb = vadd(vadd(vscale(s[0], basis[0]), vscale(s[1], basis[1])),
-                 vscale(s[2], basis[2]))
-    sl = s_amb[-1]
-    _, b_q, _ = frame_coords(cq)
-    if b_q <= 0:
-        raise InternalCheckError("q_H decomposes with a nonpositive H-coefficient")
-    beta_min = math.ceil(Fraction(-eps * b_s, b_q))
+    (lv, l), l = lq - t lv, is a basis of the lattice of H's plane, and
+    rows u1, u2 dual to it (core.dual_vector) give the projection
+    x -> x - (u1.x) lv - (u2.x) l of Z^{n+1} onto a complement of that
+    lattice.  It sends wk = (dir K, 0) to pk = wk - a lv - b l; s = pk
+    over its content c generates the image of the angle plane's lattice,
+    on K's side, so the completions on K's side lift to
+    s + alpha lv + beta lq.  Their H-coefficient is a positive multiple of
+    beta - b/c, so the region asks beta >= ceil(b/c); the least last
+    coordinate D pins the denominator, and distance to K grows with beta,
+    so the nearest completion takes the least admissible beta.
+    """
+    lv, lq = lift(ang.h.origin), lift(q)
+    wk = tuple(ang.k.direction) + (0,)
+    u1 = dual_vector(lv)
+    t = sum(map(mul, u1, lq))
+    l = [y - t * x for x, y in zip(lv, lq)]
+    w = dual_vector(l)
+    wv = sum(map(mul, w, lv))
+    u2 = [y - wv * x for x, y in zip(u1, w)]
+    a, b = sum(map(mul, u1, wk)), sum(map(mul, u2, wk))
+    pk = [z - a * x - b * y for x, y, z in zip(lv, l, wk)]
+    c = content(pk)
+    if c == 0:
+        raise InternalCheckError("the second arm lies in the first arm's plane")
+    s = [z // c for z in pk]
+    dv, dq = lv[-1], lq[-1]
     g = math.gcd(dv, dq)
-    r = (eps * sl) % g
-    D = r if r >= 1 else g
-    # beta solves dq*beta = D - eps*sl (mod dv)
-    target = D - eps * sl
     step = dv // g
-    _, inv, _ = xgcd(dq // g, step)
-    beta0 = ((target // g) * inv) % step if step > 1 else 0
-    beta = beta0 + step * math.ceil(Fraction(beta_min - beta0, step))
-    alpha_num = D - eps * sl - beta * dq
-    if alpha_num % dv:
+    D = (s[-1] - 1) % g + 1
+    # beta solves dq*beta = D - s_last (mod dv); the least one >= ceil(b/c)
+    lo = -(-b // c)
+    beta = lo + ((D - s[-1]) // g * pow(dq // g, -1, step) - lo) % step
+    alpha, r = divmod(D - s[-1] - beta * dq, dv)
+    if r:
         raise InternalCheckError("congruence bookkeeping failed")
-    alpha = alpha_num // dv
-    z = tuple(eps * s[i] + alpha * cv[i] + beta * cq[i] for i in range(3))
-    amb = vadd(vadd(vscale(z[0], basis[0]), vscale(z[1], basis[1])),
-               vscale(z[2], basis[2]))
-    p = unlift(amb)
+    p = unlift(tuple(x + alpha * y + beta * z for x, y, z in zip(s, lv, lq)))
     if den(p) != D:
         raise InternalCheckError("completion point has the wrong denominator")
     return p

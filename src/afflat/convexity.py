@@ -54,9 +54,7 @@ class AffineHull:
         """Coordinates of p in the direction basis, or None if p is off-hull:
         the barycentric coordinates of p over the anchor and the points
         the basis was taken from, less the anchor's."""
-        if len(p) != self.ambient:
-            raise InputError("point of dimension %d given to a hull in R^%d"
-                             % (len(p), self.ambient))
+        self.check_dim(p)
         if self._bary is None:
             self._bary = _barycentric_solver(self._frame)
         lam = self._bary(p)
@@ -68,9 +66,16 @@ class AffineHull:
             p = vadd(p, tuple(c * x for x in b))
         return p
 
+    def check_dim(self, p):
+        """Raise InputError unless p is a point of the ambient space."""
+        if len(p) != self.ambient:
+            raise InputError("point of dimension %d given to a hull in R^%d"
+                             % (len(p), self.ambient))
+
     def contains(self, p):
         # the equations cut out exactly the hull, so no solve is needed
         p = point(p)
+        self.check_dim(p)
         return all(vdot(a, p) == c for (a, c) in self.equations())
 
     def equations(self):
@@ -240,6 +245,7 @@ class Polytope:
         return _rows_hold(*self._rows, q)
 
     def contains(self, p):
+        self.hull.check_dim(p)
         return self.contains_lift(lift(p))
 
     def ambient_facets(self):

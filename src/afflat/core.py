@@ -3,8 +3,9 @@
 A rational point x in Q^n lifts to the primitive integer vector
 (den(x)*x, den(x)) in Z^{n+1}; a simplex is regular when its vertex lifts
 extend to a basis of Z^{n+1}.  All other modules build on these notions.
-The saturated lattice of a plane has a closed-form basis (plane_basis);
-spans of higher rank are saturated by column echelon forms.
+Dual rows u with u.p = 1 (dual_vector, one xgcd chain each) give plane
+lattices in closed form (plane_basis, angles); other spans are saturated
+by column echelon forms.
 """
 
 import math
@@ -237,24 +238,30 @@ def lattice_points_at(poly, k):
             if math.gcd(k, *combo) == 1 and poly.contains_lift(combo + (k,))]
 
 
-def plane_basis(p, q):
-    """(b, a, g): (p, b) is a basis of the saturated lattice of the plane
-    of p and q, with q = a p + g b and g > 0, for a primitive integer p
-    and an integer q off p's line.
-
-    An xgcd chain over p's entries gives u with u.p = 1.  Then
-    x -> x - (u.x) p maps the plane's lattice onto its points with u.x = 0,
-    the lattice of a line, so with b a generator of that line's lattice,
-    p and b are a basis.  q - a p, a = u.q, lies on the line: it is g b,
-    g its content.
-    """
+def dual_vector(p):
+    """An integer u with u.p = 1 for a primitive integer p, from an xgcd
+    chain over p's entries."""
     u, c = [], 0
     for x in p:
         c, s, t = xgcd(c, x)
         u = [s * y for y in u]
         u.append(t)
     if c != 1:
-        raise InternalCheckError("plane basis of a non-primitive vector")
+        raise InternalCheckError("dual vector of a non-primitive vector")
+    return u
+
+
+def plane_basis(p, q):
+    """(b, a, g): (p, b) is a basis of the saturated lattice of the plane
+    of p and q, with q = a p + g b and g > 0, for a primitive integer p
+    and an integer q off p's line.
+
+    With u = dual_vector(p), x -> x - (u.x) p maps the plane's lattice
+    onto its points with u.x = 0, the lattice of a line, so with b a
+    generator of that line's lattice, p and b are a basis.  q - a p,
+    a = u.q, lies on the line: it is g b, g its content.
+    """
+    u = dual_vector(p)
     a = sum(map(mul, u, q))
     r = [y - a * x for x, y in zip(p, q)]
     g = content(r)

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from afflat.affine import (affine_equivalence, affine_invariant,
+from afflat.affine import (AffineSpace, affine_equivalence, affine_invariant,
                            affine_span, completion_den, extend_frame,
                            min_den_point, regular_frame)
 from afflat.core import den, is_regular, lift
@@ -110,6 +110,19 @@ def test_regular_frame_rejects_bad_v0():
         regular_frame(f, (F(0), F(0)))  # not in the space
     with pytest.raises(InputError):
         regular_frame(f, (F(3, 4), F(-1, 4)))  # denominator 4 > d_F
+
+
+def test_affine_space_contains_rejects_wrong_dimension():
+    line = AffineSpace([(0, 0), (1, 0)])
+    assert line.contains((5, 0))
+    for x in ((5,), (0, 0, 7)):
+        with pytest.raises(InputError):
+            line.contains(x)
+
+
+def test_regular_frame_rejects_v0_of_wrong_dimension():
+    with pytest.raises(InputError):
+        regular_frame(AffineSpace([(0, 0)]), (0,))
 
 
 def test_regular_frame_random_properties():

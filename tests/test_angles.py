@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -32,6 +34,14 @@ def test_halfline_normalization():
     assert not h.contains((F(-1), F(-1)))
     with pytest.raises(InputError):
         HalfLine((F(0),), direction=(1,), through=(F(2),))
+
+
+def test_halfline_parameter_rejects_wrong_dimension():
+    h = HalfLine((0, 0), direction=(1, 0))
+    assert h.parameter((5, 0)) == 5
+    for x in ((5,), (5, 0, 0)):
+        with pytest.raises(InputError):
+            h.contains(x)
 
 
 def test_angle_rejects_trivial():
@@ -141,6 +151,90 @@ def test_completion_point_structure():
         bh = F(rel[0] * dk[1] - rel[1] * dk[0], det)
         ck = F(dh[0] * rel[1] - dh[1] * rel[0], det)
         assert ck > 0 and bh >= 0
+
+
+def _plane_cols(ang):
+    """Two coordinates on which the angle's plane projects one to one: the
+    first where the minor of the arms' directions is nonzero."""
+    dh, dk = ang.h.direction, ang.k.direction
+    n = len(dh)
+    return next((i, j) for i in range(n) for j in range(i + 1, n)
+                if dh[i] * dk[j] != dh[j] * dk[i])
+
+
+def _angle_coeffs(ang, cols, xi, xj):
+    """(a, b) with v + a*dir H + b*dir K equal to (xi, xj) on the
+    coordinates cols = _plane_cols(ang) (Cramer)."""
+    v, dh, dk = ang.h.origin, ang.h.direction, ang.k.direction
+    i, j = cols
+    det = dh[i] * dk[j] - dh[j] * dk[i]
+    ri, rj = xi - v[i], xj - v[j]
+    return F(ri * dk[j] - rj * dk[i], det), F(dh[i] * rj - dh[j] * ri, det)
+
+
+def _dist2_to_ray(x, v, d):
+    """Squared Euclidean distance from x to the half-line v + t*d, t >= 0."""
+    rel = [a - b for a, b in zip(x, v)]
+    t = max(F(0), F(sum(a * b for a, b in zip(rel, d)), sum(b * b for b in d)))
+    return sum((a - t * b) ** 2 for a, b in zip(rel, d))
+
+
+def _completion_by_box_scan(ang, p, radius):
+    """The regular completions of (v, q_H) of denominator <= den(p) in the
+    box of the given radius around v, as (squared distance to K, point)
+    pairs.  The rational points of the angle's plane are scanned on two
+    coordinates where the plane projects one to one, kept when they lie in
+    the closed angle region off H, and tested for regularity by the
+    parallelepiped criterion (oracle)."""
+    v, dh, dk = ang.h.origin, ang.h.direction, ang.k.direction
+    q = max_regular_point(ang.h)
+    cols = _plane_cols(ang)
+    found = []
+    for kk in range(1, den(p) + 1):
+        grid = [range(math.ceil((v[c] - radius) * kk),
+                      math.floor((v[c] + radius) * kk) + 1) for c in cols]
+        for i, j in product(*grid):
+            a, b = _angle_coeffs(ang, cols, F(i, kk), F(j, kk))
+            if a < 0 or b <= 0:
+                continue
+            x = tuple(vc + a * hc + b * kc for vc, hc, kc in zip(v, dh, dk))
+            if (den(x) == kk and all(abs(xc - vc) <= radius
+                                     for xc, vc in zip(x, v))
+                    and regular_by_parallelepiped((v, q, x))):
+                found.append((_dist2_to_ray(x, v, dk), x))
+    return found
+
+
+def test_min_den_completion_against_box_scan():
+    # no regular completion in the box has a smaller denominator than p,
+    # and none of p's denominator is as near to K; asserted when the box
+    # holds p and the segment from p back to K along H
+    rng = random.Random(36)
+    radius, checked, dens = 1, 0, set()
+    for i in range(40):
+        n = 2 + i % 2
+        v = rand_point(rng, n, 3, 1)
+        d1, d2 = (tuple(rng.randint(-2, 2) for _ in range(n))
+                  for _ in range(2))
+        try:
+            a = angle(HalfLine(v, direction=d1), HalfLine(v, direction=d2))
+        except (NotInClass, InputError):
+            continue
+        p = min_den_completion(a)
+        cols = _plane_cols(a)
+        t, _ = _angle_coeffs(a, cols, p[cols[0]], p[cols[1]])
+        foot = tuple(pc - t * hc for pc, hc in zip(p, a.h.direction))
+        if den(p) > 6 or any(abs(xc - vc) > radius
+                             for x in (p, foot) for xc, vc in zip(x, v)):
+            continue
+        found = _completion_by_box_scan(a, p, radius)
+        assert all(den(x) == den(p) for _, x in found)
+        nearest = min(found)
+        assert nearest[1] == p
+        assert [d for d, _ in found].count(nearest[0]) == 1
+        checked += 1
+        dens.add(den(p))
+    assert checked >= 25 and max(dens) >= 4
 
 
 def test_angle_invariant_examples():

@@ -247,3 +247,11 @@ def test_vertex_enumeration_against_brute_force():
         assert got == sorted(expect)
         nonempty += bool(got)
     assert nonempty > 0
+
+
+def test_polytope_contains_rejects_wrong_dimension():
+    tri = Polytope([(0, 0), (1, 0), (0, 1)])
+    assert tri.contains((0, 0))
+    for x in ((0,), (0, 0, 9)):
+        with pytest.raises(InputError):
+            tri.contains(x)

@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used: referenced in the
-module, or re-exported through its __all__.  A stand-in for a linter's
-unused-import rule, on the parsed source (ast), with no package import."""
+module, or re-exported through its __all__; and every private module-level
+function or class is referenced somewhere in the package.  Stand-ins for a
+linter's unused-import and dead-code rules, on the parsed source (ast), with
+no package import."""
 
 import ast
 import os
@@ -37,13 +39,55 @@ def test_unused_imports_finds_the_leftovers():
     assert unused_imports(src) == [(2, "b"), (3, "g")]
 
 
+def package_sources():
+    """{file name: source} of the package's modules."""
+    out = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as f:
+                out[name] = f.read()
+    return out
+
+
 def test_no_unused_imports_in_the_package():
     found = {}
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py") or name == "__init__.py":
+    for name, source in package_sources().items():
+        if name == "__init__.py":
             continue
-        with open(os.path.join(SRC, name)) as f:
-            bad = unused_imports(f.read())
+        bad = unused_imports(source)
         if bad:
             found[name] = bad
     assert found == {}
+
+
+def unreferenced_private(sources):
+    """(module, name) of each module-level def or class whose name starts
+    with an underscore and that no Name or Attribute in any of the sources
+    refers to."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted((m, node.name) for m, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and node.name not in used)
+
+
+def test_unreferenced_private_finds_the_dead_helpers():
+    sources = {"a.py": ("def _used():\n    pass\n\n"
+                        "def _dead():\n    return _used()\n\n"
+                        "class _Gone:\n    def _method(self):\n        pass\n"
+                        "\ndef public():\n    return b._helper\n"),
+               "b.py": ("def _helper():\n    pass\n\n"
+                        "def _orphan():\n    pass\n")}
+    assert unreferenced_private(sources) == [
+        ("a.py", "_Gone"), ("a.py", "_dead"), ("b.py", "_orphan")]
+
+
+def test_no_unreferenced_private_helpers_in_the_package():
+    assert unreferenced_private(package_sources()) == []

@@ -1,7 +1,8 @@
-"""core.plane_basis and its two users, each against an independent oracle:
-the basis by Minkowski's parallelepiped criterion and the gcd of the 2x2
-minors, chains of lines in R^3 by the hull of the cone's lattice points,
-and the farthest regular point of a half-line by a scan of its points."""
+"""core.dual_vector, core.plane_basis and its two users, each against an
+independent oracle: the dual vector by its dot product, the basis by
+Minkowski's parallelepiped criterion and the gcd of the 2x2 minors, chains
+of lines in R^3 by the hull of the cone's lattice points, and the farthest
+regular point of a half-line by a scan of its points."""
 
 import math
 import random
@@ -11,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from afflat.angles import HalfLine, max_regular_point
-from afflat.core import lift, plane_basis
+from afflat.core import dual_vector, lift, plane_basis
 from afflat.errors import InternalCheckError
 from afflat.segments import hj_chain
 
@@ -31,6 +32,16 @@ def _rand_primitive(rng, m, lim):
         p = tuple(rng.randint(-lim, lim) for _ in range(m))
         if math.gcd(*p) == 1:
             return p
+
+
+def test_dual_vector_dots_to_one():
+    rng = random.Random(1503)
+    for i in range(200):
+        p = _rand_primitive(rng, 1 + i % 6, 10 ** (1 + i % 4))
+        assert sum(x * y for x, y in zip(dual_vector(p), p)) == 1
+    for p in ((2, 4, 6), (0, 0), (-3,)):
+        with pytest.raises(InternalCheckError):
+            dual_vector(p)
 
 
 def test_plane_basis_against_minkowski_and_minors():
