@@ -17,8 +17,8 @@ from .conics import (ELLIPSE, ELLIPSE_NO_POINT, NOT_ELLIPSE, Conic,
                      ellipse_from_semidiameters, ellipse_invariant,
                      legendre_solve, min_index_pairs, rational_points)
 from .core import (UniAffMap, apply, complete_to_lattice_basis, den,
-                   extends_to_basis, farey_mediant, is_regular,
-                   lattice_points_in, lift, simplex, simplex_map, unlift)
+                   extends_to_basis, farey_mediant, is_regular, lift, simplex,
+                   simplex_map, unlift)
 from .errors import (AfflatError, InputError, InternalCheckError, NotInClass,
                      SearchBudgetExceeded)
 from .polyhedra import (Hull, convex_hull, poly_set_equal, polyhedron,

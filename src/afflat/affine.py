@@ -152,36 +152,30 @@ def regular_frame(F, v0):
     return frame
 
 
-def _cube_candidates(center, radius, max_den, skip_radius):
-    """Yield rational points of denominator <= max_den in the cube of the
-    given radius around center, in (denominator, coords)-lexicographic
-    order; points inside the skip_radius cube were yielded in an earlier
-    round and are suppressed."""
-    n = len(center)
-    for k in range(1, max_den + 1):
-        ranges = [range(math.ceil((center[i] - radius) * k),
-                        math.floor((center[i] + radius) * k) + 1)
-                  for i in range(n)]
-        for combo in product(*ranges):
-            p = tuple(Fraction(t, k) for t in combo)
-            if den(p) != k:
-                continue  # yielded at its true denominator
-            if skip_radius is not None and \
-                    all(abs(a - b) <= skip_radius for a, b in zip(p, center)):
-                continue
-            yield p
+def _cube_candidates(center, radius, skip_radius):
+    """Yield the integer points of the cube of the given radius around
+    center, in coordinate order; points inside the skip_radius cube were
+    yielded in an earlier round and are suppressed."""
+    ranges = [range(math.ceil(c - radius), math.floor(c + radius) + 1)
+              for c in center]
+    for combo in product(*ranges):
+        p = tuple(Fraction(t) for t in combo)
+        if skip_radius is not None and \
+                all(abs(a - b) <= skip_radius for a, b in zip(p, center)):
+            continue
+        yield p
 
 
-def _search_completion(current, max_den):
-    """A point whose lift extends the current vertex lifts to part of a
-    basis, with denominator <= max_den.
+def _search_completion(current):
+    """An integer point whose lift extends the current vertex lifts to part
+    of a basis.
 
-    Once some vertex has denominator 1 an integer completion is available in
-    closed form (complete the lattice basis, then shift the new vector's
-    last coordinate to 1 by that vertex).  Otherwise scan expanding cubes
-    around the first vertex in (denominator, coords)-lexicographic order;
-    a candidate extends iff its image in the quotient by the current span
-    is primitive, which is a single gcd per candidate."""
+    Once some vertex has denominator 1 such a point is available in closed
+    form (complete the lattice basis, then shift the new vector's last
+    coordinate to 1 by that vertex).  Otherwise scan the integer points of
+    expanding cubes around the first vertex in coordinate order; a
+    candidate extends iff its image in the quotient by the current span is
+    primitive, which is a single gcd per candidate."""
     lifts = [lift(p) for p in current]
     m = len(lifts[0])
     unit = next((l for l in lifts if l[-1] == 1), None)
@@ -202,7 +196,7 @@ def _search_completion(current, max_den):
     while True:
         rounds += 1
         budget.check(rounds, "expanding cube search")
-        for s in _cube_candidates(center, radius, max_den, skip):
+        for s in _cube_candidates(center, radius, skip):
             l = lift(s)
             g = 0
             for row in quot:
@@ -289,7 +283,7 @@ def extend_frame(frame):
     cur = list(pts)
     ext = []
     while len(cur) < n + 1:
-        s = _search_completion(cur, 1)
+        s = _search_completion(cur)
         cur.append(s)
         ext.append(s)
     return 1, tuple(ext)

@@ -8,14 +8,11 @@ lattices in closed form (plane_basis, angles); other spans are saturated
 by column echelon forms.
 """
 
-import math
-import sys
 from fractions import Fraction
-from itertools import product
 from operator import mul
 
 from . import convexity
-from .errors import InputError, InternalCheckError, SearchBudgetExceeded
+from .errors import InputError, InternalCheckError
 from .intlinalg import (complete_basis, integer_kernel, invert_unimodular,
                         is_part_of_basis, mat_mul, mat_vec, span_solver, xgcd)
 from .rationals import content, den, intvec, lift, point, vadd
@@ -198,44 +195,6 @@ def simplex_map(V, W):
         if g(v) != w:
             raise InternalCheckError("simplex map failed re-application check")
     return g
-
-
-def lattice_points_in(region, max_den):
-    """All rational points of denominator <= max_den inside conv(region).
-
-    region: finite set of rational points (its convex hull is the region).
-    Returns points sorted by (denominator, coordinates).
-    """
-    if max_den < 1:
-        raise InputError("max_den must be positive")
-    poly = convexity.Polytope(region)
-    found = []
-    for k in range(1, max_den + 1):
-        found += lattice_points_at(poly, k)
-    return found
-
-
-def lattice_points_at(poly, k):
-    """The points combo/k of denominator exactly k in a
-    convexity.Polytope, in coordinate order.  Each grid vector is tested on
-    its lift (combo, k) by the polytope's integer rows; a combo with
-    gcd(k, *combo) > 1 is skipped, since its point has a smaller
-    denominator.  A coordinate range longer than sys.maxsize, which no
-    sequence can hold, raises SearchBudgetExceeded.
-    """
-    pts = poly.vertices
-    ranges = []
-    for xs in zip(*pts):
-        r = range(math.ceil(min(xs) * k), math.floor(max(xs) * k) + 1)
-        if r.stop - r.start > sys.maxsize:
-            raise SearchBudgetExceeded(
-                "lattice point scan at denominator %d: a coordinate range "
-                "of %d values is longer than any sequence"
-                % (k, r.stop - r.start))
-        ranges.append(r)
-    # product order is coordinate order
-    return [tuple(Fraction(c, k) for c in combo) for combo in product(*ranges)
-            if math.gcd(k, *combo) == 1 and poly.contains_lift(combo + (k,))]
 
 
 def dual_vector(p):

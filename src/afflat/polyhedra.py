@@ -6,32 +6,35 @@ possibly overlapping.  One refiner serves triangulation and set equality:
 it clips each simplex, cut by cut, into simplex cells along affine hulls of
 faces and records on which side of each cut a cell lies.  Triangulation
 cuts along the intersection-closed hulls of all faces and places each
-arrangement cell.  Set equality accepts whole each simplex that lies in
-one simplex of the other side, by an integer test of its vertices; it cuts
-the rest along the other side's facet hulls only and tests each cell by
-its barycenter.  The orbit decision tries the images of an affinely
-independent base of hull vertices among the target's hull vertices and
-tests each induced map by set equality; for the right map every simplex is
-accepted whole.  Each map is built once, in integers, from the adjugate of
-the base's homogeneous lifts; a flat hull's base is completed by the
-extension of the witness simplex of the source's affine span.  Hulls of
-different dimensions, or hull segments of different lambda_1, are answered
-before any enumeration.
+arrangement cell.  One cover test per side (_cover_test) decides whether
+the other side lies in its union: it rejects a vertex outside it at once,
+accepts whole each simplex inside one of its simplexes, by integer tests
+of vertex lifts, cuts the rest along its facet hulls only and tests each
+cell by its barycenter.  The orbit decision tries the images of an
+affinely independent base of hull vertices among the target's hull
+vertices; a map phi passes when phi(P) lies in Q and phi^-1(Q) in P, asked
+of cover tests built once per decision; for the right map every simplex
+is accepted whole.  Each map is built once, in integers, from the
+adjugate of the base's homogeneous lifts; a flat hull's base is completed
+by the extension of the witness simplex of the source's affine span.
+Hulls of different dimensions, or hull segments of different lambda_1,
+are answered before any enumeration.
 """
 
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import combinations
-from operator import mul
+from operator import and_, mul
 from typing import NamedTuple
 
 from .affine import AffineSpace, affine_equivalence, c_invariant
 from .complexes import Triangulation
 from .cones import desingularize, fan_rays
 from .convexity import (AffineHull, Polytope, _clip, _lift_row, affine_frame,
-                        affine_rank, placing_triangulation, simplex_tester)
-from .core import UniAffMap, den, is_regular, lift, simplex, unlift
+                        placing_triangulation, simplex_tester)
+from .core import UniAffMap, is_regular, lift, simplex, unlift
 from .errors import InputError, InternalCheckError
-from .intlinalg import _det_adj, mat_mul
+from .intlinalg import _det_adj, integer_rank, mat_mul
 from .rationals import canon_primitive
 from .segments import _den_runs, lambda1
 
@@ -160,44 +163,58 @@ def _refined_simplex_cells(P, family):
 
 def poly_set_equal(P, Q):
     """Exact point-set equality of two polyhedra: each side lies in the
-    union of the other's simplexes.
-
-    A simplex of P whose vertices all lie in one simplex of Q lies in it
-    (simplexes are convex), so it is accepted whole.  The rest of P is
-    refined against the hulls of Q's simplexes and of their facets only:
-    each cell then lies in one closed half of every cut, so for every
-    simplex t of Q the relative interior of the cell is either inside t or
-    disjoint from it, and the barycenter decides whether the cell lies in
-    Q.  The same for Q against P."""
+    union of the other's simplexes, by one _cover_test per side."""
     P = polyhedron(P)
     Q = polyhedron(Q)
     if len(P[0][0]) != len(Q[0][0]):
         raise InputError("ambient dimensions differ")
-    return _covered(P, Q) and _covered(Q, P)
+    return (_cover_test(Q)(_simplex_lifts(P))
+            and _cover_test(P)(_simplex_lifts(Q)))
 
 
-def _covered(P, Q):
-    """P lies in the union of Q's simplexes."""
-    tests_q = [simplex_tester(s) for s in Q]
-    rest = []
-    for s in P:
-        lifts = [lift(v) for v in s]
-        if not any(all(map(t, lifts)) for t in tests_q):
-            rest.append(s)
-    if not rest:
+def _simplex_lifts(P):
+    return [tuple(lift(v) for v in s) for s in P]
+
+
+def _cover_test(Q):
+    """covered(S) -> whether the simplexes S, given by their vertex lifts,
+    lie in the union of Q's simplexes.  Q's testers are built here, its
+    facet-hull family on first need; both live as long as covered does.
+
+    covered answers False at once when a vertex lies in no simplex of Q.
+    A simplex whose vertices all lie in one simplex of Q lies in it
+    (simplexes are convex), so it is accepted whole.  The rest is refined
+    against the hulls of Q's simplexes and of their facets only: each cell
+    then lies in one closed half of every cut, so for every simplex t of Q
+    the relative interior of the cell is either inside t or disjoint from
+    it, and the barycenter decides whether the cell lies in Q."""
+    tests = [simplex_tester(s) for s in Q]
+    family = None
+
+    def covered(S):
+        nonlocal family
+        masks = {}
+        for s in S:
+            for q in s:
+                if q not in masks:
+                    masks[q] = sum(1 << i for i, t in enumerate(tests)
+                                   if t(q))
+                    if not masks[q]:
+                        return False
+        rest = [tuple(unlift(q) for q in s) for s in S
+                if not reduce(and_, (masks[q] for q in s))]
+        if not rest:
+            return True
+        if family is None:
+            family = _face_hulls([Q], facets_only=True)
+        for hull, _, cell in _refined_simplex_cells(rest, family):
+            k = len(cell)
+            q = lift(hull.embed(tuple(sum(c) / k for c in zip(*cell))))
+            if not any(t(q) for t in tests):
+                return False
         return True
-    family = _face_hulls([Q], facets_only=True)
-    for hull, _, cell in _refined_simplex_cells(rest, family):
-        k = len(cell)
-        bary = hull.embed(tuple(sum(c) / k for c in zip(*cell)))
-        if not _covers(tests_q, lift(bary)):
-            return False
-    return True
 
-
-def _covers(tests, q):
-    """Some simplex tester accepts the lift q."""
-    return any(t(q) for t in tests)
+    return covered
 
 
 def triangulate(P):
@@ -246,16 +263,17 @@ def polyhedron_equivalence(P, Q):
 
     A valid map bijects the hull vertices, so it is pinned on aff(P) by the
     images of an affinely independent base of P's hull vertices: every
-    matched tuple of Q's hull vertices is tried, and the map it induces is
-    tested by exact set equality.  With L the matrix of the base's lifts,
-    the map of a candidate is L' adj(L) / det(L), L' the lifts of the
-    images: one integer product, kept when det(L) divides it and the
-    result has det +-1.  When the hulls span R^n no AffineSpace is built;
-    else L is completed to a square matrix by the lifts of the extension
-    of aff(P)'s witness simplex, sent where the spans' witness map sends
-    them.  Hulls of different dimensions answer None at once, and so do
-    hull segments of different lambda_1 (read off the chain's runs, with
-    no scan).
+    matched tuple of Q's hull vertices is tried, and the map phi it induces
+    passes when phi(P) lies in Q and phi^-1(Q) in P, asked of one
+    _cover_test per side built before the enumeration.  With L the matrix
+    of the base's lifts, the map of a candidate is L' adj(L) / det(L), L'
+    the lifts of the images: one integer product, kept when det(L) divides
+    it and the result has det +-1.  When the hulls span R^n no AffineSpace
+    is built; else L is completed to a square matrix by the lifts of the
+    extension of aff(P)'s witness simplex, sent where the spans' witness
+    map sends them.  Hulls of different dimensions answer None at once,
+    and so do hull segments of different lambda_1 (read off the chain's
+    runs, with no scan).
     """
     P = polyhedron(P)
     Q = polyhedron(Q)
@@ -278,9 +296,6 @@ def polyhedron_equivalence(P, Q):
             return None
         ext = [lift(p) for p in c_invariant(FP)[1][e + 1:]]
         g_ext = [gamma.map_lift(q) for q in ext]
-    # a valid map bijects hull vertices (it carries conv(P) onto conv(Q)),
-    # so its restriction to aff(P) is pinned by the images of an affinely
-    # independent vertex base; enumerate those images instead of raw tuples.
     base = affine_frame(sorted(CP.vertices))
     # columns of L: the lifts of the base, then of the extension; the map
     # of a candidate is B = L' adj(L) / det(L), L' the lifts of the images
@@ -288,31 +303,23 @@ def polyhedron_equivalence(P, Q):
     d, adj = _det_adj([[c[i] for c in cols] for i in range(n + 1)])
     if not d:
         raise InternalCheckError("base and extension lifts are dependent")
-    hullQ = sorted(CQ.vertices)
-    tests_p = [simplex_tester(s) for s in P]
-    tests_q = [simplex_tester(s) for s in Q]
-    lifts_p = [lift(v) for v in poly_vertices(P)]
-    lifts_q = [lift(w) for w in poly_vertices(Q)]
+    hull_q = [(u, lift(u)) for u in sorted(CQ.vertices)]
     hull_lifts_p = [lift(v) for v in CP.vertices]
-    hull_lifts_q = {lift(u) for u in hullQ}
+    hull_lifts_q = {lu for _, lu in hull_q}
+    lifts_p = _simplex_lifts(P)
+    lifts_q = _simplex_lifts(Q)
+    covered_by_p = _cover_test(P)
+    covered_by_q = _cover_test(Q)
 
     # chain denominator sequences, compared run-encoded
-    ref_dens = {}
-    for i in range(e + 1):
-        for j in range(i):
-            ref_dens[(j, i)] = _den_runs(base[j], base[i])
-    pair_cache = {}
+    ref_dens = {(j, i): _den_runs(base[j], base[i])
+                for i in range(e + 1) for j in range(i)}
+    pair_dens = cache(_den_runs)
 
-    def pair_dens(a, b):
-        key = (a, b)
-        if key not in pair_cache:
-            pair_cache[key] = _den_runs(a, b)
-        return pair_cache[key]
-
-    def check_candidate(images):
+    def check_candidate(lifts):
         # images match the base's denominators, so B fixes the last
         # coordinate; B is in the group iff it is integral with det +-1
-        imgs = [lift(u) for u in images] + g_ext
+        imgs = lifts + g_ext
         b = mat_mul([[m[i] for m in imgs] for i in range(n)], adj)
         if any(x % d for r in b for x in r):
             return None
@@ -323,36 +330,35 @@ def polyhedron_equivalence(P, Q):
             return None
         if {phi.map_lift(q) for q in hull_lifts_p} != hull_lifts_q:
             return None
+        # phi(P) = Q iff phi(P) lies in Q and phi^-1(Q) in P
+        if not covered_by_q([tuple(map(phi.map_lift, s)) for s in lifts_p]):
+            return None
         phi_inv = phi.inverse()
-        if not all(_covers(tests_q, phi.map_lift(q)) for q in lifts_p):
-            return None
-        if not all(_covers(tests_p, phi_inv.map_lift(q)) for q in lifts_q):
-            return None
-        imP = [tuple(phi(v) for v in sx) for sx in P]
-        if not poly_set_equal(imP, Q):
+        if not covered_by_p([tuple(map(phi_inv.map_lift, s))
+                             for s in lifts_q]):
             return None
         if any(phi.map_lift(c) != m for c, m in zip(cols, imgs)):
             raise InternalCheckError("candidate map failed re-application "
                                      "check")
         return phi
 
-    def enum_images(chosen):
+    def enum_images(chosen, lifts):
         if len(chosen) == e + 1:
-            return check_candidate(chosen)
+            return check_candidate(lifts)
         i = len(chosen)
-        for u in hullQ:
+        for u, lu in hull_q:
             if u in chosen:
                 continue
-            if den(u) != den(base[i]):
+            if lu[-1] != cols[i][-1]:
                 continue
-            if affine_rank(chosen + [u]) != i:
+            if integer_rank(lifts + [lu]) != i + 1:
                 continue
             if any(pair_dens(chosen[j], u) != ref_dens[(j, i)]
                    for j in range(i)):
                 continue
-            res = enum_images(chosen + [u])
+            res = enum_images(chosen + [u], lifts + [lu])
             if res is not None:
                 return res
         return None
 
-    return enum_images([])
+    return enum_images([], [])

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,14 +7,14 @@ import pytest
 from afflat.convexity import AffineHull
 from afflat.core import (UniAffMap, apply, complete_to_lattice_basis,
                          coords_in_lattice_basis, den, extends_to_basis,
-                         farey_mediant, is_regular,
-                         lattice_points_in, lift, simplex_map, unlift)
+                         farey_mediant, is_regular, lift, simplex_map,
+                         unlift)
 from afflat.errors import InputError
 from afflat.intlinalg import det_int, invert_unimodular, nullspace
 
-from helpers import (_tiny_det, fraction_rank, in_hull_by_dets,
-                     parallelepiped_extends, rand_point, rand_unimodular,
-                     rational_nullspace, rational_solve)
+from helpers import (_tiny_det, fraction_rank, parallelepiped_extends,
+                     rand_point, rand_unimodular, rational_nullspace,
+                     rational_solve)
 
 F = Fraction
 
@@ -276,47 +275,6 @@ def test_complete_to_lattice_basis_random():
         full = complete_to_lattice_basis(part)
         assert full[:k] == part
         assert abs(det_int(list(zip(*full)))) == 1
-
-
-def test_lattice_points_in_examples():
-    got = lattice_points_in([(F(0),), (F(1),)], 2)
-    assert got == [(F(0),), (F(1),), (F(1, 2),)]
-    square = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
-    got = lattice_points_in(square, 1)
-    assert sorted(got) == sorted(square)
-    got = lattice_points_in([(F(0),), (F(2, 5),)], 3)
-    assert got == [(F(0),), (F(1, 3),)]
-
-
-def test_lattice_points_in_grid_oracle():
-    # oracle: plain grid sweep, membership by hand-rolled determinant sign
-    # tests (helpers.in_hull_by_dets), never the package's hull code.
-    # Lower-dimensional hulls (a segment in R^2, a triangle in R^3) exercise
-    # the equation rows; the R^2 quadrilaterals and collinear triples have
-    # non-simplex hulls.
-    rng = random.Random(6)
-    configs = [(1, 2), (2, 3)] * 10 + [(2, 2)] * 6 + [(2, 4)] * 4 + \
-        [(3, 3)] * 6 + [(3, 2)] * 3
-    for n, npts in configs:
-        dmax, dens = (2, (2, 3)) if n == 3 else (3, (1, 4))
-        pts = [rand_point(rng, n, dmax, 1) for _ in range(npts)]
-        if n == 2 and npts == 3 and rng.random() < 0.3:
-            pts[2] = tuple(a + 2 * (b - a) for a, b in zip(pts[0], pts[1]))
-        d = rng.randint(*dens)
-        got = lattice_points_in(pts, d)
-        assert got == sorted(got, key=lambda p: (den(p), p))
-        lo = [min(p[i] for p in pts) for i in range(n)]
-        hi = [max(p[i] for p in pts) for i in range(n)]
-        expect = set()
-        for k in range(1, d + 1):
-            ranges = [range(math.ceil(lo[i] * k), math.floor(hi[i] * k) + 1)
-                      for i in range(n)]
-            for combo in product(*ranges):
-                p = tuple(F(c, k) for c in combo)
-                if in_hull_by_dets(pts, p):
-                    expect.add(p)
-        assert len(got) == len(set(got))
-        assert set(got) == expect
 
 
 def rank_by_minors(rows):

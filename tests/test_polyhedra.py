@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -311,12 +312,111 @@ def test_poly_set_equal_matches_interval_oracle_in_r1():
     assert 100 < sum(verdicts) < 300
 
 
+def unit_point(rng, n):
+    return tuple(F(rng.randint(0, 2), 2) for _ in range(n))
+
+
+def unit_simplex(rng, n):
+    """A random simplex of random dimension with vertices in {0, 1/2, 1}^n."""
+    while True:
+        pts = [unit_point(rng, n) for _ in range(rng.randint(1, n + 1))]
+        try:
+            return simplex(pts)
+        except InputError:
+            continue
+
+
+def retiled(rng, P):
+    """Simplexes with the union of P: P with one simplex cut at the
+    midpoint of one of its edges, a face of a simplex and a duplicate
+    added, shuffled."""
+    Q = list(P)
+    k = rng.randrange(len(Q))
+    s = Q[k]
+    if len(s) > 1:
+        i, j = rng.sample(range(len(s)), 2)
+        m = tuple((a + b) / 2 for a, b in zip(s[i], s[j]))
+        Q[k:k + 1] = [s[:i] + (m,) + s[i + 1:], s[:j] + (m,) + s[j + 1:]]
+    s = rng.choice(P)
+    Q.append(tuple(rng.sample(s, rng.randint(1, len(s)))))
+    Q.append(rng.choice(Q))
+    rng.shuffle(Q)
+    return Q
+
+
+def mutated(rng, Q, n):
+    """Q with one simplex dropped, one moved or one added, which may or may
+    not change the union."""
+    Q = list(Q)
+    change = rng.randrange(3)
+    if change == 0 and len(Q) > 1:
+        Q.pop(rng.randrange(len(Q)))
+    elif change == 1:
+        k = rng.randrange(len(Q))
+        moved = list(Q[k])
+        moved[rng.randrange(len(moved))] = unit_point(rng, n)
+        try:
+            Q[k] = simplex(moved)
+        except InputError:
+            Q.append(unit_simplex(rng, n))
+    else:
+        Q.append(unit_simplex(rng, n))
+    return Q
+
+
+def in_union_by_dets(P, x):
+    """x lies in some simplex of P: a bounding-box test, then the Cramer
+    oracle helpers.in_hull_by_dets."""
+    return any(all(min(c) <= a <= max(c) for a, c in zip(x, zip(*s)))
+               and in_hull_by_dets(s, x) for s in P)
+
+
+def separating_grid_point(P, Q, max_den=4):
+    """A rational point of denominator <= max_den in the bounding box of P
+    and Q that lies in one union only, or None."""
+    pts = [v for s in P + Q for v in s]
+    axes = [sorted({F(k, d) for d in range(1, max_den + 1)
+                    for k in range(math.ceil(min(c) * d),
+                                   math.floor(max(c) * d) + 1)})
+            for c in zip(*pts)]
+    for x in product(*axes):
+        if in_union_by_dets(P, x) != in_union_by_dets(Q, x):
+            return x
+    return None
+
+
+def test_poly_set_equal_never_true_on_a_separating_grid_point():
+    # R^2 and R^3, mixed dimensions: a retiling answers True; after a
+    # mutation, a grid point of denominator <= 4 that lies in one union
+    # only (Cramer oracle, not the package's testers) forbids True; every
+    # answer is symmetric in P and Q
+    rng = random.Random(83)
+    kept = separated = 0
+    for n, pairs in ((2, 60), (3, 16)):
+        for _ in range(pairs):
+            P = [unit_simplex(rng, n) for _ in range(rng.randint(1, 3))]
+            Q = retiled(rng, P)
+            changed = rng.random() < 0.7
+            if changed:
+                Q = mutated(rng, Q, n)
+            got = poly_set_equal(P, Q)
+            assert poly_set_equal(Q, P) == got, (P, Q)
+            if not changed:
+                assert got, (P, Q)
+                continue
+            x = separating_grid_point(P, Q)
+            assert not (got and x is not None), (P, Q, x)
+            kept += got
+            separated += x is not None
+    assert kept >= 10 and separated >= 25, (kept, separated)
+
+
 def counting(monkeypatch, name):
     """Record the arguments of every call to polyhedra.<name>."""
     calls = []
     real = getattr(polyhedra, name)
     monkeypatch.setattr(polyhedra, name,
-                        lambda *a: calls.append(a) or real(*a))
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
 
 
@@ -339,6 +439,40 @@ def test_poly_set_equal_refines_only_the_uncovered_side(monkeypatch):
     # each quarter lies in T and is accepted whole; T is cut by the
     # quarters' facet hulls and every cell is found in some quarter
     assert [P for P, _ in refined] == [[simplex(t)], [simplex(t)]]
+
+
+def test_poly_set_equal_rejects_an_uncovered_vertex_unrefined(monkeypatch):
+    # a vertex of P outside every simplex of Q (Cramer oracle) answers
+    # False before any cell is refined, since P is tested against Q first
+    def refuse(*a):
+        raise AssertionError("a simplex was refined")
+
+    monkeypatch.setattr(polyhedra, "_refined_simplex_cells", refuse)
+    t = tri((0, 0), (2, 0), (0, 2))
+    spike = ((F(0), F(0)), (F(-1), F(0)))
+    assert not poly_set_equal([t], [t, spike])
+    assert not poly_set_equal([t, spike], [t])
+    rng = random.Random(84)
+    found = 0
+    for n in (2, 3) * 20:
+        P = [unit_simplex(rng, n) for _ in range(rng.randint(1, 3))]
+        Q = [unit_simplex(rng, n) for _ in range(rng.randint(1, 3))]
+        if any(not in_union_by_dets(Q, v) for s in P for v in s):
+            found += 1
+            assert not poly_set_equal(P, Q)
+    assert found >= 30
+
+
+def test_polyhedron_equivalence_builds_each_cover_test_once(monkeypatch):
+    # the unit 3-cube against itself less one simplex tries and rejects
+    # every base image, yet builds each simplex's tester and each side's
+    # facet-hull family at most once per decision, not once per candidate
+    testers = counting(monkeypatch, "simplex_tester")
+    families = counting(monkeypatch, "_face_hulls")
+    P = freudenthal_cube(3)
+    assert polyhedron_equivalence(P, P[:-1]) is None
+    assert len(testers) <= len(P) + len(P[:-1]) == 11
+    assert len(families) <= 2
 
 
 def edge_det(simp):

@@ -1,4 +1,5 @@
-"""Times of equal-hull hard negatives of the polyhedron decision.
+"""Times and operation counts of equal-hull hard negatives of the
+polyhedron decision.
 
     python3 tools/hard_negatives.py
 
@@ -9,9 +10,14 @@ hull, so every base image of the hull vertices is tried and rejected
 before the answer None; P against its image under a fixed unimodular map
 answers with a map.  The cases are the unit 3-cube and the 4-cube of side
 3/2.  Each decision is a library call, timed REPEATS times in this
-process, and the least time is printed with the verdict.  The unit 4-cube
-is left out: less one simplex, it took 356 s on a 2-vCPU host.  Exits 1
-when a verdict is not the expected one.
+process, and the least time is printed with the verdict.  Next to it are
+the counts of one call, which do not depend on the machine: the candidate
+maps built (polyhedra.UniAffMap calls), the simplex testers built
+(polyhedra.simplex_tester) and the refinements run
+(polyhedra._refined_simplex_cells).  They are counted by wrapping those
+module attributes in this process only.  The unit 4-cube is left out:
+less one simplex, it took 149 s on a 2-vCPU host.  Exits 1 when a verdict
+is not the expected one.
 """
 
 import os
@@ -21,11 +27,12 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
+from afflat import polyhedra  # noqa: E402
 from afflat.core import UniAffMap  # noqa: E402
-from afflat.polyhedra import polyhedron_equivalence  # noqa: E402
 from helpers import freudenthal_cube  # noqa: E402
 
 REPEATS = 3
+COUNTED = ("UniAffMap", "simplex_tester", "_refined_simplex_cells")
 
 # (name, n, side, the unimodular map (matrix, translation) of the image)
 CASES = [
@@ -37,15 +44,37 @@ CASES = [
 ]
 
 
+def counted_call(P, Q):
+    """(result, {name: calls}) of one polyhedron_equivalence(P, Q), with
+    the COUNTED attributes of afflat.polyhedra wrapped for the call."""
+    counts = dict.fromkeys(COUNTED, 0)
+    originals = {name: getattr(polyhedra, name) for name in COUNTED}
+
+    def wrap(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name, real in originals.items():
+        setattr(polyhedra, name, wrap(name, real))
+    try:
+        res = polyhedra.polyhedron_equivalence(P, Q)
+    finally:
+        for name, real in originals.items():
+            setattr(polyhedra, name, real)
+    return res, counts
+
+
 def best_of(P, Q):
-    """(least seconds, result) of REPEATS polyhedron_equivalence(P, Q)."""
+    """Least seconds of REPEATS polyhedron_equivalence(P, Q)."""
     best = None
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        res = polyhedron_equivalence(P, Q)
+        polyhedra.polyhedron_equivalence(P, Q)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
-    return best, res
+    return best
 
 
 def main():
@@ -56,12 +85,16 @@ def main():
         image = [tuple(g(v) for v in s) for s in P]
         for what, Q, expect_map in (("less one simplex", P[:-1], False),
                                     ("image", image, True)):
-            secs, res = best_of(P, Q)
+            res, counts = counted_call(P, Q)
+            secs = best_of(P, Q)
             ok = (res is not None) == expect_map
             wrong += not ok
-            print("%s, %s: %.3f s, %s%s"
+            print("%s, %s: %.3f s, %s%s; %d maps, %d testers, "
+                  "%d refinements"
                   % (name, what, secs, "None" if res is None else "a map",
-                     "" if ok else " (UNEXPECTED)"), flush=True)
+                     "" if ok else " (UNEXPECTED)", counts["UniAffMap"],
+                     counts["simplex_tester"],
+                     counts["_refined_simplex_cells"]), flush=True)
     return 1 if wrong else 0
 
 
