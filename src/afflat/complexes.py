@@ -88,7 +88,7 @@ def _meet_in_common_face(a, b):
         return not common
     if not common:
         return False
-    inside = simplex_tester(common)
+    inside = simplex_tester([lift(v) for v in common])
     return all(inside(lift(p)) for p in pts)
 
 

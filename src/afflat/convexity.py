@@ -1,32 +1,30 @@
 """Exact convex geometry: affine hulls, polytopes, cells, triangulations.
 
-Everything is fraction-free and built once per object: hull equations and
-intersections come from one integer Gauss-Jordan pass (`nullspace`),
-ambient facet rows from one `span_solver` per polytope, and the facets in
-hull coordinates from integer cross products.  The predicates the
-polyhedron decision asks at every grid point and cell vertex work on
-homogeneous integer lifts (num, k) of num/k.  A polytope is cached as
-integer rows r, and num/k is inside iff r.(num, k) == 0 for every equation
-row and r.(num, k) <= 0 for every inequality row.  Coordinates over
-affinely independent points come from one `span_solver` over their lifts:
-a simplex contains num/k iff (num, k) is a nonnegative combination of its
-vertex lifts, and the same solve gives barycentric coordinates and a
-hull's coordinates.  Simplex clipping, the one arrangement refiner, takes
-its signs and edge crossings from the same lifts and covers each closed
-half of a simplex by simplexes of its dimension.  Facets are enumerated by
-brute force over vertex subsets, which is fine at the scale this package
-targets and keeps every predicate exact.  The integer scan that accepts a
-facet also records which points lie on it, so a polytope's vertices and
-facet witnesses come from that table, with no dot product over Fractions.
+Everything is fraction-free and works on the homogeneous integer lifts
+(num, k) of points num/k.  Hull equations and intersections come from one
+integer Gauss-Jordan pass (`nullspace`).  A polytope's facets come from
+one scan over its points' lifts, projected onto coordinates where their
+span projects injectively: the normal of each independent e-subset is
+sign-tested on every lift, and the points on each facet are recorded, so
+vertices and facet witnesses are read off integer tightness.  num/k lies
+in a polytope iff its lift satisfies the hull's equation rows and the
+scan's facet rows.  Coordinates over affinely independent points come
+from one `span_solver` over their lifts: a simplex contains num/k iff
+(num, k) is a nonnegative combination of its vertex lifts, and the same
+solve gives barycentric coordinates and a hull's coordinates.  Simplex
+clipping, the one arrangement refiner, takes its signs and edge crossings
+from the same lifts and covers each closed half of a simplex by simplexes
+of its dimension.  Facets are enumerated by brute force over point
+subsets, which is fine at the scale this package targets and keeps every
+predicate exact.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import mul
 
 from .errors import InputError
-from .intlinalg import det_int, integer_rank, nullspace, span_solver
+from .intlinalg import _bareiss, integer_rank, nullspace, span_solver
 from .rationals import (canon_primitive, content, lift, point, primitive, rat,
                         vadd, vdot, vsub)
 
@@ -61,6 +59,9 @@ class AffineHull:
         return None if lam is None else lam[1:]
 
     def embed(self, coords):
+        if len(coords) != self.dim:
+            raise InputError("%d coordinates given to a %d-dimensional hull"
+                             % (len(coords), self.dim))
         p = self.anchor
         for c, b in zip(coords, self.basis):
             p = vadd(p, tuple(c * x for x in b))
@@ -130,15 +131,19 @@ class AffineHull:
 
 def affine_frame(points):
     """The greedy affinely independent prefix of the points, in their
-    order: a point is kept when its lift is off the span of the lifts kept
-    so far."""
-    frame, lifts = [], []
-    for p in points:
-        q = lift(p)
-        if integer_rank(lifts + [q]) > len(lifts):
-            frame.append(p)
-            lifts.append(q)
-            if len(lifts) == len(q):
+    order."""
+    return [points[i] for i in lift_frame([lift(p) for p in points])]
+
+
+def lift_frame(lifts):
+    """Indices of the greedy independent prefix of the lifts, in their
+    order: a lift is kept when it is off the span of those kept so far."""
+    frame, kept = [], []
+    for i, q in enumerate(lifts):
+        if integer_rank(kept + [q]) > len(kept):
+            frame.append(i)
+            kept.append(q)
+            if len(kept) == len(q):
                 break
     return frame
 
@@ -149,62 +154,62 @@ def affine_rank(points):
     return integer_rank([lift(p) for p in points]) - 1
 
 
-def _facets_in_coords(pts, e):
-    """(scale, facets) of conv(pts) in R^e, full-dim: the lcm `scale` of
-    the coordinate denominators, and {(g, h): mask} for the facet
-    inequalities g.x <= h / scale, g primitive and h an integer, mask having
-    bit i set when pts[i] is on the facet.
+def _facet_scan(lifts):
+    """(pivots, facets, vertices) for the lifts of distinct points.
 
-    Candidate hyperplanes come from e-subsets via the generalized integer
-    cross product (fraction-free) over the points times scale; a hyperplane
-    found before is not scanned again.
-    """
-    scale = 1
-    for p in pts:
-        for c in p:
-            scale = lcm(scale, c.denominator)
-    ipts = [tuple(int(c * scale) for c in p) for p in pts]
-    facets = {}
-    for sub in combinations(range(len(pts)), e):
-        base = ipts[sub[0]]
-        diffs = [tuple(a - b for a, b in zip(ipts[i], base)) for i in sub[1:]]
-        n = []
-        for j in range(e):
-            cols = [d[:j] + d[j + 1:] for d in diffs]
-            n.append(det_int(cols) if j % 2 == 0 else -det_int(cols))
-        g0 = content(n)
-        if g0 == 0:
+    pivots are the pivot columns of one Bareiss pass over the lifts, e + 1
+    of them for a hull of dimension e.  Restricting the lifts to them is
+    injective on their span, so it keeps the cone over the points' hull.
+    facets is {r: mask}, r a primitive integer row with r.q <= 0 for every
+    restricted lift q and mask having bit i set when r is 0 on lift i; the
+    candidate rows are the normals of the independent e-subsets (the row of
+    their e x e minors up to scale, here their one nullspace vector), each
+    hyperplane sign-tested once.  vertices are the indices of the points
+    whose tight rows have rank e."""
+    pivots = _bareiss([list(q) for q in lifts], len(lifts[0]))[0]
+    proj = [tuple(q[j] for j in pivots) for q in lifts]
+    e = len(pivots) - 1
+    facets, seen = {}, set()
+    for sub in combinations(proj, e) if e else ():
+        null = nullspace(sub, e + 1)
+        if len(null) != 1:
             continue
-        n = tuple(t // g0 for t in n)
-        h = sum(map(mul, n, base))
-        neg = tuple(-a for a in n)
-        if (n, h) in facets or (neg, -h) in facets:
+        g = content(null[0])
+        r = tuple(x // g for x in null[0])
+        if r in seen:
             continue
-        lo = hi = False
-        mask = 0
-        for i, q in enumerate(ipts):
-            s = sum(map(mul, n, q)) - h
-            if s > 0:
-                hi = True
-            elif s < 0:
-                lo = True
-            else:
-                mask |= 1 << i
-            if lo and hi:
-                break
-        if lo and hi:
+        neg = tuple(-x for x in r)
+        seen.update((r, neg))
+        vals = [sum(map(mul, r, q)) for q in proj]
+        if min(vals) < 0 < max(vals):
             continue
-        facets[(neg, -h) if hi else (n, h)] = mask
-    return scale, facets
+        facets[neg if max(vals) > 0 else r] = sum(
+            1 << i for i, v in enumerate(vals) if not v)
+    return pivots, facets, [
+        i for i in range(len(proj))
+        if integer_rank([r for r, on in facets.items() if on >> i & 1]) == e]
+
+
+def hull_vertices(table):
+    """(e, vertices) for a {point: lift} table: the dimension e of the
+    points' convex hull and the lifts of its vertices in point order, from
+    one _facet_scan; affinely independent points are all vertices,
+    unscanned."""
+    lifts = [q for _, q in sorted(table.items())]
+    if integer_rank(lifts) == len(lifts):
+        return len(lifts) - 1, lifts
+    pivots, _, vertices = _facet_scan(lifts)
+    return len(pivots) - 1, [lifts[i] for i in vertices]
 
 
 class Polytope:
     """Convex hull of finitely many rational points with exact V- and H-data.
 
-    Handles lower-dimensional hulls by working in affine-hull coordinates.
-    The facets come with the set of points on each (a bitmask over the
-    sorted points), so vertices and facet witnesses are read off integer
-    tightness, with no dot product over Fractions.
+    One _facet_scan over the points' lifts gives the facet rows, each with
+    the set of points on it (a bitmask over the sorted points).  A row r
+    over the projected lifts is the inequality g.x <= h in the coordinates
+    of the affine hull, g_i = r.proj(basis_i, 0) and h = -r.proj(anchor, 1)
+    scaled to a primitive integer g.
     """
 
     def __init__(self, points):
@@ -214,21 +219,22 @@ class Polytope:
         self.hull = AffineHull(pts)
         self.dim = self.hull.dim
         self._pts = pts
-        self._rows = None
-        if self.dim == 0:
-            self.facets = []
-            self._on = []
-            self.vertices = [pts[0]]
-            return
-        scale, facets = _facets_in_coords(
-            [self.hull.coords(p) for p in pts], self.dim)
-        keys = sorted(facets)
-        self.facets = [(g, Fraction(h, scale)) for g, h in keys]
-        self._on = [facets[k] for k in keys]
-        self.vertices = [
-            p for i, p in enumerate(pts)
-            if integer_rank([g for (g, _), on in zip(keys, self._on)
-                             if on >> i & 1]) == self.dim]
+        self._eqs = None
+        self._pivots, facets, vertices = _facet_scan([lift(p) for p in pts])
+        self.vertices = [pts[i] for i in vertices]
+        anchor = [(self.hull.anchor + (1,))[j] for j in self._pivots]
+        basis = [[(b + (0,))[j] for j in self._pivots]
+                 for b in self.hull.basis]
+        rows = []
+        for r, on in facets.items():
+            g = [sum(map(mul, r, b)) for b in basis]
+            a = primitive(g)
+            i = next(i for i, x in enumerate(a) if x)
+            rows.append((a, -sum(map(mul, r, anchor)) * a[i] / g[i], on, r))
+        rows.sort()
+        self.facets = [row[:2] for row in rows]
+        self._on = [row[2] for row in rows]
+        self._rows = [row[3] for row in rows]
 
     def on_facet(self, j):
         """The points that lie on facet j, in sorted order."""
@@ -236,40 +242,35 @@ class Polytope:
         return [p for i, p in enumerate(self._pts) if on >> i & 1]
 
     def contains_lift(self, q):
-        """Membership of num/k for q = (num_1, ..., num_n, k), k > 0, by
-        integer rows from the hull's equations and the ambient facets,
-        built on first use."""
-        if self._rows is None:
-            self._rows = ([_lift_row(a, c) for (a, c) in self.hull.equations()],
-                          [_lift_row(a, c) for (a, c) in self.ambient_facets()])
-        return _rows_hold(*self._rows, q)
+        """Membership of num/k for q = (num_1, ..., num_n, k), k > 0: the
+        integer rows of the hull's equations, built on first use, vanish on
+        q, and the facet rows are <= 0 on its projection."""
+        if self._eqs is None:
+            self._eqs = [_lift_row(a, c) for (a, c) in self.hull.equations()]
+        p = [q[j] for j in self._pivots]
+        return (not any(sum(map(mul, r, q)) for r in self._eqs)
+                and all(sum(map(mul, r, p)) <= 0 for r in self._rows))
 
     def contains(self, p):
         self.hull.check_dim(p)
         return self.contains_lift(lift(p))
 
     def ambient_facets(self):
-        """Facet inequalities (a, c) in ambient coordinates (a integer,
-        meaningful within the affine hull).
-
-        The row a = sum_i a_i basis_i with Gram . a = g gives
-        a.(x - anchor) = g.coords(x) on the hull.  Over the integer rows
-        b_i = s_i basis_i of the basis lifts (num, s) it is sum_i y_i b_i
-        with G y = (s_i g_i) for the integer Gram matrix G of the b_i, one
-        span_solver for every facet; c is a.v for the first point v on the
-        facet."""
-        if not self.facets:
-            return []
-        lifts = [lift(b) for b in self.hull.basis]
-        rows = [q[:-1] for q in lifts]
-        solve = span_solver([[vdot(r1, r2) for r2 in rows] for r1 in rows])
+        """Facet inequalities (a, c) in ambient coordinates, a.x <= c within
+        the affine hull: a is the primitive integer normal of the facet in
+        the hull's direction space, the one nullspace vector of the hull's
+        equation normals and the facet's edge directions, and c is a.v for
+        a point v on the facet."""
+        normals = [a for a, _ in self.hull.equations()]
         out = []
-        for (g, _), on in zip(self.facets, self._on):
-            y, d = solve([q[-1] * t for q, t in zip(lifts, g)])
-            # y / d solves G y = (s_i g_i); d y is a positive multiple of it
-            a = primitive([d * sum(map(mul, y, col)) for col in zip(*rows)])
-            v = self._pts[(on & -on).bit_length() - 1]
-            out.append((a, vdot(a, v)))
+        for j in range(len(self.facets)):
+            on = self.on_facet(j)
+            rows = normals + [primitive(vsub(p, on[0])) for p in on[1:]]
+            a = primitive(nullspace(rows, self.hull.ambient)[0])
+            c = vdot(a, on[0])
+            if any(vdot(a, p) > c for p in self._pts):
+                a, c = tuple(-x for x in a), -c
+            out.append((a, c))
         return sorted(out)
 
 
@@ -277,17 +278,6 @@ def _lift_row(a, c):
     """Primitive integer row r over lifts: r.(num, k) is a positive multiple
     of k (a.x - c) for x = num/k."""
     return primitive(tuple(a) + (-rat(c),))
-
-
-def _rows_hold(eqs, ineqs, q):
-    """r.q == 0 for every equation row and r.q <= 0 for every inequality."""
-    for r in eqs:
-        if sum(map(mul, r, q)):
-            return False
-    for r in ineqs:
-        if sum(map(mul, r, q)) > 0:
-            return False
-    return True
 
 
 def _barycentric_solver(vertices):
@@ -317,13 +307,13 @@ def simplex_barycentric(vertices, x):
     return _barycentric_solver(vertices)(x)
 
 
-def simplex_tester(vertices):
-    """Membership predicate for one simplex, over homogeneous lifts:
+def simplex_tester(lifts):
+    """Membership predicate for the simplex with the given vertex lifts:
     tester((num_1, ..., num_n, k)) is True iff num/k (k > 0) lies in it,
     that is iff the lift is a nonnegative combination of the vertex lifts.
     One span_solver, built once, gives the coefficients times its nonzero
     determinant d; a query costs integer dot products only."""
-    solve = span_solver([lift(v) for v in vertices])
+    solve = span_solver(lifts)
 
     def contains(q):
         sol = solve(q)

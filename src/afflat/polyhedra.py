@@ -7,36 +7,34 @@ it clips each simplex, cut by cut, into simplex cells along affine hulls of
 faces and records on which side of each cut a cell lies.  Triangulation
 cuts along the intersection-closed hulls of all faces and places each
 arrangement cell.  One cover test per side (_cover_test) decides whether
-the other side lies in its union: it rejects a vertex outside it at once,
-accepts whole each simplex inside one of its simplexes, by integer tests
-of vertex lifts, cuts the rest along its facet hulls only and tests each
-cell by its barycenter.  The orbit decision tries the images of an
-affinely independent base of hull vertices among the target's hull
-vertices; a map phi passes when phi(P) lies in Q and phi^-1(Q) in P, asked
-of cover tests built once per decision; for the right map every simplex
-is accepted whole.  Each map is built once, in integers, from the
-adjugate of the base's homogeneous lifts; a flat hull's base is completed
-by the extension of the witness simplex of the source's affine span.
-Hulls of different dimensions, or hull segments of different lambda_1,
-are answered before any enumeration.
+the other side lies in its union, by integer tests of vertex lifts: it
+rejects a vertex outside it, accepts whole a simplex inside one of its
+simplexes, rejects a simplex whose barycenter is outside it, and cuts the
+rest along its facet hulls only, testing each cell by its barycenter.
+The orbit decision lifts each vertex once, reads the hull vertices off
+one facet scan over the lifts, and tries the images of an affinely
+independent base of them among the target's hull vertices; each map is
+built once, in integers, from the adjugate of the base's lifts, and
+passes when both cover tests, built once per decision, accept it.
 """
 
-from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
+from math import lcm
 from operator import and_, mul
 from typing import NamedTuple
 
 from .affine import AffineSpace, affine_equivalence, c_invariant
 from .complexes import Triangulation
-from .cones import desingularize, fan_rays
-from .convexity import (AffineHull, Polytope, _clip, _lift_row, affine_frame,
-                        placing_triangulation, simplex_tester)
+from .cones import _plane_runs, desingularize, fan_rays
+from .convexity import (AffineHull, Polytope, _clip, affine_frame,
+                        hull_vertices, lift_frame, placing_triangulation,
+                        simplex_tester)
 from .core import UniAffMap, is_regular, lift, simplex, unlift
 from .errors import InputError, InternalCheckError
 from .intlinalg import _det_adj, integer_rank, mat_mul
 from .rationals import canon_primitive
-from .segments import _den_runs, lambda1
+from .segments import _runs_lambda1
 
 __all__ = [
     "polyhedron", "convex_hull", "Hull", "desingularize", "fan_rays",
@@ -56,13 +54,6 @@ def polyhedron(simplexes):
     return simps
 
 
-def poly_vertices(P):
-    out = set()
-    for s in P:
-        out.update(s)
-    return sorted(out)
-
-
 class Hull(NamedTuple):
     vertices: tuple
     equations: tuple  # (a, c): a.x = c on the hull
@@ -74,31 +65,28 @@ def convex_hull(points):
     affine hull)."""
     poly = Polytope(points)
     eqs = tuple(poly.hull.equations())
-    facets = []
-    for (a, c) in poly.ambient_facets():
-        scale = c.denominator if isinstance(c, Fraction) else 1
-        facets.append((tuple(t * scale for t in a), int(c * scale)))
-    return Hull(tuple(sorted(poly.vertices)), eqs, tuple(sorted(facets)))
+    facets = sorted((tuple(t * c.denominator for t in a), c.numerator)
+                    for a, c in poly.ambient_facets())
+    return Hull(tuple(sorted(poly.vertices)), eqs, tuple(facets))
 
 
-def _face_hulls(polys, facets_only=False):
-    """Affine hulls of faces of every simplex, deduplicated.
+def _face_hulls(P, facets_only=False):
+    """Affine hulls of faces of every simplex of P, deduplicated.
 
     facets_only keeps each simplex's own hull and its codimension-one face
     hulls; that is enough for membership-uniform refinement, since every
     boundary point of a simplex lies on a facet hull.
     """
     hulls = {}
-    for P in polys:
-        for s in P:
-            if facets_only:
-                sizes = {len(s), len(s) - 1} - {0}
-            else:
-                sizes = range(1, len(s) + 1)
-            for r in sizes:
-                for face in combinations(s, r):
-                    h = AffineHull(face)
-                    hulls.setdefault(h.key(), h)
+    for s in P:
+        if facets_only:
+            sizes = {len(s), len(s) - 1} - {0}
+        else:
+            sizes = range(1, len(s) + 1)
+        for r in sizes:
+            for face in combinations(s, r):
+                h = AffineHull(face)
+                hulls.setdefault(h.key(), h)
     return hulls
 
 
@@ -120,35 +108,38 @@ def _close_under_intersection(hulls):
 
 
 def _cuts_for(hull, family):
-    """Hyperplanes (g, h) in hull coordinates along which cells must split
-    so that every family subspace meets cells only in faces."""
+    """The equations (a, c) of the hull's proper intersections with the
+    family's subspaces: the hyperplanes along which cells must split so
+    that every family subspace meets cells only in faces.  They depend on
+    the hull as a set only, so they can be kept by hull.key()."""
     cuts = set()
     for sub in family.values():
         j = hull.intersect(sub)
-        if j is None or j.dim == hull.dim:
-            continue
-        for (a, c) in j.equations():
-            g, h = hull.restrict_functional(a, c)
-            if all(t == 0 for t in g):
-                continue
-            key = canon_primitive(tuple(g) + (h,))
-            cuts.add((key[:-1], Fraction(key[-1])))
-    return sorted(cuts)
+        if j is not None and j.dim < hull.dim:
+            cuts.update(j.equations())
+    return cuts
 
 
-def _refined_simplex_cells(P, family):
+def _refined_simplex_cells(P, cuts_of):
     """Per input simplex s: simplex cells covering it, each inside one
     closed side of every cut of s's hull (clip recursion in hull
-    coordinates).  Returns (hull, sides, cell) triples, sides holding +1 or
-    -1 per cut; the cells of one hull with equal sides tile one convex cell
-    of the arrangement, s cut down to those closed halves.  Each cut's row
-    and each cell's lifts and values are computed once for both sides."""
+    coordinates), cuts_of(hull) giving the cuts as ambient equations.
+    Returns (hull, sides, cell) triples, sides holding +1 or -1 per cut;
+    the cells of one hull with equal sides tile one convex cell of the
+    arrangement, s cut down to those closed halves.  Each cut's row and
+    each cell's lifts and values are computed once for both sides."""
     out = []
     for s in P:
         hull = AffineHull(s)
+        cuts = set()
+        for (a, c) in cuts_of(hull):
+            g, h = hull.restrict_functional(a, c)
+            if any(g):
+                cuts.add(canon_primitive(tuple(g) + (h,)))
         cells = {tuple(sorted(hull.coords(v) for v in s)): ()}
-        for (g, h) in _cuts_for(hull, family):
-            row = _lift_row(g, h)
+        for cut in sorted(cuts):
+            # the integer row over lifts of g.x - h, g and h being cut's
+            row = cut[:-1] + (-cut[-1],)
             nxt = {}
             for cell, sides in cells.items():
                 lifts = [lift(v) for v in cell]
@@ -168,31 +159,46 @@ def poly_set_equal(P, Q):
     Q = polyhedron(Q)
     if len(P[0][0]) != len(Q[0][0]):
         raise InputError("ambient dimensions differ")
-    return (_cover_test(Q)(_simplex_lifts(P))
-            and _cover_test(P)(_simplex_lifts(Q)))
+    (_, lp), (_, lq) = _lift_table(P), _lift_table(Q)
+    return _cover_test(Q, lq)(lp) and _cover_test(P, lp)(lq)
 
 
-def _simplex_lifts(P):
-    return [tuple(lift(v) for v in s) for s in P]
+def _lift_table(P):
+    """(table, lifts): the {vertex: lift} table of P, each vertex lifted
+    once, and the vertex lifts of each simplex, read from it."""
+    table = {}
+    return table, [tuple(table.get(v) or table.setdefault(v, lift(v))
+                         for v in s) for s in P]
 
 
-def _cover_test(Q):
+def _cover_test(Q, lifts):
     """covered(S) -> whether the simplexes S, given by their vertex lifts,
-    lie in the union of Q's simplexes.  Q's testers are built here, its
-    facet-hull family on first need; both live as long as covered does.
+    lie in the union of Q's simplexes, whose vertex lifts are lifts.  Q's
+    testers are built here, its facet-hull family and each hull's cuts on
+    first need; all live as long as covered does.
 
     covered answers False at once when a vertex lies in no simplex of Q.
     A simplex whose vertices all lie in one simplex of Q lies in it
-    (simplexes are convex), so it is accepted whole.  The rest is refined
+    (simplexes are convex), so it is accepted whole.  For the rest, a
+    barycenter in no simplex of Q answers False; else they are refined
     against the hulls of Q's simplexes and of their facets only: each cell
     then lies in one closed half of every cut, so for every simplex t of Q
     the relative interior of the cell is either inside t or disjoint from
     it, and the barycenter decides whether the cell lies in Q."""
-    tests = [simplex_tester(s) for s in Q]
+    tests = [simplex_tester(ls) for ls in lifts]
     family = None
+    cuts = {}
+
+    def cuts_of(hull):
+        nonlocal family
+        if family is None:
+            family = _face_hulls(Q, facets_only=True)
+        key = hull.key()
+        if key not in cuts:
+            cuts[key] = _cuts_for(hull, family)
+        return cuts[key]
 
     def covered(S):
-        nonlocal family
         masks = {}
         for s in S:
             for q in s:
@@ -201,13 +207,17 @@ def _cover_test(Q):
                                    if t(q))
                     if not masks[q]:
                         return False
-        rest = [tuple(unlift(q) for q in s) for s in S
-                if not reduce(and_, (masks[q] for q in s))]
+        rest = [s for s in S if not reduce(and_, (masks[q] for q in s))]
         if not rest:
             return True
-        if family is None:
-            family = _face_hulls([Q], facets_only=True)
-        for hull, _, cell in _refined_simplex_cells(rest, family):
+        for s in rest:
+            # the barycenter of s, lifted up to the positive factor len(s)
+            k = lcm(*(q[-1] for q in s))
+            b = [sum(k // q[-1] * q[i] for q in s) for i in range(len(s[0]))]
+            if not any(t(b) for t in tests):
+                return False
+        rest = [tuple(map(unlift, s)) for s in rest]
+        for hull, _, cell in _refined_simplex_cells(rest, cuts_of):
             k = len(cell)
             q = lift(hull.embed(tuple(sum(c) / k for c in zip(*cell))))
             if not any(t(q) for t in tests):
@@ -227,9 +237,10 @@ def triangulate(P):
     of every cut span one cell.
     """
     P = polyhedron(P)
-    family = _close_under_intersection(_face_hulls([P]))
+    family = _close_under_intersection(_face_hulls(P))
     groups = {}
-    for hull, sides, cell in _refined_simplex_cells(P, family):
+    for hull, sides, cell in _refined_simplex_cells(
+            P, lambda hull: _cuts_for(hull, family)):
         groups.setdefault((hull, sides), set()).update(cell)
     tris = set()
     for (hull, _), pts in groups.items():
@@ -264,57 +275,58 @@ def polyhedron_equivalence(P, Q):
     A valid map bijects the hull vertices, so it is pinned on aff(P) by the
     images of an affinely independent base of P's hull vertices: every
     matched tuple of Q's hull vertices is tried, and the map phi it induces
-    passes when phi(P) lies in Q and phi^-1(Q) in P, asked of one
-    _cover_test per side built before the enumeration.  With L the matrix
-    of the base's lifts, the map of a candidate is L' adj(L) / det(L), L'
-    the lifts of the images: one integer product, kept when det(L) divides
-    it and the result has det +-1.  When the hulls span R^n no AffineSpace
-    is built; else L is completed to a square matrix by the lifts of the
+    passes when phi(P) lies in Q and phi^-1(Q) in P.  With L the matrix of
+    the base's lifts, the map of a candidate is L' adj(L) / det(L), L' the
+    lifts of the images, kept when it is integral with det +-1.  When the
+    hulls are flat, L is completed to a square matrix by the lifts of the
     extension of aff(P)'s witness simplex, sent where the spans' witness
     map sends them.  Hulls of different dimensions answer None at once,
     and so do hull segments of different lambda_1 (read off the chain's
-    runs, with no scan).
+    runs).  Each side's vertices are lifted once, into one table that the
+    hull scan, the frame, the chains and the cover tests read.
     """
     P = polyhedron(P)
     Q = polyhedron(Q)
     n = len(P[0][0])
     if len(Q[0][0]) != n:
         raise InputError("ambient dimensions differ")
-    CP = Polytope(poly_vertices(P))
-    CQ = Polytope(poly_vertices(Q))
-    e = CP.dim
-    if CQ.dim != e:
+    (table_p, lifts_p), (table_q, lifts_q) = _lift_table(P), _lift_table(Q)
+    e, hull_p = hull_vertices(table_p)
+    e_q, hull_q = hull_vertices(table_q)
+    if e_q != e:
         return None
-    if e == 1 and lambda1(*CP.vertices) != lambda1(*CQ.vertices):
+    if e == 1 and (_runs_lambda1(_plane_runs(*hull_p))
+                   != _runs_lambda1(_plane_runs(*hull_q))):
         return None
     if e == n:
         ext, g_ext = [], []
     else:
-        FP = AffineSpace(poly_vertices(P))
-        gamma = affine_equivalence(FP, AffineSpace(poly_vertices(Q)))
+        FP = AffineSpace(sorted(table_p))
+        gamma = affine_equivalence(FP, AffineSpace(sorted(table_q)))
         if gamma is None:
             return None
         ext = [lift(p) for p in c_invariant(FP)[1][e + 1:]]
         g_ext = [gamma.map_lift(q) for q in ext]
-    base = affine_frame(sorted(CP.vertices))
     # columns of L: the lifts of the base, then of the extension; the map
     # of a candidate is B = L' adj(L) / det(L), L' the lifts of the images
-    cols = [lift(v) for v in base] + ext
+    cols = [hull_p[i] for i in lift_frame(hull_p)] + ext
     d, adj = _det_adj([[c[i] for c in cols] for i in range(n + 1)])
     if not d:
         raise InternalCheckError("base and extension lifts are dependent")
-    hull_q = [(u, lift(u)) for u in sorted(CQ.vertices)]
-    hull_lifts_p = [lift(v) for v in CP.vertices]
-    hull_lifts_q = {lu for _, lu in hull_q}
-    lifts_p = _simplex_lifts(P)
-    lifts_q = _simplex_lifts(Q)
-    covered_by_p = _cover_test(P)
-    covered_by_q = _cover_test(Q)
+    hull_set_q = set(hull_q)
+    covered_by_p = _cover_test(P, lifts_p)
+    covered_by_q = _cover_test(Q, lifts_q)
 
-    # chain denominator sequences, compared run-encoded
-    ref_dens = {(j, i): _den_runs(base[j], base[i])
+    @cache
+    def dens(p, q):
+        # the denominators of the chain from p to q (lifts) as runs: a run
+        # of lifts is a maximal run of denominators too, since the
+        # denominator step changes by (b_i - 2) den(x_i) > 0 where the lift
+        # step changes
+        return tuple((a[-1], s[-1], c) for a, s, c in _plane_runs(p, q))
+
+    ref_dens = {(j, i): dens(cols[j], cols[i])
                 for i in range(e + 1) for j in range(i)}
-    pair_dens = cache(_den_runs)
 
     def check_candidate(lifts):
         # images match the base's denominators, so B fixes the last
@@ -328,7 +340,7 @@ def polyhedron_equivalence(P, Q):
                             tuple(r[n] // d for r in b))
         except InputError:
             return None
-        if {phi.map_lift(q) for q in hull_lifts_p} != hull_lifts_q:
+        if {phi.map_lift(q) for q in hull_p} != hull_set_q:
             return None
         # phi(P) = Q iff phi(P) lies in Q and phi^-1(Q) in P
         if not covered_by_q([tuple(map(phi.map_lift, s)) for s in lifts_p]):
@@ -342,23 +354,23 @@ def polyhedron_equivalence(P, Q):
                                      "check")
         return phi
 
-    def enum_images(chosen, lifts):
-        if len(chosen) == e + 1:
+    def enum_images(lifts):
+        if len(lifts) == e + 1:
             return check_candidate(lifts)
-        i = len(chosen)
-        for u, lu in hull_q:
-            if u in chosen:
+        i = len(lifts)
+        for lu in hull_q:
+            if lu in lifts:
                 continue
             if lu[-1] != cols[i][-1]:
                 continue
             if integer_rank(lifts + [lu]) != i + 1:
                 continue
-            if any(pair_dens(chosen[j], u) != ref_dens[(j, i)]
+            if any(dens(lifts[j], lu) != ref_dens[(j, i)]
                    for j in range(i)):
                 continue
-            res = enum_images(chosen + [u], lifts + [lu])
+            res = enum_images(lifts + [lu])
             if res is not None:
                 return res
         return None
 
-    return enum_images([], [])
+    return enum_images([])

@@ -105,14 +105,6 @@ def _runs_lambda1(runs):
                for start, step, count in runs)
 
 
-def _den_runs(a, b):
-    """The chain's denominator sequence as runs (first, step, count).  A run
-    of lifts is a maximal run of denominators too, since the denominator step
-    changes by (b_i - 2) den(x_i) > 0 where the lift step changes."""
-    return tuple((start[-1], step[-1], count)
-                 for start, step, count in _chain_runs(a, b)[2])
-
-
 def lambda1(a, b):
     """Sum of 1/(den(x_i) den(x_{i+1})) along the canonical chain."""
     return _runs_lambda1(_chain_runs(a, b)[2])

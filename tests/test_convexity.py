@@ -64,7 +64,7 @@ def _simplexes(seed):
 def test_simplex_tester_agrees_with_determinant_oracle():
     inside = total = 0
     for rng, verts in _simplexes(91):
-        test = simplex_tester(verts)
+        test = simplex_tester([lift(v) for v in verts])
         for x in _queries(rng, verts):
             expect = _simplex_has(verts, x)
             q = lift(x)
@@ -99,6 +99,14 @@ def test_affine_hull_coords_rejects_wrong_length():
     for p in ((2, 2, 5), (2,)):
         with pytest.raises(InputError, match="dimension"):
             hull.coords(p)
+
+
+def test_affine_hull_embed_rejects_wrong_length():
+    hull = AffineHull([(0, 0), (1, 1)])
+    assert hull.embed((F(1, 2),)) == (F(1, 2), F(1, 2))
+    for c in ((1, 2, 3), (), (1, 2)):
+        with pytest.raises(InputError, match="coordinates"):
+            hull.embed(c)
 
 
 def test_affine_hull_coords_round_trip():
@@ -255,3 +263,69 @@ def test_polytope_contains_rejects_wrong_dimension():
     for x in ((0,), (0, 0, 9)):
         with pytest.raises(InputError):
             tri.contains(x)
+
+
+# --- Polytope in R^4 and on flats, against brute-force oracles --------------
+
+def _affine_dim(pts):
+    return fraction_rank([[a - b for a, b in zip(p, pts[0])]
+                          for p in pts[1:]] or [[0] * len(pts[0])])
+
+
+def _oracle_sets(seed):
+    """General point sets in R^4, and point sets spanning a line, a plane
+    or a 3-flat of R^3 and R^4, with points repeated and off the frame;
+    each with probe points of its flat (inside and outside the hull) and
+    off it."""
+    rng = random.Random(seed)
+    for _ in range(8):
+        pts = [rand_point(rng, 4, 3, 2) for _ in range(rng.randint(5, 7))]
+        yield pts, [_combination(rng, pts[:5], -2) for _ in range(3)]
+    for n, k in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        for _ in range(8):
+            base = rand_point(rng, n, 3, 2)
+            dirs = _independent(rng, n, k + 1)
+            dirs = [tuple(a - b for a, b in zip(d, dirs[0])) for d in dirs[1:]]
+            pts = []
+            for _ in range(rng.randint(k + 1, k + 5)):
+                t = [F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in dirs]
+                pts.append(tuple(b + sum(ti * d[j] for ti, d in zip(t, dirs))
+                                 for j, b in enumerate(base)))
+            pts.append(rng.choice(pts))
+            yield pts, ([_combination(rng, pts, -2) for _ in range(3)]
+                        + [rand_point(rng, n, 3, 2)])
+
+
+def test_polytope_against_oracles_in_r4_and_on_flats():
+    flat = 0
+    for pts, probes in _oracle_sets(98):
+        poly = Polytope(pts)
+        dim = _affine_dim(pts)
+        flat += dim < len(pts[0])
+        assert poly.dim == dim
+        def in_hull(x, points):
+            # Caratheodory: x lies in a simplex of at most dim + 1 points
+            return any(_simplex_has(sub, x) for r in range(1, dim + 2)
+                       for sub in combinations(sorted(set(points)), r))
+
+        # a vertex lies in no simplex of the other points
+        assert poly.vertices == [p for p in sorted(set(pts))
+                                 if not in_hull(p, set(pts) - {p})]
+        # each facet holds every point on its closed side and is tight on
+        # dim affinely independent points, in hull and ambient coordinates
+        coords = {p: poly.hull.coords(p) for p in pts}
+        for j, (g, h) in enumerate(poly.facets):
+            vals = {p: sum(x * y for x, y in zip(g, c))
+                    for p, c in coords.items()}
+            assert max(vals.values()) == h
+            tight = sorted(p for p, v in vals.items() if v == h)
+            assert tight == poly.on_facet(j)
+            assert _affine_dim(tight) == dim - 1
+        for a, c in poly.ambient_facets():
+            vals = [sum(x * y for x, y in zip(a, p)) for p in pts]
+            assert max(vals) == c
+            assert _affine_dim([p for p, v in zip(pts, vals)
+                                if v == c]) == dim - 1
+        for x in probes:
+            assert poly.contains(x) == in_hull(x, pts), (pts, x)
+    assert flat == 40

@@ -13,9 +13,10 @@ answers with a map.  The cases are the unit 3-cube and the 4-cube of side
 process, and the least time is printed with the verdict.  Next to it are
 the counts of one call, which do not depend on the machine: the candidate
 maps built (polyhedra.UniAffMap calls), the simplex testers built
-(polyhedra.simplex_tester) and the refinements run
-(polyhedra._refined_simplex_cells).  They are counted by wrapping those
-module attributes in this process only.  The unit 4-cube is left out:
+(polyhedra.simplex_tester), the refinements run
+(polyhedra._refined_simplex_cells) and the cut sets derived
+(polyhedra._cuts_for, one per hull a cover test refines).  They are
+counted by wrapping those module attributes in this process only.  The unit 4-cube is left out:
 less one simplex, it took 149 s on a 2-vCPU host.  Exits 1 when a verdict
 is not the expected one.
 """
@@ -32,7 +33,8 @@ from afflat.core import UniAffMap  # noqa: E402
 from helpers import freudenthal_cube  # noqa: E402
 
 REPEATS = 3
-COUNTED = ("UniAffMap", "simplex_tester", "_refined_simplex_cells")
+COUNTED = ("UniAffMap", "simplex_tester", "_refined_simplex_cells",
+           "_cuts_for")
 
 # (name, n, side, the unimodular map (matrix, translation) of the image)
 CASES = [
@@ -90,11 +92,12 @@ def main():
             ok = (res is not None) == expect_map
             wrong += not ok
             print("%s, %s: %.3f s, %s%s; %d maps, %d testers, "
-                  "%d refinements"
+                  "%d refinements, %d cut sets"
                   % (name, what, secs, "None" if res is None else "a map",
                      "" if ok else " (UNEXPECTED)", counts["UniAffMap"],
                      counts["simplex_tester"],
-                     counts["_refined_simplex_cells"]), flush=True)
+                     counts["_refined_simplex_cells"], counts["_cuts_for"]),
+                  flush=True)
     return 1 if wrong else 0
 
 
