@@ -138,7 +138,7 @@ def _refined_simplex_cells(P, cuts_of):
                 cuts.add(canon_primitive(tuple(g) + (h,)))
         cells = {tuple(sorted(hull.coords(v) for v in s)): ()}
         for cut in sorted(cuts):
-            # the integer row over lifts of g.x - h, g and h being cut's
+            # cut is (g, h); r = (g, -h) has r.(num, k) = k (g.x - h)
             row = cut[:-1] + (-cut[-1],)
             nxt = {}
             for cell, sides in cells.items():
