@@ -15,7 +15,7 @@ from typing import NamedTuple
 from . import budget
 from .convexity import AffineHull
 from .core import (coords_in_lattice_basis, den, is_regular, lift,
-                   saturated_span_basis, simplex, simplex_map, unlift)
+                   saturated_span_basis, simplex_lifts, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
 from .intlinalg import (complete_basis, invert_unimodular, is_part_of_basis,
                         minor_gcd, solve_integer, xgcd)
@@ -227,8 +227,7 @@ def _bezout_combination(values, target):
 
 def _frame_lifts(frame):
     """The lifts of a regular frame, checked to be part of a basis."""
-    pts = simplex(frame)
-    lifts = [lift(p) for p in pts]
+    pts, lifts = simplex_lifts(frame)
     if not is_part_of_basis(lifts, len(pts[0]) + 1):
         raise InputError("frame is not regular")
     return pts, lifts
@@ -276,7 +275,7 @@ def extend_frame(frame):
         stilde = tuple(eps * uc + sum(k * l[i] for k, l in zip(ks, lifts))
                        for i, uc in enumerate(u))
         s = unlift(stilde)
-        if den(s) != c or minor_gcd(lifts + [stilde], n + 1) != 1:
+        if den(s) != c or minor_gcd(lifts + (stilde,), n + 1) != 1:
             raise InternalCheckError("closed-form completion failed")
         return c, (s,)
     # codimension >= 2: c = 1, integer apexes found greedily

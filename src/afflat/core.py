@@ -3,18 +3,21 @@
 A rational point x in Q^n lifts to the primitive integer vector
 (den(x)*x, den(x)) in Z^{n+1}; a simplex is regular when its vertex lifts
 extend to a basis of Z^{n+1}.  All other modules build on these notions.
-Dual rows u with u.p = 1 (dual_vector, one xgcd chain each) give plane
-lattices in closed form (plane_basis, angles); other spans are saturated
-by column echelon forms.
+A simplex's normalization (simplex_lifts) lifts each vertex once, checks
+affine independence as the rank of the lifts, and returns the lifts with
+the points, so the regularity test, the Farey mediant and the simplex map
+read them.  Dual rows u with u.p = 1 (dual_vector, one xgcd chain each)
+give plane lattices in closed form (plane_basis, angles); other spans are
+saturated by column echelon forms.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from . import convexity
 from .errors import InputError, InternalCheckError
-from .intlinalg import (complete_basis, integer_kernel, invert_unimodular,
-                        is_part_of_basis, mat_mul, mat_vec, span_solver, xgcd)
+from .intlinalg import (complete_basis, det_int, integer_kernel, integer_rank,
+                        invert_unimodular, is_part_of_basis, mat_mul, mat_vec,
+                        span_solver, xgcd)
 from .rationals import content, den, intvec, lift, point, vadd
 
 
@@ -46,30 +49,37 @@ def extends_to_basis(vectors):
     return is_part_of_basis(vecs, m)
 
 
-def simplex(vertices):
-    """Normalize a vertex sequence to a tuple of points, checking affine
-    independence."""
+def simplex_lifts(vertices):
+    """(points, lifts): a vertex sequence normalized to a tuple of points,
+    and the tuple of their lifts, each vertex lifted once.  The points are
+    affinely independent iff their lifts are linearly independent, which
+    is checked."""
     verts = tuple(point(v) for v in vertices)
     if not verts:
         raise InputError("a simplex needs at least one vertex")
     n = len(verts[0])
     if any(len(v) != n for v in verts):
         raise InputError("mixed ambient dimensions")
-    if convexity.affine_rank(verts) != len(verts) - 1:
+    lifts = tuple(lift(v) for v in verts)
+    if integer_rank(lifts) != len(lifts):
         raise InputError("vertices are not affinely independent")
-    return verts
+    return verts, lifts
+
+
+def simplex(vertices):
+    """Normalize a vertex sequence to a tuple of points, checking affine
+    independence."""
+    return simplex_lifts(vertices)[0]
 
 
 def is_regular(s):
     """True iff the vertex lifts of the simplex extend to a basis of Z^{n+1}."""
-    verts = simplex(s)
-    return extends_to_basis([lift(v) for v in verts])
+    return extends_to_basis(simplex_lifts(s)[1])
 
 
 def farey_mediant(s):
     """Affine correspondent of the sum of the vertex lifts of a regular simplex."""
-    verts = simplex(s)
-    lifts = [lift(v) for v in verts]
+    lifts = simplex_lifts(s)[1]
     if not extends_to_basis(lifts):
         raise InputError("Farey mediant needs a regular simplex")
     total = lifts[0]
@@ -96,7 +106,6 @@ class UniAffMap:
         n = len(self.translation)
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise InputError("matrix/translation shapes disagree")
-        from .intlinalg import det_int
         if det_int(self.matrix) not in (1, -1):
             raise InputError("matrix determinant must be +-1")
 
@@ -169,19 +178,17 @@ def apply(g, obj):
 def simplex_map(V, W):
     """The unique g in GL(n,Z) |x Z^n with g(v_i) = w_i for matched regular
     n-simplexes V, W whose vertex denominators are pairwise equal."""
-    vs = simplex(V)
-    ws = simplex(W)
+    vs, lv = simplex_lifts(V)
+    ws, lw = simplex_lifts(W)
     n = len(vs[0])
     if len(vs) != n + 1 or len(ws) != n + 1 or len(ws[0]) != n:
         raise InputError("need two (n+1)-tuples of points of R^n")
     for v, w in zip(vs, ws):
         if den(v) != den(w):
             raise InputError("vertex denominators are not pairwise equal")
-    lv = [lift(v) for v in vs]
-    lw = [lift(w) for w in ws]
-    if not extends_to_basis(lv):
+    if not is_part_of_basis(lv, n + 1):
         raise InputError("first simplex is not regular")
-    if not extends_to_basis(lw):
+    if not is_part_of_basis(lw, n + 1):
         raise InputError("second simplex is not regular")
     # columns of M_V are the lifts; B = M_W M_V^-1 is integer unimodular and
     # fixes the last coordinate row, so it encodes A and t directly.

@@ -5,8 +5,8 @@ work: integer kernels, integer linear solves, basis completion, saturation.
 Linear algebra over Q is fraction-free too.  One Gauss-Jordan pass on
 integers (Bareiss, `_bareiss`) gives the determinant and the adjugate
 together, behind `span_solver` and `invert_unimodular`, and the nullspace
-of an integer matrix (`nullspace`).  `det_int` and `integer_rank` are
-smaller one-sided eliminations for the hot minors and ranks.
+of an integer matrix (`nullspace`); `det_int` and `integer_rank` read the
+determinant and the rank off the same pass.
 """
 
 import math
@@ -26,30 +26,6 @@ def xgcd(a, b):
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def det_int(rows):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def _bareiss(a, cols):
@@ -105,6 +81,21 @@ def _det_adj(rows):
     return d, [r[n:] for r in a]
 
 
+def det_int(rows):
+    """Determinant of a square integer matrix: sign * d of one _bareiss pass
+    over a copy of the rows, 0 when a column has no pivot."""
+    a = list(rows)
+    pivots, d, sign = _bareiss(a, len(a))
+    return sign * d if len(pivots) == len(a) else 0
+
+
+def integer_rank(rows):
+    """Rank over Q of an integer matrix given as a list of row sequences:
+    the pivot count of one _bareiss pass over a copy of the rows."""
+    rows = list(rows)
+    return len(_bareiss(rows, len(rows[0]))[0]) if rows else 0
+
+
 def span_solver(vectors):
     """Integer coordinates, up to a common factor d, over independent vectors.
 
@@ -134,32 +125,6 @@ def span_solver(vectors):
         return y, d
 
     return solve
-
-
-def integer_rank(rows):
-    """Rank over Q of an integer matrix given as a list of row sequences,
-    by fraction-free row elimination that keeps each combined row
-    primitive."""
-    rows = [r for r in rows if any(r)]
-    rank = 0
-    while rows:
-        pr = rows.pop()
-        j = next(i for i, x in enumerate(pr) if x)
-        p = pr[j]
-        rest = []
-        for r in rows:
-            f = r[j]
-            if f:
-                r = [p * x - f * y for x, y in zip(r, pr)]
-                g = math.gcd(*r)
-                if not g:
-                    continue
-                if g > 1:
-                    r = [x // g for x in r]
-            rest.append(r)
-        rows = rest
-        rank += 1
-    return rank
 
 
 def nullspace(rows, cols):

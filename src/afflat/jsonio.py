@@ -12,6 +12,7 @@ integer.
 import sys
 
 from .conics import conic
+from .cones import fan_rays
 from .errors import InputError
 from .rationals import rat
 
@@ -167,6 +168,5 @@ def hj_json(chain):
 
 
 def fan_json(fan):
-    from .cones import fan_rays
     return {"rays": [list(r) for r in fan_rays(fan)],
             "cones": [[list(g) for g in c] for c in fan]}

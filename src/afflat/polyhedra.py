@@ -11,11 +11,13 @@ the other side lies in its union, by integer tests of vertex lifts: it
 rejects a vertex outside it, accepts whole a simplex inside one of its
 simplexes, rejects a simplex whose barycenter is outside it, and cuts the
 rest along its facet hulls only, testing each cell by its barycenter.
-The orbit decision lifts each vertex once, reads the hull vertices off
-one facet scan over the lifts, and tries the images of an affinely
-independent base of them among the target's hull vertices; each map is
-built once, in integers, from the adjugate of the base's lifts, and
-passes when both cover tests, built once per decision, accept it.
+The normalization (polyhedron) lifts each vertex once and returns the
+{vertex: lift} table and each simplex's lifts with the simplexes.  The
+orbit decision reads the hull vertices off one facet scan over the
+table's lifts, and tries the images of an affinely independent base of
+them among the target's hull vertices; each map is built once, in
+integers, from the adjugate of the base's lifts, and passes when both
+cover tests, built once per decision, accept it.
 """
 
 from functools import cache, reduce
@@ -30,7 +32,7 @@ from .cones import _plane_runs, desingularize, fan_rays
 from .convexity import (AffineHull, Polytope, _clip, affine_frame,
                         hull_vertices, lift_frame, placing_triangulation,
                         simplex_tester)
-from .core import UniAffMap, is_regular, lift, simplex, unlift
+from .core import UniAffMap, is_regular, lift, simplex, simplex_lifts, unlift
 from .errors import InputError, InternalCheckError
 from .intlinalg import _det_adj, integer_rank, mat_mul
 from .rationals import canon_primitive
@@ -44,14 +46,22 @@ __all__ = [
 
 
 def polyhedron(simplexes):
-    """Normalize a polyhedron: nonempty list of simplexes, common ambient."""
-    simps = [simplex(s) for s in simplexes]
+    """Normalize a polyhedron: nonempty list of simplexes, common ambient.
+    Returns (simplexes, table, lifts): the simplexes as tuples of points,
+    the {vertex: lift} table and the vertex lifts of each simplex, each
+    vertex lifted once, by its simplex's normalization."""
+    simps, table, lifts = [], {}, []
+    for s in simplexes:
+        pts, ls = simplex_lifts(s)
+        simps.append(pts)
+        table.update(zip(pts, ls))
+        lifts.append(ls)
     if not simps:
         raise InputError("polyhedron needs at least one simplex")
     n = len(simps[0][0])
     if any(len(s[0]) != n for s in simps):
         raise InputError("mixed ambient dimensions")
-    return simps
+    return simps, table, lifts
 
 
 class Hull(NamedTuple):
@@ -155,20 +165,11 @@ def _refined_simplex_cells(P, cuts_of):
 def poly_set_equal(P, Q):
     """Exact point-set equality of two polyhedra: each side lies in the
     union of the other's simplexes, by one _cover_test per side."""
-    P = polyhedron(P)
-    Q = polyhedron(Q)
+    P, _, lp = polyhedron(P)
+    Q, _, lq = polyhedron(Q)
     if len(P[0][0]) != len(Q[0][0]):
         raise InputError("ambient dimensions differ")
-    (_, lp), (_, lq) = _lift_table(P), _lift_table(Q)
     return _cover_test(Q, lq)(lp) and _cover_test(P, lp)(lq)
-
-
-def _lift_table(P):
-    """(table, lifts): the {vertex: lift} table of P, each vertex lifted
-    once, and the vertex lifts of each simplex, read from it."""
-    table = {}
-    return table, [tuple(table.get(v) or table.setdefault(v, lift(v))
-                         for v in s) for s in P]
 
 
 def _cover_test(Q, lifts):
@@ -236,7 +237,7 @@ def triangulate(P):
     the clip refinement: the pieces of one input simplex on the same sides
     of every cut span one cell.
     """
-    P = polyhedron(P)
+    P = polyhedron(P)[0]
     family = _close_under_intersection(_face_hulls(P))
     groups = {}
     for hull, sides, cell in _refined_simplex_cells(
@@ -280,20 +281,20 @@ def polyhedron_equivalence(P, Q):
     lifts of the images, kept when it is integral with det +-1.  When the
     hulls are flat, L is completed to a square matrix by the lifts of the
     extension of aff(P)'s witness simplex, sent where the spans' witness
-    map sends them.  Hulls of different dimensions answer None at once,
-    and so do hull segments of different lambda_1 (read off the chain's
-    runs).  Each side's vertices are lifted once, into one table that the
-    hull scan, the frame, the chains and the cover tests read.
+    map sends them.  Hulls of different dimensions or vertex counts answer
+    None at once, and so do hull segments of different lambda_1 (read off
+    the chain's runs).  Each side's vertices are lifted once, by the
+    normalization, into one table that the hull scan, the frame, the chains
+    and the cover tests read.
     """
-    P = polyhedron(P)
-    Q = polyhedron(Q)
+    P, table_p, lifts_p = polyhedron(P)
+    Q, table_q, lifts_q = polyhedron(Q)
     n = len(P[0][0])
     if len(Q[0][0]) != n:
         raise InputError("ambient dimensions differ")
-    (table_p, lifts_p), (table_q, lifts_q) = _lift_table(P), _lift_table(Q)
     e, hull_p = hull_vertices(table_p)
     e_q, hull_q = hull_vertices(table_q)
-    if e_q != e:
+    if e_q != e or len(hull_q) != len(hull_p):
         return None
     if e == 1 and (_runs_lambda1(_plane_runs(*hull_p))
                    != _runs_lambda1(_plane_runs(*hull_q))):
@@ -340,7 +341,8 @@ def polyhedron_equivalence(P, Q):
                             tuple(r[n] // d for r in b))
         except InputError:
             return None
-        if {phi.map_lift(q) for q in hull_p} != hull_set_q:
+        # phi is injective and the hulls have equally many vertices
+        if not all(phi.map_lift(q) in hull_set_q for q in hull_p):
             return None
         # phi(P) = Q iff phi(P) lies in Q and phi^-1(Q) in P
         if not covered_by_q([tuple(map(phi.map_lift, s)) for s in lifts_p]):

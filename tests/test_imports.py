@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used: referenced in the
-module, or re-exported through its __all__; and every private module-level
-function or class is referenced somewhere in the package.  Stand-ins for a
+module, or re-exported through its __all__; the package's own modules are
+imported at module level only; and every private module-level function or
+class is referenced somewhere in the package.  Stand-ins for a
 linter's unused-import and dead-code rules, on the parsed source (ast), with
 no package import."""
 
@@ -39,6 +40,35 @@ def test_unused_imports_finds_the_leftovers():
     assert unused_imports(src) == [(2, "b"), (3, "g")]
 
 
+def nested_package_imports(source):
+    """(line, module) of each import of the package (relative, or of
+    afflat) that is not a statement of the module body."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in top:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            name = "." * node.level + (node.module or "")
+            if node.level or name.split(".")[0] == "afflat":
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name) for a in node.names
+                         if a.name.split(".")[0] == "afflat")
+    return sorted(found)
+
+
+def test_nested_package_imports_finds_the_local_ones():
+    src = ("import os\nfrom . import a\nfrom .b import c\n\n"
+           "def f():\n    import json\n    from .d import e\n"
+           "    import afflat.core\n\n"
+           "class G:\n    def h(self):\n        from afflat import i\n"
+           "        from .. import j\n")
+    assert nested_package_imports(src) == [
+        (7, ".d"), (8, "afflat.core"), (12, "afflat"), (13, "..")]
+
+
 def package_sources():
     """{file name: source} of the package's modules."""
     out = {}
@@ -57,6 +87,12 @@ def test_no_unused_imports_in_the_package():
         bad = unused_imports(source)
         if bad:
             found[name] = bad
+    assert found == {}
+
+
+def test_package_imports_are_at_module_level():
+    found = {name: bad for name, source in package_sources().items()
+             if (bad := nested_package_imports(source))}
     assert found == {}
 
 

@@ -1,5 +1,5 @@
 """The one-pass integer kernels against independent oracles: the
-Gauss-Jordan determinant and adjugate against Leibniz sums, span_solver's
+Gauss-Jordan determinant and adjugate, and det_int, against Leibniz sums, span_solver's
 determinant against the maximal minors, integer and affine ranks against
 Fraction elimination, and the lattice coordinate errors."""
 
@@ -12,7 +12,7 @@ import pytest
 from afflat.convexity import affine_rank
 from afflat.core import lattice_coords, lift
 from afflat.errors import InputError
-from afflat.intlinalg import _det_adj, integer_rank, span_solver
+from afflat.intlinalg import _det_adj, det_int, integer_rank, span_solver
 
 from helpers import cofactor_adjugate, fraction_rank, leibniz_det
 
@@ -51,7 +51,7 @@ def test_det_adj_against_leibniz():
     for a in _matrices(101, 1500):
         n = len(a)
         d, adj = _det_adj(a)
-        assert d == leibniz_det(a), a
+        assert d == leibniz_det(a) == det_int(a), a
         if d == 0:
             singular += 1
             assert adj is None, a

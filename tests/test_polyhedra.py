@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -473,6 +474,26 @@ def test_polyhedron_equivalence_builds_each_cover_test_once(monkeypatch):
     assert polyhedron_equivalence(P, P[:-1]) is None
     assert len(testers) <= len(P) + len(P[:-1]) == 11
     assert len(families) <= 2
+
+
+def test_polyhedron_equivalence_lifts_each_vertex_occurrence_once(
+        monkeypatch):
+    # the unit 3-cube against its image: each simplex's normalization
+    # lifts its vertices, and the decision reads those lifts, so there are
+    # at most 2 * 6 * 4 = 48 lift calls in all (the table lifted each
+    # distinct vertex again, 64 calls)
+    calls = []
+    real = lift
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("afflat.")
+                and getattr(mod, "lift", None) is real):
+            monkeypatch.setattr(mod, "lift",
+                                lambda x: calls.append(x) or real(x))
+    P = freudenthal_cube(3)
+    g = UniAffMap(((1, 1, 0), (0, 1, 1), (0, 0, 1)), (1, 0, -1))
+    image = [tuple(g(v) for v in s) for s in P]
+    assert polyhedron_equivalence(P, image) is not None
+    assert 0 < len(calls) <= 2 * 6 * 4 == 48
 
 
 def edge_det(simp):

@@ -15,8 +15,10 @@ the counts of one call, which do not depend on the machine: the candidate
 maps built (polyhedra.UniAffMap calls), the simplex testers built
 (polyhedra.simplex_tester), the refinements run
 (polyhedra._refined_simplex_cells) and the cut sets derived
-(polyhedra._cuts_for, one per hull a cover test refines).  They are
-counted by wrapping those module attributes in this process only.  The unit 4-cube is left out:
+(polyhedra._cuts_for, one per hull a cover test refines), the vertex
+lifts mapped (UniAffMap.map_lift) and the points lifted (rationals.lift,
+in every afflat module that holds it).  They are counted by wrapping
+those attributes in this process only.  The unit 4-cube is left out:
 less one simplex, it took 149 s on a 2-vCPU host.  Exits 1 when a verdict
 is not the expected one.
 """
@@ -28,7 +30,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from afflat import polyhedra  # noqa: E402
+from afflat import polyhedra, rationals  # noqa: E402
 from afflat.core import UniAffMap  # noqa: E402
 from helpers import freudenthal_cube  # noqa: E402
 
@@ -48,9 +50,15 @@ CASES = [
 
 def counted_call(P, Q):
     """(result, {name: calls}) of one polyhedron_equivalence(P, Q), with
-    the COUNTED attributes of afflat.polyhedra wrapped for the call."""
-    counts = dict.fromkeys(COUNTED, 0)
-    originals = {name: getattr(polyhedra, name) for name in COUNTED}
+    the COUNTED attributes of afflat.polyhedra, UniAffMap.map_lift and
+    every afflat module's lift wrapped for the call."""
+    targets = [(polyhedra, name) for name in COUNTED]
+    targets.append((UniAffMap, "map_lift"))
+    targets += [(mod, "lift") for name, mod in list(sys.modules.items())
+                if (name == "afflat" or name.startswith("afflat."))
+                and getattr(mod, "lift", None) is rationals.lift]
+    counts = dict.fromkeys([name for _, name in targets], 0)
+    originals = [(obj, name, getattr(obj, name)) for obj, name in targets]
 
     def wrap(name, real):
         def counted(*args, **kwargs):
@@ -58,13 +66,13 @@ def counted_call(P, Q):
             return real(*args, **kwargs)
         return counted
 
-    for name, real in originals.items():
-        setattr(polyhedra, name, wrap(name, real))
+    for obj, name, real in originals:
+        setattr(obj, name, wrap(name, real))
     try:
         res = polyhedra.polyhedron_equivalence(P, Q)
     finally:
-        for name, real in originals.items():
-            setattr(polyhedra, name, real)
+        for obj, name, real in originals:
+            setattr(obj, name, real)
     return res, counts
 
 
@@ -92,11 +100,13 @@ def main():
             ok = (res is not None) == expect_map
             wrong += not ok
             print("%s, %s: %.3f s, %s%s; %d maps, %d testers, "
-                  "%d refinements, %d cut sets"
+                  "%d refinements, %d cut sets, %d map_lift calls, "
+                  "%d lift calls"
                   % (name, what, secs, "None" if res is None else "a map",
                      "" if ok else " (UNEXPECTED)", counts["UniAffMap"],
                      counts["simplex_tester"],
-                     counts["_refined_simplex_cells"], counts["_cuts_for"]),
+                     counts["_refined_simplex_cells"], counts["_cuts_for"],
+                     counts["map_lift"], counts["lift"]),
                   flush=True)
     return 1 if wrong else 0
 

@@ -3,6 +3,7 @@ repeats.
 
     python3 tools/op_times.py --workload invariants --seeds 1 2 3 \
         --rounds 12 --repeats 7
+    python3 tools/op_times.py --workload polyhedra --against ../parent
 
 Run from the root of a source checkout; afflat is imported from ./src.  The
 operations are the benchmark's own (perfbench/run.py's Batch,
@@ -18,9 +19,19 @@ holds its inputs as objects keeps their first-use caches between repeats;
 the CLI ops of `invariants` parse their files afresh on every call.
 perfbench is only imported, never written: the CLI inputs go to a temporary
 directory.
+
+--against PATH compares two trees in one process: the afflat package of
+the checkout at PATH (its src/afflat) and this tree's are copied into a
+temporary directory under two package names (the package imports itself
+only relatively), and each builds the same batch.  Every op is timed on
+both sides, the side that goes first alternating from repeat to repeat
+and from op to op, so both see the same host.  Per op kind, and over all
+ops, the script prints the busy time of each side and the change/parent
+ratio, this tree being the change.
 """
 
 import argparse
+import importlib
 import os
 import shutil
 import sys
@@ -56,6 +67,90 @@ def seed_minima(workload, seed, rounds, repeats, afflat):
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+def import_copy(package_dir, name, tmp):
+    """The afflat package at package_dir, copied to tmp/name and imported
+    as name, with its cli module."""
+    if not os.path.isfile(os.path.join(package_dir, "__init__.py")):
+        raise SystemExit("no afflat package at %s" % package_dir)
+    shutil.copytree(package_dir, os.path.join(tmp, name),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    importlib.import_module(name + ".cli")
+    return importlib.import_module(name)
+
+
+def paired_minima(workload, seed, rounds, repeats, sides):
+    """[(kind, least seconds per side)] per op of the seed's rounds
+    0 .. rounds-1, built and timed on each afflat package of sides, and
+    the failed oracle checks per side.  The first repeat of each op is the
+    checked call."""
+    workdirs = [tempfile.mkdtemp(prefix="op-times-%s-" % workload)
+                for _ in sides]
+    try:
+        batches = [perfbench.Batch(workload, seed, afflat, wd)
+                   for afflat, wd in zip(sides, workdirs)]
+        for batch in batches:
+            for _ in range(rounds):
+                batch.add_round()
+        out, failed = [], [0] * len(sides)
+        for i, ops in enumerate(zip(*(b.ops for b in batches))):
+            best = [None] * len(sides)
+            for r in range(repeats):
+                order = range(len(sides))
+                for k in (order if (i + r) % 2 == 0 else reversed(order)):
+                    if r == 0:
+                        ok, dt, _ = perfbench.execute(ops[k])
+                        failed[k] += not ok
+                    else:
+                        t0 = time.perf_counter()
+                        ops[k].call()
+                        dt = time.perf_counter() - t0
+                    best[k] = dt if best[k] is None else min(best[k], dt)
+            out.append((ops[0].kind, best))
+        return out, failed
+    finally:
+        for wd in workdirs:
+            shutil.rmtree(wd, ignore_errors=True)
+
+
+def report_pairs(title, minima):
+    by = defaultdict(lambda: [0, 0.0, 0.0])
+    for kind, (tp, tc) in minima:
+        for key in (kind, None):
+            by[key][0] += 1
+            by[key][1] += tp
+            by[key][2] += tc
+    n, busy_p, busy_c = by.pop(None)
+    print("%s: %d ops, busy parent %.3f s, change %.3f s, change/parent %.3f"
+          % (title, n, busy_p, busy_c, busy_c / busy_p))
+    for kind, (n, tp, tc) in sorted(by.items(), key=lambda kv: -kv[1][1]):
+        print("  %-28s %5d ops %9.4f s %9.4f s %6.3f"
+              % (kind, n, tp, tc, tc / tp))
+
+
+def against(args):
+    tmp = tempfile.mkdtemp(prefix="op-times-packages-")
+    try:
+        sys.path.insert(0, tmp)
+        sides = [import_copy(os.path.join(args.against, "src", "afflat"),
+                             "afflat_parent", tmp),
+                 import_copy(os.path.join(ROOT, "src", "afflat"),
+                             "afflat_change", tmp)]
+        everything = []
+        for seed in args.seeds:
+            minima, failed = paired_minima(args.workload, seed, args.rounds,
+                                           args.repeats, sides)
+            report_pairs("%s seed %d rounds 0-%d, min of %d, failed: "
+                         "parent %d, change %d"
+                         % (args.workload, seed, args.rounds - 1,
+                            args.repeats, *failed), minima)
+            everything += minima
+        if len(args.seeds) > 1:
+            report_pairs("%s all seeds" % args.workload, everything)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return 0
+
+
 def report(title, minima):
     by = defaultdict(list)
     for kind, t in minima:
@@ -76,9 +171,14 @@ def main():
                     help="rounds per seed, 0 .. N-1 (default 12)")
     ap.add_argument("--repeats", type=int, default=7,
                     help="timed calls per op; the least is kept (default 7)")
+    ap.add_argument("--against", metavar="PATH",
+                    help="a source checkout to time this tree against, "
+                         "op by op, alternating the sides")
     args = ap.parse_args()
     if args.rounds < 1 or args.repeats < 1:
         ap.error("--rounds and --repeats must be positive")
+    if args.against:
+        return against(args)
     afflat = perfbench.import_afflat()
     everything = []
     for seed in args.seeds:
