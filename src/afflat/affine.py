@@ -166,30 +166,29 @@ def _cube_candidates(center, radius, skip_radius):
         yield p
 
 
-def _search_completion(current):
-    """An integer point whose lift extends the current vertex lifts to part
-    of a basis.
+def _search_completion(center, lifts):
+    """(s, lift(s)) for an integer point s whose lift extends the given
+    vertex lifts to part of a basis; center is the first vertex.
 
     Once some vertex has denominator 1 such a point is available in closed
     form (complete the lattice basis, then shift the new vector's last
     coordinate to 1 by that vertex).  Otherwise scan the integer points of
-    expanding cubes around the first vertex in coordinate order; a
-    candidate extends iff its image in the quotient by the current span is
-    primitive, which is a single gcd per candidate."""
-    lifts = [lift(p) for p in current]
+    expanding cubes around center in coordinate order; a candidate extends
+    iff its image in the quotient by the current span is primitive, which
+    is a single gcd per candidate."""
     m = len(lifts[0])
     unit = next((l for l in lifts if l[-1] == 1), None)
     if unit is not None:
         b = complete_basis(lifts, m)[len(lifts)]
         t = 1 - b[-1]
         p = unlift(tuple(bc + t * uc for bc, uc in zip(b, unit)))
-        if minor_gcd(lifts + [lift(p)], m) != 1:
+        lp = lift(p)
+        if minor_gcd(lifts + [lp], m) != 1:
             raise InternalCheckError("constructed completion is not unimodular")
-        return p
+        return p, lp
     full = complete_basis(lifts, m)
     inv = invert_unimodular(list(zip(*full)))
     quot = inv[len(lifts):]
-    center = current[0]
     radius = Fraction(1)
     skip = None
     rounds = 0
@@ -204,7 +203,7 @@ def _search_completion(current):
                 if g == 1:
                     break
             if g == 1:
-                return s
+                return s, l
         skip = radius
         radius *= 2
 
@@ -279,11 +278,11 @@ def extend_frame(frame):
             raise InternalCheckError("closed-form completion failed")
         return c, (s,)
     # codimension >= 2: c = 1, integer apexes found greedily
-    cur = list(pts)
+    cur = list(lifts)
     ext = []
     while len(cur) < n + 1:
-        s = _search_completion(cur)
-        cur.append(s)
+        s, l = _search_completion(pts[0], cur)
+        cur.append(l)
         ext.append(s)
     return 1, tuple(ext)
 

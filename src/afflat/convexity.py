@@ -157,16 +157,17 @@ def affine_rank(points):
 def _facet_scan(lifts):
     """(pivots, facets, vertices) for the lifts of distinct points.
 
-    pivots are the pivot columns of one Bareiss pass over the lifts, e + 1
-    of them for a hull of dimension e.  Restricting the lifts to them is
-    injective on their span, so it keeps the cone over the points' hull.
+    pivots are the pivot columns of one Bareiss pass below the pivots over
+    the lifts, e + 1 of them for a hull of dimension e.  Restricting the
+    lifts to them is injective on their span, so it keeps the cone over the
+    points' hull.
     facets is {r: mask}, r a primitive integer row with r.q <= 0 for every
     restricted lift q and mask having bit i set when r is 0 on lift i; the
     candidate rows are the normals of the independent e-subsets (the row of
     their e x e minors up to scale, here their one nullspace vector), each
     hyperplane sign-tested once.  vertices are the indices of the points
     whose tight rows have rank e."""
-    pivots = _bareiss([list(q) for q in lifts], len(lifts[0]))[0]
+    pivots = _bareiss(list(lifts), len(lifts[0]), reduce=False)[0]
     proj = [tuple(q[j] for j in pivots) for q in lifts]
     e = len(pivots) - 1
     facets, seen = {}, set()

@@ -74,13 +74,14 @@ def simplex(vertices):
 
 def is_regular(s):
     """True iff the vertex lifts of the simplex extend to a basis of Z^{n+1}."""
-    return extends_to_basis(simplex_lifts(s)[1])
+    lifts = simplex_lifts(s)[1]
+    return is_part_of_basis(lifts, len(lifts[0]))
 
 
 def farey_mediant(s):
     """Affine correspondent of the sum of the vertex lifts of a regular simplex."""
     lifts = simplex_lifts(s)[1]
-    if not extends_to_basis(lifts):
+    if not is_part_of_basis(lifts, len(lifts[0])):
         raise InputError("Farey mediant needs a regular simplex")
     total = lifts[0]
     for l in lifts[1:]:

@@ -6,7 +6,7 @@ Linear algebra over Q is fraction-free too.  One Gauss-Jordan pass on
 integers (Bareiss, `_bareiss`) gives the determinant and the adjugate
 together, behind `span_solver` and `invert_unimodular`, and the nullspace
 of an integer matrix (`nullspace`); `det_int` and `integer_rank` read the
-determinant and the rank off the same pass.
+determinant and the rank off the same pass run below the pivots only.
 """
 
 import math
@@ -28,14 +28,17 @@ def xgcd(a, b):
     return a, x0, y0
 
 
-def _bareiss(a, cols):
+def _bareiss(a, cols, reduce=True):
     """One fraction-free Gauss-Jordan pass (Bareiss), in place, over the first
     cols columns of the integer rows a; a column with no pivot left is
     skipped.  Every step divides exactly by the previous pivot, and at the
     end every pivot entry equals the last pivot d, so each pivot row is d
     times its reduced row echelon row.  Returns (pivots, d, sign): the pivot
     columns (pivot i in row i), d (1 when there is none) and the sign of
-    the row permutation of the swaps."""
+    the row permutation of the swaps.  With reduce=False only the rows
+    below each pivot are eliminated, which leaves a row echelon form; the
+    rows below evolve as in the full pass, so pivots, d and sign are the
+    same."""
     pivots = []
     sign, prev, k = 1, 1, 0
     m = len(a)
@@ -53,7 +56,7 @@ def _bareiss(a, cols):
             else:
                 continue
         p = pk[j]
-        for i in range(m):
+        for i in range(0 if reduce else k + 1, m):
             if i != k:
                 r = a[i]
                 f = r[j]
@@ -83,17 +86,19 @@ def _det_adj(rows):
 
 def det_int(rows):
     """Determinant of a square integer matrix: sign * d of one _bareiss pass
-    over a copy of the rows, 0 when a column has no pivot."""
+    below the pivots over a copy of the rows, 0 when a column has no
+    pivot."""
     a = list(rows)
-    pivots, d, sign = _bareiss(a, len(a))
+    pivots, d, sign = _bareiss(a, len(a), reduce=False)
     return sign * d if len(pivots) == len(a) else 0
 
 
 def integer_rank(rows):
     """Rank over Q of an integer matrix given as a list of row sequences:
-    the pivot count of one _bareiss pass over a copy of the rows."""
+    the pivot count of one _bareiss pass below the pivots over a copy of
+    the rows."""
     rows = list(rows)
-    return len(_bareiss(rows, len(rows[0]))[0]) if rows else 0
+    return len(_bareiss(rows, len(rows[0]), reduce=False)[0]) if rows else 0
 
 
 def span_solver(vectors):
@@ -274,12 +279,10 @@ def complete_basis(vectors, m):
 def minor_gcd(vectors, m):
     """gcd of all maximal minors of the matrix with the given columns;
     0 exactly when the vectors are linearly dependent."""
-    vecs = [tuple(v) for v in vectors]
-    k = len(vecs)
+    t = list(zip(*vectors))
     g = 0
-    for rows in combinations(range(m), k):
-        sub = [[vecs[j][i] for j in range(k)] for i in rows]
-        g = math.gcd(g, det_int(sub))
+    for rows in combinations(range(m), len(vectors)):
+        g = math.gcd(g, det_int([t[i] for i in rows]))
         if g == 1:
             return 1
     return g

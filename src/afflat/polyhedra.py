@@ -32,9 +32,9 @@ from .cones import _plane_runs, desingularize, fan_rays
 from .convexity import (AffineHull, Polytope, _clip, affine_frame,
                         hull_vertices, lift_frame, placing_triangulation,
                         simplex_tester)
-from .core import UniAffMap, is_regular, lift, simplex, simplex_lifts, unlift
+from .core import UniAffMap, lift, simplex_lifts, unlift
 from .errors import InputError, InternalCheckError
-from .intlinalg import _det_adj, integer_rank, mat_mul
+from .intlinalg import _det_adj, integer_rank, is_part_of_basis, mat_mul
 from .rationals import canon_primitive
 from .segments import _runs_lambda1
 
@@ -261,8 +261,8 @@ def regular_simplex_in(points):
         raise InputError("degenerate input: hull has no spanning simplex")
     fan = desingularize([lift(v) for v in base])
     cell = min(fan, key=lambda c: (max(g[-1] for g in c), c))
-    out = simplex(sorted(unlift(g) for g in cell))
-    if not is_regular(out):
+    out, lifts = simplex_lifts(sorted(unlift(g) for g in cell))
+    if not is_part_of_basis(lifts, len(lifts[0])):
         raise InternalCheckError("desingularized cell is not regular")
     for v in out:
         if not poly.contains(v):

@@ -12,7 +12,8 @@ import pytest
 from afflat.convexity import affine_rank
 from afflat.core import lattice_coords, lift
 from afflat.errors import InputError
-from afflat.intlinalg import _det_adj, det_int, integer_rank, span_solver
+from afflat.intlinalg import (_bareiss, _det_adj, det_int, integer_rank,
+                              span_solver)
 
 from helpers import cofactor_adjugate, fraction_rank, leibniz_det
 
@@ -122,6 +123,9 @@ def test_integer_rank_against_fraction_elimination():
         if r > 1 and rng.random() < 0.2:  # a repeated row
             rows[-1] = list(rows[0])
         assert integer_rank(rows) == fraction_rank(rows), rows
+        # below the pivots only: the pivots, d and sign of the full pass
+        assert (_bareiss(list(rows), c, reduce=False)
+                == _bareiss(list(rows), c)), rows
 
 
 def _rand_point(rng, n):

@@ -8,11 +8,11 @@ repeats.
 Run from the root of a source checkout; afflat is imported from ./src.  The
 operations are the benchmark's own (perfbench/run.py's Batch,
 perfbench/workloads.py), made from the seed as tools/identity_hashes.py
-makes them.  Each op runs once through the benchmark's oracle (a failure is
-reported), then is timed --repeats times in a row, and its least time is
-kept.  For each seed, and over all seeds, the script prints per op kind the
-op count, the sum of those minima and its share, and the ops per busy
-second of the minima.  On a shared host a single pass over a batch spreads
+makes them.  Each op is called --repeats times in a row, the first call
+through the benchmark's oracle (a failure is reported), and its least
+time is kept.  For each seed, and over all seeds, the script prints per
+op kind the op count, the sum of those minima and its share, and the ops
+per busy second of the minima.  On a shared host a single pass over a batch spreads
 widely between runs of one tree, and the minimum of each op is much
 steadier, so two trees can be told apart on a few hundred ops.  An op that
 holds its inputs as objects keeps their first-use caches between repeats;
@@ -45,28 +45,6 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run as perfbench  # noqa: E402
 
 
-def seed_minima(workload, seed, rounds, repeats, afflat):
-    """[(kind, least seconds)] per op of the seed's rounds 0 .. rounds-1,
-    and the number of ops whose oracle failed."""
-    workdir = tempfile.mkdtemp(prefix="op-times-%s-" % workload)
-    try:
-        batch = perfbench.Batch(workload, seed, afflat, workdir)
-        for _ in range(rounds):
-            batch.add_round()
-        out, failed = [], 0
-        for op in batch.ops:
-            ok, best, _ = perfbench.execute(op)
-            failed += not ok
-            for _ in range(repeats - 1):
-                t0 = time.perf_counter()
-                op.call()
-                best = min(best, time.perf_counter() - t0)
-            out.append((op.kind, best))
-        return out, failed
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
 def import_copy(package_dir, name, tmp):
     """The afflat package at package_dir, copied to tmp/name and imported
     as name, with its cli module."""
@@ -82,7 +60,7 @@ def paired_minima(workload, seed, rounds, repeats, sides):
     """[(kind, least seconds per side)] per op of the seed's rounds
     0 .. rounds-1, built and timed on each afflat package of sides, and
     the failed oracle checks per side.  The first repeat of each op is the
-    checked call."""
+    checked call; with two sides, the side that goes first alternates."""
     workdirs = [tempfile.mkdtemp(prefix="op-times-%s-" % workload)
                 for _ in sides]
     try:
@@ -182,11 +160,12 @@ def main():
     afflat = perfbench.import_afflat()
     everything = []
     for seed in args.seeds:
-        minima, failed = seed_minima(args.workload, seed, args.rounds,
-                                     args.repeats, afflat)
+        minima, failed = paired_minima(args.workload, seed, args.rounds,
+                                       args.repeats, [afflat])
+        minima = [(kind, best) for kind, (best,) in minima]
         report("%s seed %d rounds 0-%d, min of %d, %d failed"
-               % (args.workload, seed, args.rounds - 1, args.repeats, failed),
-               minima)
+               % (args.workload, seed, args.rounds - 1, args.repeats,
+                  failed[0]), minima)
         everything += minima
     if len(args.seeds) > 1:
         report("%s all seeds" % args.workload, everything)
