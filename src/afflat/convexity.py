@@ -12,17 +12,19 @@ scan's facet rows.  Coordinates over affinely independent points come
 from one `span_solver` over their lifts: a simplex contains num/k iff
 (num, k) is a nonnegative combination of its vertex lifts, and the same
 solve gives barycentric coordinates and a hull's coordinates.  Simplex
-clipping, the one arrangement refiner, takes its signs and edge crossings
-from the same lifts and covers each closed half of a simplex by simplexes
-of its dimension.  Facets are enumerated by brute force over point
-subsets, which is fine at the scale this package targets and keeps every
-predicate exact.
+clipping, the step of the one arrangement refiner, maps vertex lifts to
+lifts: signs are integer rows on them, edge crossings integer combinations
+of two, and each closed half of a simplex of any dimension, in ambient
+coordinates, is covered by simplexes of its dimension.  Facets are
+enumerated by brute force over point subsets, which is fine at the scale
+this package targets and keeps every predicate exact.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
+from .core import unlift
 from .errors import InputError
 from .intlinalg import _bareiss, integer_rank, nullspace, span_solver
 from .rationals import (canon_primitive, content, lift, point, primitive, rat,
@@ -93,13 +95,6 @@ class AffineHull:
                 self._equations = sorted(eqs)
         return self._equations
 
-    def restrict_functional(self, a, c):
-        """Rewrite a.x <=/=? c in hull coordinates: returns (g, h) with
-        g.l <=/=? h for x = anchor + basis.l."""
-        g = tuple(vdot(a, b) for b in self.basis)
-        h = rat(c) - vdot(a, self.anchor)
-        return g, h
-
     def intersect(self, other):
         """Intersection with another hull: a new AffineHull, or None if empty.
 
@@ -146,12 +141,6 @@ def lift_frame(lifts):
             if len(kept) == len(q):
                 break
     return frame
-
-
-def affine_rank(points):
-    """Affine rank (dimension of the affine span) of a point set: one less
-    than the rank of its lifts."""
-    return integer_rank([lift(p) for p in points]) - 1
 
 
 def _facet_scan(lifts):
@@ -327,53 +316,51 @@ def simplex_tester(lifts):
 
 
 def clip_simplex(simp, g, h, side):
-    """Simplexes covering simp /\\ {side*(g.x - h) >= 0} (closed half).
+    """Simplexes covering simp /\\ {side*(g.x - h) >= 0} (closed half): _clip
+    on the sorted vertex lifts, its pieces unlifted."""
+    lifts = tuple(sorted(lift(v) for v in simp))
+    row = _lift_row(g, h)
+    vals = [side * sum(map(mul, row, q)) for q in lifts]
+    return [tuple(map(unlift, t)) for t in _clip(lifts, vals)]
 
-    Recursive cone construction: pick the least strictly-positive vertex w
+
+def _clip(lifts, vals):
+    """Sorted tuples of primitive lifts of simplexes covering the closed
+    half where vals >= 0 of the simplex with the sorted vertex lifts, vals
+    being the integer values of one row on them.
+
+    Recursive cone construction: pick the least lift w of positive value
     and cone it over the boundary faces of the half that miss w: the
     clipped facet opposite w, and the hyperplane slice.  Seen from w, the
     facet's other half maps onto the slice, so the slice is triangulated
-    by projecting that half's pieces onto the hyperplane.  Every output is
-    a simplex of the input's dimension with vertices among the input
-    vertices and edge crossings, and the outputs meet only in boundary
-    points.
+    by projecting that half's pieces onto the hyperplane: a lift L_q of
+    value s_q < 0 goes to the crossing s_w L_q - s_q L_w, whose last entry
+    is positive.  Every output is a simplex of the input's dimension with
+    vertices among the input vertices and edge crossings, and the outputs
+    meet only in boundary points.
     """
-    lifts = [lift(v) for v in simp]
-    row = _lift_row(g, h)
-    vals = [side * sum(map(mul, row, q)) for q in lifts]
-    return _clip(tuple(simp), lifts, vals)
-
-
-def _clip(simp, lifts, vals):
-    """clip_simplex on the vertex lifts and the integer values
-    side*row.lift (signed like side*(g.v - h)), which the facet recursion
-    takes from here instead of recomputing."""
     if all(v >= 0 for v in vals):
-        return [simp]
+        return [lifts]
     if all(v <= 0 for v in vals):
         return []
-    w = min(v for v, val in zip(simp, vals) if val > 0)
-    wi = simp.index(w)
+    wi = next(i for i, v in enumerate(vals) if v > 0)
     lw, sw = lifts[wi], vals[wi]
-    facet = simp[:wi] + simp[wi + 1:]
-    flifts = lifts[:wi] + lifts[wi + 1:]
+    facet = lifts[:wi] + lifts[wi + 1:]
     fvals = vals[:wi] + vals[wi + 1:]
-    negative = {v: (q, s) for v, q, s in zip(facet, flifts, fvals) if s < 0}
+    negative = {q: s for q, s in zip(facet, fvals) if s < 0}
 
-    def seen(y):
-        # where the segment from w to y meets the hyperplane: the point of
-        # the lift s_w L_y - s_y L_w; zero vertices and crossings stay
-        if y not in negative:
-            return y
-        ly, sy = negative[y]
-        c = [sw * b - sy * a for a, b in zip(lw, ly)]
-        k = c.pop()
-        return tuple(Fraction(x, k) for x in c)
+    def seen(q):
+        # where the segment from w to q meets the hyperplane; zero vertices
+        # and crossings stay
+        if q not in negative:
+            return q
+        c = [sw * b - negative[q] * a for a, b in zip(lw, q)]
+        g = content(c)
+        return tuple(x // g for x in c)
 
-    base = _clip(facet, flifts, fvals)
-    base += [tuple(map(seen, t))
-             for t in _clip(facet, flifts, [-v for v in fvals])]
-    return sorted(tuple(sorted((w,) + t)) for t in base)
+    base = _clip(facet, fvals)
+    base += [tuple(map(seen, t)) for t in _clip(facet, [-v for v in fvals])]
+    return sorted(tuple(sorted((lw,) + t)) for t in base)
 
 
 def placing_triangulation(pts):

@@ -4,13 +4,15 @@ orbit decision procedure with witness map.
 A polyhedron is a finite list of rational simplexes of arbitrary dimensions,
 possibly overlapping.  One refiner serves triangulation and set equality:
 it clips each simplex, cut by cut, into simplex cells along affine hulls of
-faces and records on which side of each cut a cell lies.  Triangulation
+faces and records on which side of each cut a cell lies, all on vertex
+lifts in ambient coordinates.  Triangulation
 cuts along the intersection-closed hulls of all faces and places each
 arrangement cell.  One cover test per side (_cover_test) decides whether
 the other side lies in its union, by integer tests of vertex lifts: it
 rejects a vertex outside it, accepts whole a simplex inside one of its
 simplexes, rejects a simplex whose barycenter is outside it, and cuts the
-rest along its facet hulls only, testing each cell by its barycenter.
+rest along its facet hulls only, testing each cell by its barycenter; both
+barycenter tests are one integer probe on the lifts.
 The normalization (polyhedron) lifts each vertex once and returns the
 {vertex: lift} table and each simplex's lifts with the simplexes.  The
 orbit decision reads the hull vertices off one facet scan over the
@@ -29,7 +31,7 @@ from typing import NamedTuple
 from .affine import AffineSpace, affine_equivalence, c_invariant
 from .complexes import Triangulation
 from .cones import _plane_runs, desingularize, fan_rays
-from .convexity import (AffineHull, Polytope, _clip, affine_frame,
+from .convexity import (AffineHull, Polytope, _clip, _lift_row, affine_frame,
                         hull_vertices, lift_frame, placing_triangulation,
                         simplex_tester)
 from .core import UniAffMap, lift, simplex_lifts, unlift
@@ -118,47 +120,47 @@ def _close_under_intersection(hulls):
 
 
 def _cuts_for(hull, family):
-    """The equations (a, c) of the hull's proper intersections with the
-    family's subspaces: the hyperplanes along which cells must split so
-    that every family subspace meets cells only in faces.  They depend on
-    the hull as a set only, so they can be kept by hull.key()."""
+    """The rows over lifts (_lift_row) of the equations of the hull's
+    proper intersections with the family's subspaces: the hyperplanes
+    along which cells must split so that every family subspace meets cells
+    only in faces.  They depend on the hull as a set only, so they can be
+    kept by hull.key()."""
     cuts = set()
     for sub in family.values():
         j = hull.intersect(sub)
         if j is not None and j.dim < hull.dim:
-            cuts.update(j.equations())
+            cuts.update(_lift_row(a, c) for a, c in j.equations())
     return cuts
 
 
-def _refined_simplex_cells(P, cuts_of):
-    """Per input simplex s: simplex cells covering it, each inside one
-    closed side of every cut of s's hull (clip recursion in hull
-    coordinates), cuts_of(hull) giving the cuts as ambient equations.
-    Returns (hull, sides, cell) triples, sides holding +1 or -1 per cut;
-    the cells of one hull with equal sides tile one convex cell of the
-    arrangement, s cut down to those closed halves.  Each cut's row and
-    each cell's lifts and values are computed once for both sides."""
+def _refined_simplex_cells(S, cuts_of):
+    """Per simplex s of S, given by its vertex lifts: simplex cells covering
+    s, each inside one closed side of every cut of s's hull, cuts_of(hull)
+    giving the cuts as rows over lifts.  A cut is kept when its values on
+    s's lifts take both strict signs, as only such a cut splits a cell of
+    s, and is keyed by those values made canonical: they fix its trace on
+    aff(s).  Returns (i, sides, cell) triples, i the index of s, sides
+    holding +1 or -1 per kept cut and cell a tuple of lifts; the cells of
+    one s with equal sides tile one convex cell of the arrangement, s cut
+    down to those closed halves.  Each cell's values on a cut's row are
+    computed once for both sides."""
     out = []
-    for s in P:
-        hull = AffineHull(s)
-        cuts = set()
-        for (a, c) in cuts_of(hull):
-            g, h = hull.restrict_functional(a, c)
-            if any(g):
-                cuts.add(canon_primitive(tuple(g) + (h,)))
-        cells = {tuple(sorted(hull.coords(v) for v in s)): ()}
-        for cut in sorted(cuts):
-            # cut is (g, h); r = (g, -h) has r.(num, k) = k (g.x - h)
-            row = cut[:-1] + (-cut[-1],)
+    for i, s in enumerate(S):
+        cuts = {}
+        for row in cuts_of(AffineHull(map(unlift, s))):
+            vals = [sum(map(mul, row, q)) for q in s]
+            if min(vals) < 0 < max(vals):
+                cuts.setdefault(canon_primitive(vals), row)
+        cells = {tuple(sorted(s)): ()}
+        for _, row in sorted(cuts.items()):
             nxt = {}
             for cell, sides in cells.items():
-                lifts = [lift(v) for v in cell]
-                vals = [sum(map(mul, row, q)) for q in lifts]
-                for side, svals in ((1, vals), (-1, [-v for v in vals])):
-                    for piece in _clip(cell, lifts, svals):
+                vals = [sum(map(mul, row, q)) for q in cell]
+                for side in (1, -1):
+                    for piece in _clip(cell, [side * v for v in vals]):
                         nxt[piece] = sides + (side,)
             cells = nxt
-        out.extend((hull, sides, cell) for cell, sides in sorted(cells.items()))
+        out.extend((i, sides, cell) for cell, sides in sorted(cells.items()))
     return out
 
 
@@ -199,6 +201,13 @@ def _cover_test(Q, lifts):
             cuts[key] = _cuts_for(hull, family)
         return cuts[key]
 
+    def inside(s):
+        # whether the barycenter of s, lifted up to the positive factor
+        # len(s), lies in a simplex of Q
+        k = lcm(*(q[-1] for q in s))
+        b = [sum(k // q[-1] * q[i] for q in s) for i in range(len(s[0]))]
+        return any(t(b) for t in tests)
+
     def covered(S):
         masks = {}
         for s in S:
@@ -211,19 +220,10 @@ def _cover_test(Q, lifts):
         rest = [s for s in S if not reduce(and_, (masks[q] for q in s))]
         if not rest:
             return True
-        for s in rest:
-            # the barycenter of s, lifted up to the positive factor len(s)
-            k = lcm(*(q[-1] for q in s))
-            b = [sum(k // q[-1] * q[i] for q in s) for i in range(len(s[0]))]
-            if not any(t(b) for t in tests):
-                return False
-        rest = [tuple(map(unlift, s)) for s in rest]
-        for hull, _, cell in _refined_simplex_cells(rest, cuts_of):
-            k = len(cell)
-            q = lift(hull.embed(tuple(sum(c) / k for c in zip(*cell))))
-            if not any(t(q) for t in tests):
-                return False
-        return True
+        if not all(map(inside, rest)):
+            return False
+        cells = _refined_simplex_cells(rest, cuts_of)
+        return all(inside(cell) for _, _, cell in cells)
 
     return covered
 
@@ -237,15 +237,15 @@ def triangulate(P):
     the clip refinement: the pieces of one input simplex on the same sides
     of every cut span one cell.
     """
-    P = polyhedron(P)[0]
+    P, _, lifts = polyhedron(P)
     family = _close_under_intersection(_face_hulls(P))
     groups = {}
-    for hull, sides, cell in _refined_simplex_cells(
-            P, lambda hull: _cuts_for(hull, family)):
-        groups.setdefault((hull, sides), set()).update(cell)
+    for i, sides, cell in _refined_simplex_cells(
+            lifts, lambda hull: _cuts_for(hull, family)):
+        groups.setdefault((i, sides), set()).update(cell)
     tris = set()
-    for (hull, _), pts in groups.items():
-        for t in placing_triangulation([hull.embed(p) for p in pts]):
+    for pts in groups.values():
+        for t in placing_triangulation(list(map(unlift, pts))):
             tris.add(tuple(sorted(t)))
     return Triangulation(sorted(tris))
 

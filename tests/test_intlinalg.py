@@ -1,7 +1,8 @@
 """The one-pass integer kernels against independent oracles: the
 Gauss-Jordan determinant and adjugate, and det_int, against Leibniz sums, span_solver's
-determinant against the maximal minors, integer and affine ranks against
-Fraction elimination, and the lattice coordinate errors."""
+determinant against the maximal minors, integer ranks and the ranks of
+point lifts against Fraction elimination, and the lattice coordinate
+errors."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,6 @@ from itertools import combinations
 
 import pytest
 
-from afflat.convexity import affine_rank
 from afflat.core import lattice_coords, lift
 from afflat.errors import InputError
 from afflat.intlinalg import (_bareiss, _det_adj, det_int, integer_rank,
@@ -134,8 +134,9 @@ def _rand_point(rng, n):
 
 
 def test_affine_rank_against_fraction_elimination():
+    # the affine rank of points is one less than the rank of their lifts
     rng = random.Random(104)
-    assert affine_rank([]) == -1
+    assert integer_rank([]) == 0
     for _ in range(400):
         n = rng.randint(1, 4)
         pts = [_rand_point(rng, n) for _ in range(rng.randint(1, n + 2))]
@@ -150,8 +151,7 @@ def test_affine_rank_against_fraction_elimination():
             pts.append(rng.choice(pts))  # a repeated point
         rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
         expect = fraction_rank(rows) if rows else 0
-        assert affine_rank(pts) == expect, pts
-        assert integer_rank([lift(p) for p in pts]) == expect + 1
+        assert integer_rank([lift(p) for p in pts]) == expect + 1, pts
 
 
 def test_lattice_coords_errors():

@@ -2,15 +2,15 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from afflat import cones, polyhedra
 from afflat.affine import AffineSpace
 from afflat.cones import cone, desingularize, fan_rays, is_regular_cone
-from afflat.convexity import clip_simplex
-from afflat.core import UniAffMap, is_regular, lift, simplex
+from afflat.convexity import AffineHull, clip_simplex
+from afflat.core import UniAffMap, is_regular, lift, simplex, simplex_lifts
 from afflat.errors import InputError
 from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
                               polyhedron_equivalence, regular_simplex_in,
@@ -439,7 +439,7 @@ def test_poly_set_equal_refines_only_the_uncovered_side(monkeypatch):
     assert poly_set_equal(small, [t])
     # each quarter lies in T and is accepted whole; T is cut by the
     # quarters' facet hulls and every cell is found in some quarter
-    assert [P for P, _ in refined] == [[simplex(t)], [simplex(t)]]
+    assert [S for S, _ in refined] == [[simplex_lifts(t)[1]]] * 2
 
 
 def test_poly_set_equal_rejects_an_uncovered_vertex_unrefined(monkeypatch):
@@ -481,7 +481,10 @@ def test_polyhedron_equivalence_lifts_each_vertex_occurrence_once(
     # the unit 3-cube against its image: each simplex's normalization
     # lifts its vertices, and the decision reads those lifts, so there are
     # at most 2 * 6 * 4 = 48 lift calls in all (the table lifted each
-    # distinct vertex again, 64 calls)
+    # distinct vertex again, 64 calls).  Against itself less one simplex,
+    # every base image is tried and the cover tests refine 24 times; the
+    # refiner carries the lifts through every cut, so only the hulls it
+    # takes cuts from lift points
     calls = []
     real = lift
     for mod in list(sys.modules.values()):
@@ -494,42 +497,72 @@ def test_polyhedron_equivalence_lifts_each_vertex_occurrence_once(
     image = [tuple(g(v) for v in s) for s in P]
     assert polyhedron_equivalence(P, image) is not None
     assert 0 < len(calls) <= 2 * 6 * 4 == 48
+    calls.clear()
+    assert polyhedron_equivalence(P, P[:-1]) is None
+    assert 0 < len(calls) <= 1000
 
 
-def edge_det(simp):
-    return _tiny_det([[a - b for a, b in zip(v, simp[0])] for v in simp[1:]])
+def edge_det(simp, coords=None):
+    """det of the edge vectors of simp from its first vertex, projected
+    onto the given coordinates (all of them by default)."""
+    if coords is None:
+        coords = range(len(simp[0]))
+    return _tiny_det([[v[j] - simp[0][j] for j in coords] for v in simp[1:]])
 
 
 def test_clip_simplex_pieces_tile_both_halves():
+    # e-simplexes in R^n, flat ones (e < n) included.  A simplex's volume
+    # is |det| of its edge vectors projected onto e coordinates where its
+    # flat projects injectively; that scales all volumes within the flat
+    # alike, so the pieces of both closed halves sum to the simplex's.  A
+    # hyperplane that contains the simplex leaves it whole on each side.
     rng = random.Random(61)
-    for _ in range(150):
-        n = rng.randint(1, 3)
-        s = tuple(rand_point(rng, n, 4, 2) for _ in range(n + 1))
-        vol = abs(edge_det(s))
-        if vol == 0:
+    shapes = [(n, n) for n in (1, 2, 3)] + [(1, 2), (1, 3), (2, 3)]
+    contained = 0
+    for _ in range(600):
+        e, n = rng.choice(shapes)
+        s = tuple(rand_point(rng, n, 4, 2) for _ in range(e + 1))
+        coords = next((c for c in combinations(range(n), e)
+                       if edge_det(s, c)), None)
+        if coords is None:
             continue
-        g = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+        vol = abs(edge_det(s, coords))
+        kind = rng.randrange(4)
+        if kind == 3:  # through the whole simplex, when it is flat
+            eqs = AffineHull(s).equations()
+            w = [rng.randint(-2, 2) for _ in eqs]
+            g = tuple(sum(wi * a[j] for wi, (a, _) in zip(w, eqs))
+                      for j in range(n))
+            h = sum(wi * c for wi, (_, c) in zip(w, eqs))
+        else:
+            g = tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(n))
+            if kind == 0:  # through an interior point
+                w = [rng.randint(1, 5) for _ in s]
+                x = [sum(wi * v[j] for wi, v in zip(w, s)) / sum(w)
+                     for j in range(n)]
+            elif kind == 1:  # through a vertex
+                x = rng.choice(s)
+            else:  # anywhere, possibly missing the simplex
+                x = rand_point(rng, n, 4, 2)
+            h = sum(a * b for a, b in zip(g, x))
         if not any(g):
             continue
-        kind = rng.randrange(3)
-        if kind == 0:  # through an interior point
-            w = [rng.randint(1, 5) for _ in s]
-            x = [sum(wi * v[j] for wi, v in zip(w, s)) / sum(w)
-                 for j in range(n)]
-        elif kind == 1:  # through a vertex
-            x = rng.choice(s)
-        else:  # anywhere, possibly missing the simplex
-            x = rand_point(rng, n, 4, 2)
-        h = sum(a * b for a, b in zip(g, x))
+        inside = all(sum(a * b for a, b in zip(g, v)) == h for v in s)
+        contained += inside
         total = 0
         for side in (1, -1):
-            for piece in clip_simplex(s, g, h, side):
-                d = edge_det(piece)
+            pieces = clip_simplex(s, g, h, side)
+            if inside:
+                assert [sorted(p) for p in pieces] == [sorted(s)], (s, g, h)
+            for piece in pieces:
+                d = edge_det(piece, coords)
                 assert d != 0
                 assert all(side * (sum(a * b for a, b in zip(g, v)) - h) >= 0
                            for v in piece)
                 total += abs(d)
-        assert total == vol
+        assert total == (2 * vol if inside else vol), (s, g, h)
+    assert contained >= 20, contained
 
 
 def test_triangulate_examples():
