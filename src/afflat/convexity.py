@@ -5,8 +5,9 @@ Everything is fraction-free and works on the homogeneous integer lifts
 integer Gauss-Jordan pass (`nullspace`).  A polytope's facets come from
 one scan over its points' lifts, projected onto coordinates where their
 span projects injectively: the normal of each independent e-subset is
-sign-tested on every lift, and the points on each facet are recorded, so
-vertices and facet witnesses are read off integer tightness.  num/k lies
+sign-tested on every lift, and the points on each facet are recorded as a
+bitmask, so facet witnesses are read off integer tightness, and a point is
+a vertex when the AND of the masks of its facets holds it alone.  num/k lies
 in a polytope iff its lift satisfies the hull's equation rows and the
 scan's facet rows.  Coordinates over affinely independent points come
 from one `span_solver` over their lifts: a simplex contains num/k iff
@@ -21,8 +22,10 @@ this package targets and keeps every predicate exact.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from operator import mul
+from math import lcm
+from operator import and_, mul
 
 from .core import unlift
 from .errors import InputError
@@ -143,20 +146,18 @@ def lift_frame(lifts):
     return frame
 
 
-def _facet_scan(lifts):
-    """(pivots, facets, vertices) for the lifts of distinct points.
-
-    pivots are the pivot columns of one Bareiss pass below the pivots over
-    the lifts, e + 1 of them for a hull of dimension e.  Restricting the
-    lifts to them is injective on their span, so it keeps the cone over the
-    points' hull.
+def _facet_scan(lifts, pivots):
+    """(facets, vertices) for the lifts of distinct points and the pivot
+    columns of one Bareiss pass below the pivots over them, e + 1 of them
+    for a hull of dimension e.  Restricting the lifts to the pivots is
+    injective on their span, so it keeps the cone over the points' hull.
     facets is {r: mask}, r a primitive integer row with r.q <= 0 for every
     restricted lift q and mask having bit i set when r is 0 on lift i; the
     candidate rows are the normals of the independent e-subsets (the row of
     their e x e minors up to scale, here their one nullspace vector), each
-    hyperplane sign-tested once.  vertices are the indices of the points
-    whose tight rows have rank e."""
-    pivots = _bareiss(list(lifts), len(lifts[0]), reduce=False)[0]
+    hyperplane sign-tested once.  vertices are the indices i whose facets'
+    masks AND to 1 << i: a vertex is the intersection of its facets, and
+    any other point lies on none or in a face holding two or more points."""
     proj = [tuple(q[j] for j in pivots) for q in lifts]
     e = len(pivots) - 1
     facets, seen = {}, set()
@@ -175,21 +176,29 @@ def _facet_scan(lifts):
             continue
         facets[neg if max(vals) > 0 else r] = sum(
             1 << i for i, v in enumerate(vals) if not v)
-    return pivots, facets, [
+    every = (1 << len(proj)) - 1
+    return facets, [
         i for i in range(len(proj))
-        if integer_rank([r for r, on in facets.items() if on >> i & 1]) == e]
+        if reduce(and_, (on for on in facets.values() if on >> i & 1),
+                  every) == 1 << i]
 
 
 def hull_vertices(table):
     """(e, vertices) for a {point: lift} table: the dimension e of the
-    points' convex hull and the lifts of its vertices in point order, from
-    one _facet_scan; affinely independent points are all vertices,
-    unscanned."""
-    lifts = [q for _, q in sorted(table.items())]
-    if integer_rank(lifts) == len(lifts):
+    points' convex hull and the lifts of its vertices in point order (that
+    of their numerators scaled to the lcm of their last entries).  One
+    _bareiss pass gives the pivots: independent points are all vertices,
+    collinear ones the first and last (point order is line order), and the
+    rest are read off one _facet_scan."""
+    k = lcm(*(q[-1] for q in table.values()))
+    lifts = sorted(table.values(),
+                   key=lambda q: [k // q[-1] * x for x in q[:-1]])
+    pivots = _bareiss(list(lifts), len(lifts[0]), reduce=False)[0]
+    if len(pivots) == len(lifts):
         return len(lifts) - 1, lifts
-    pivots, _, vertices = _facet_scan(lifts)
-    return len(pivots) - 1, [lifts[i] for i in vertices]
+    if len(pivots) == 2:
+        return 1, [lifts[0], lifts[-1]]
+    return len(pivots) - 1, [lifts[i] for i in _facet_scan(lifts, pivots)[1]]
 
 
 class Polytope:
@@ -210,7 +219,9 @@ class Polytope:
         self.dim = self.hull.dim
         self._pts = pts
         self._eqs = None
-        self._pivots, facets, vertices = _facet_scan([lift(p) for p in pts])
+        lifts = [lift(p) for p in pts]
+        self._pivots = _bareiss(list(lifts), len(lifts[0]), reduce=False)[0]
+        facets, vertices = _facet_scan(lifts, self._pivots)
         self.vertices = [pts[i] for i in vertices]
         anchor = [(self.hull.anchor + (1,))[j] for j in self._pivots]
         basis = [[(b + (0,))[j] for j in self._pivots]

@@ -15,14 +15,14 @@ rest along its facet hulls only, testing each cell by its barycenter; both
 barycenter tests are one integer probe on the lifts.
 The normalization (polyhedron) lifts each vertex once and returns the
 {vertex: lift} table and each simplex's lifts with the simplexes.  The
-orbit decision reads the hull vertices off one facet scan over the
-table's lifts, and tries the images of an affinely independent base of
-them among the target's hull vertices; each map is built once, in
-integers, from the adjugate of the base's lifts, and passes when both
-cover tests, built once per decision, accept it.
+orbit decision reads the hull vertices off the table's lifts, and tries
+the images of an affinely independent base of them among the target's
+hull vertices; each map is built once, in integers, from the adjugate of
+the base's lifts, and passes when both cover tests, built once per
+decision, accept it.
 """
 
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations
 from math import lcm
 from operator import and_, mul
@@ -36,7 +36,8 @@ from .convexity import (AffineHull, Polytope, _clip, _lift_row, affine_frame,
                         simplex_tester)
 from .core import UniAffMap, lift, simplex_lifts, unlift
 from .errors import InputError, InternalCheckError
-from .intlinalg import _det_adj, integer_rank, is_part_of_basis, mat_mul
+from .intlinalg import (_det_adj, integer_rank, is_part_of_basis, mat_mul,
+                        nullspace)
 from .rationals import canon_primitive
 from .segments import _runs_lambda1
 
@@ -119,12 +120,13 @@ def _close_under_intersection(hulls):
     return family
 
 
-def _cuts_for(hull, family):
-    """The rows over lifts (_lift_row) of the equations of the hull's
-    proper intersections with the family's subspaces: the hyperplanes
-    along which cells must split so that every family subspace meets cells
-    only in faces.  They depend on the hull as a set only, so they can be
-    kept by hull.key()."""
+def _cuts_for(s, family):
+    """The rows over lifts (_lift_row) of the equations of the proper
+    intersections of aff(s), s given by its vertex lifts, with the family's
+    subspaces: the hyperplanes along which cells must split so that every
+    family subspace meets cells only in faces.  They depend on the span of
+    the lifts only."""
+    hull = AffineHull(map(unlift, s))
     cuts = set()
     for sub in family.values():
         j = hull.intersect(sub)
@@ -135,7 +137,7 @@ def _cuts_for(hull, family):
 
 def _refined_simplex_cells(S, cuts_of):
     """Per simplex s of S, given by its vertex lifts: simplex cells covering
-    s, each inside one closed side of every cut of s's hull, cuts_of(hull)
+    s, each inside one closed side of every cut of s's hull, cuts_of(s)
     giving the cuts as rows over lifts.  A cut is kept when its values on
     s's lifts take both strict signs, as only such a cut splits a cell of
     s, and is keyed by those values made canonical: they fix its trace on
@@ -147,7 +149,7 @@ def _refined_simplex_cells(S, cuts_of):
     out = []
     for i, s in enumerate(S):
         cuts = {}
-        for row in cuts_of(AffineHull(map(unlift, s))):
+        for row in cuts_of(s):
             vals = [sum(map(mul, row, q)) for q in s]
             if min(vals) < 0 < max(vals):
                 cuts.setdefault(canon_primitive(vals), row)
@@ -178,7 +180,8 @@ def _cover_test(Q, lifts):
     """covered(S) -> whether the simplexes S, given by their vertex lifts,
     lie in the union of Q's simplexes, whose vertex lifts are lifts.  Q's
     testers are built here, its facet-hull family and each hull's cuts on
-    first need; all live as long as covered does.
+    first need, keyed by the canonical nullspace rows of a simplex's lifts
+    (their span); all live as long as covered does.
 
     covered answers False at once when a vertex lies in no simplex of Q.
     A simplex whose vertices all lie in one simplex of Q lies in it
@@ -192,13 +195,13 @@ def _cover_test(Q, lifts):
     family = None
     cuts = {}
 
-    def cuts_of(hull):
+    def cuts_of(s):
         nonlocal family
-        if family is None:
-            family = _face_hulls(Q, facets_only=True)
-        key = hull.key()
+        key = tuple(map(canon_primitive, nullspace(s, len(s[0]))))
         if key not in cuts:
-            cuts[key] = _cuts_for(hull, family)
+            if family is None:
+                family = _face_hulls(Q, facets_only=True)
+            cuts[key] = _cuts_for(s, family)
         return cuts[key]
 
     def inside(s):
@@ -241,7 +244,7 @@ def triangulate(P):
     family = _close_under_intersection(_face_hulls(P))
     groups = {}
     for i, sides, cell in _refined_simplex_cells(
-            lifts, lambda hull: _cuts_for(hull, family)):
+            lifts, lambda s: _cuts_for(s, family)):
         groups.setdefault((i, sides), set()).update(cell)
     tris = set()
     for pts in groups.values():
@@ -284,8 +287,8 @@ def polyhedron_equivalence(P, Q):
     map sends them.  Hulls of different dimensions or vertex counts answer
     None at once, and so do hull segments of different lambda_1 (read off
     the chain's runs).  Each side's vertices are lifted once, by the
-    normalization, into one table that the hull scan, the frame, the chains
-    and the cover tests read.
+    normalization, into one table that the hull scan, the frame and the
+    cover tests read.
     """
     P, table_p, lifts_p = polyhedron(P)
     Q, table_q, lifts_q = polyhedron(Q)
@@ -317,17 +320,6 @@ def polyhedron_equivalence(P, Q):
     hull_set_q = set(hull_q)
     covered_by_p = _cover_test(P, lifts_p)
     covered_by_q = _cover_test(Q, lifts_q)
-
-    @cache
-    def dens(p, q):
-        # the denominators of the chain from p to q (lifts) as runs: a run
-        # of lifts is a maximal run of denominators too, since the
-        # denominator step changes by (b_i - 2) den(x_i) > 0 where the lift
-        # step changes
-        return tuple((a[-1], s[-1], c) for a, s, c in _plane_runs(p, q))
-
-    ref_dens = {(j, i): dens(cols[j], cols[i])
-                for i in range(e + 1) for j in range(i)}
 
     def check_candidate(lifts):
         # images match the base's denominators, so B fixes the last
@@ -366,9 +358,6 @@ def polyhedron_equivalence(P, Q):
             if lu[-1] != cols[i][-1]:
                 continue
             if integer_rank(lifts + [lu]) != i + 1:
-                continue
-            if any(dens(lifts[j], lu) != ref_dens[(j, i)]
-                   for j in range(i)):
                 continue
             res = enum_images(lifts + [lu])
             if res is not None:

@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from afflat.complexes import _vertex_enumeration
-from afflat.convexity import (AffineHull, Polytope, simplex_barycentric,
-                              simplex_tester)
+from afflat.convexity import (AffineHull, Polytope, hull_vertices,
+                              simplex_barycentric, simplex_tester)
 from afflat.core import lift
 from afflat.errors import InputError
 from afflat.rationals import canon_primitive, primitive
@@ -273,10 +273,11 @@ def _affine_dim(pts):
 
 
 def _oracle_sets(seed):
-    """General point sets in R^4, and point sets spanning a line, a plane
-    or a 3-flat of R^3 and R^4, with points repeated and off the frame;
-    each with probe points of its flat (inside and outside the hull) and
-    off it."""
+    """General point sets in R^4, point sets spanning a line, a plane or a
+    3-flat of R^3 and R^4, with points repeated and off the frame, and
+    point sets in R^1 with interior and repeated points out of order; each
+    with probe points of its flat (inside and outside the hull) and off
+    it."""
     rng = random.Random(seed)
     for _ in range(8):
         pts = [rand_point(rng, 4, 3, 2) for _ in range(rng.randint(5, 7))]
@@ -294,6 +295,10 @@ def _oracle_sets(seed):
             pts.append(rng.choice(pts))
             yield pts, ([_combination(rng, pts, -2) for _ in range(3)]
                         + [rand_point(rng, n, 3, 2)])
+    for pts in ([(F(3, 2),), (0,), (F(1, 2),), (0,), (-1,), (F(3, 2),)],
+                [(F(1, 3),), (-2,), (F(1, 3),), (F(-5, 4),), (3,), (-2,)],
+                [(F(7, 2),), (F(-1, 3),), (F(7, 2),)]):
+        yield pts, [(F(1, 4),), (-1,), (-2,), (F(7, 2),), (4,)]
 
 
 def test_polytope_against_oracles_in_r4_and_on_flats():
@@ -309,8 +314,10 @@ def test_polytope_against_oracles_in_r4_and_on_flats():
                        for sub in combinations(sorted(set(points)), r))
 
         # a vertex lies in no simplex of the other points
-        assert poly.vertices == [p for p in sorted(set(pts))
-                                 if not in_hull(p, set(pts) - {p})]
+        verts = [p for p in sorted(set(pts)) if not in_hull(p, set(pts) - {p})]
+        assert poly.vertices == verts
+        assert hull_vertices({p: lift(p) for p in pts}) == (
+            dim, [lift(v) for v in verts])
         # each facet holds every point on its closed side and is tight on
         # dim affinely independent points, in hull and ambient coordinates
         coords = {p: poly.hull.coords(p) for p in pts}

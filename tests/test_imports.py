@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used: referenced in the
 module, or re-exported through its __all__; the package's own modules are
-imported at module level only; and every private module-level function or
-class is referenced somewhere in the package.  Stand-ins for a
+imported at module level only; every private module-level function or
+class is referenced somewhere in the package; and every def nested in a
+function is referenced by that function.  Stand-ins for a
 linter's unused-import and dead-code rules, on the parsed source (ast), with
 no package import."""
 
@@ -127,3 +128,51 @@ def test_unreferenced_private_finds_the_dead_helpers():
 
 def test_no_unreferenced_private_helpers_in_the_package():
     assert unreferenced_private(package_sources()) == []
+
+
+def _own_defs(fn):
+    """The defs nested in the function fn whose nearest enclosing function
+    or class is fn."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unreferenced_nested(source):
+    """(line, name) of each def nested in a function that no Name of the
+    function, outside the def itself, refers to."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for d in _own_defs(fn):
+            inner = set(map(id, ast.walk(d)))
+            if not any(isinstance(n, ast.Name) and n.id == d.name
+                       and id(n) not in inner for n in ast.walk(fn)):
+                found.append((d.lineno, d.name))
+    return sorted(found)
+
+
+def test_unreferenced_nested_finds_the_leftover_defs():
+    src = ("def f(x):\n"
+           "    def used():\n        return x\n"
+           "    def dead():\n        return used()\n"
+           "    def recursive(n):\n        return recursive(n - 1)\n"
+           "    if x:\n        def branch():\n            pass\n"
+           "    return used\n\n"
+           "class C:\n    def method(self):\n"
+           "        def inner():\n            def gone():\n"
+           "                pass\n"
+           "        return inner\n")
+    assert unreferenced_nested(src) == [
+        (4, "dead"), (6, "recursive"), (9, "branch"), (16, "gone")]
+
+
+def test_no_unreferenced_nested_defs_in_the_package():
+    found = {name: bad for name, source in package_sources().items()
+             if (bad := unreferenced_nested(source))}
+    assert found == {}

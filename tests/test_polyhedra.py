@@ -949,16 +949,19 @@ def normalized_volume_by_dets(P):
                               for v in s[1:]])) for s in P)
 
 
-def test_polyhedron_equivalence_freudenthal_cube_hard_negative():
+def test_polyhedron_equivalence_freudenthal_cube_hard_negative(monkeypatch):
     # the unit 3-cube against itself less one simplex: the hulls agree, so
-    # the candidate loop tries and rejects every base image (hundreds of
-    # maps) before it answers None; the simplexes do not overlap, so the
-    # volumes 6/6 and 5/6 certify the None
+    # the candidate loop tries and rejects every base image (1392 candidate
+    # maps, a count that does not depend on the machine) before it answers
+    # None; the simplexes do not overlap, so the volumes 6/6 and 5/6
+    # certify the None
     P = freudenthal_cube(3)
     assert len(P) == 6 and len(set(P)) == 6
     assert normalized_volume_by_dets(P) == 6
     assert normalized_volume_by_dets(P[:-1]) == 5
+    maps = counting(monkeypatch, "UniAffMap")
     assert polyhedron_equivalence(P, P[:-1]) is None
+    assert len(maps) == 1392
     g = UniAffMap(((1, 1, 0), (0, 1, 1), (0, 0, 1)), (1, 0, -1))
     Q = [tuple(g(v) for v in s) for s in P]
     m = polyhedron_equivalence(P, Q)
