@@ -10,14 +10,15 @@ the witness map.
 import math
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from . import budget
 from .convexity import AffineHull
-from .core import (coords_in_lattice_basis, den, is_regular, lift,
-                   saturated_span_basis, simplex_lifts, simplex_map, unlift)
+from .core import (coords_in_lattice_basis, den, lift, saturated_span_basis,
+                   simplex_lifts, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
-from .intlinalg import (complete_basis, invert_unimodular, is_part_of_basis,
+from .intlinalg import (complete_basis, integer_kernel, is_part_of_basis,
                         minor_gcd, solve_integer, xgcd)
 from .rationals import point, primitive
 
@@ -110,42 +111,37 @@ def regular_frame(F, v0):
     """A regular dim(F)-simplex inside F with v0 as a vertex and every
     vertex denominator equal to den(v0) = d_F.
 
-    Complete lift(v0) to a basis of the saturated homogeneous lattice of F;
-    every basis vector shifted by multiples of lift(v0) into last coordinate
-    (0, d] lands exactly at d (anything smaller would lift a point of F of
-    denominator below d_F), and the shifted basis stays part of a basis of
-    Z^{n+1}, so its affine correspondents are the frame.
+    Complete lift(v0) to a basis of the saturated homogeneous lattice of F,
+    spanned by lift(v0) and F's directions as v0 lies in F, whose last
+    coordinates have gcd d_F (as in min_den_point); every basis vector
+    shifted by multiples of lift(v0) into last coordinate (0, d] lands
+    exactly at d, and the shifted basis stays part of a basis of Z^{n+1},
+    so its affine correspondents are the frame.
     """
     v0 = point(v0)
     if not F.contains(v0):
         raise InputError("v0 does not lie in the space")
-    d = den(v0)
-    if den(min_den_point(F)) != d:
-        raise InputError("v0 does not have the minimal denominator of the space")
     e = F.dim
     if e == 0:
         return (v0,)
+    d = den(v0)
     l0 = lift(v0)
     dir0 = [tuple(b) + (0,) for b in F.dirs]
     lam = saturated_span_basis([l0] + dir0)
+    if math.gcd(*(b[-1] for b in lam)) != d:
+        raise InputError("v0 does not have the minimal denominator of the space")
     c0 = coords_in_lattice_basis(lam, l0)
-    full = complete_basis([c0], e + 1)
-
-    def embed(z):
-        return tuple(sum(z[i] * lam[i][j] for i in range(e + 1))
-                     for j in range(len(l0)))
-
     lifts = []
-    for cz in full[1:]:
-        w = embed(cz)
+    for cz in complete_basis([c0], e + 1)[1:]:
+        w = [sum(map(mul, cz, col)) for col in zip(*lam)]
         k = -((w[-1] - 1) // d)  # bring last coordinate into (0, d]
         w = tuple(wc + k * lc for wc, lc in zip(w, l0))
         if w[-1] != d:
             raise InternalCheckError("frame vector landed off the minimal denominator")
         lifts.append(w)
-    frame = (v0,) + tuple(unlift(l) for l in lifts)
-    if not is_regular(frame):
+    if not is_part_of_basis([l0] + lifts, len(l0)):
         raise InternalCheckError("frame lost regularity")
+    frame = (v0,) + tuple(unlift(l) for l in lifts)
     for w in frame:
         if not F.contains(w) or den(w) != d:
             raise InternalCheckError("frame vertex left the space")
@@ -174,8 +170,8 @@ def _search_completion(center, lifts):
     form (complete the lattice basis, then shift the new vector's last
     coordinate to 1 by that vertex).  Otherwise scan the integer points of
     expanding cubes around center in coordinate order; a candidate extends
-    iff its image in the quotient by the current span is primitive, which
-    is a single gcd per candidate."""
+    iff its image in the quotient by the current (saturated) span, read off
+    the lifts' integer kernel, is primitive: one gcd per candidate."""
     m = len(lifts[0])
     unit = next((l for l in lifts if l[-1] == 1), None)
     if unit is not None:
@@ -186,9 +182,7 @@ def _search_completion(center, lifts):
         if minor_gcd(lifts + [lp], m) != 1:
             raise InternalCheckError("constructed completion is not unimodular")
         return p, lp
-    full = complete_basis(lifts, m)
-    inv = invert_unimodular(list(zip(*full)))
-    quot = inv[len(lifts):]
+    quot = integer_kernel(lifts)
     radius = Fraction(1)
     skip = None
     rounds = 0

@@ -36,8 +36,8 @@ from operator import mul
 from . import budget
 from .core import lattice_coords, plane_basis, saturated_span_basis
 from .errors import InputError, InternalCheckError
-from .intlinalg import (_det_adj, column_echelon, is_part_of_basis,
-                        span_solver, xgcd)
+from .intlinalg import (_det_adj, column_echelon, integer_rank,
+                        is_part_of_basis, xgcd)
 from .rationals import content, intvec
 
 
@@ -52,10 +52,8 @@ def cone(generators):
         gens.append(tuple(a // c for a in v))
     if len({len(g) for g in gens}) != 1:
         raise InputError("cone needs generators of one common length")
-    try:
-        span_solver(gens)
-    except InputError:
-        raise InputError("cone generators are linearly dependent") from None
+    if integer_rank(gens) != len(gens):
+        raise InputError("cone generators are linearly dependent")
     return tuple(sorted(gens))
 
 

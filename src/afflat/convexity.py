@@ -29,7 +29,7 @@ from operator import and_, mul
 
 from .core import unlift
 from .errors import InputError
-from .intlinalg import _bareiss, integer_rank, nullspace, span_solver
+from .intlinalg import _bareiss, nullspace, span_solver
 from .rationals import (canon_primitive, content, lift, point, primitive, rat,
                         vadd, vdot, vsub)
 
@@ -135,15 +135,11 @@ def affine_frame(points):
 
 def lift_frame(lifts):
     """Indices of the greedy independent prefix of the lifts, in their
-    order: a lift is kept when it is off the span of those kept so far."""
-    frame, kept = [], []
-    for i, q in enumerate(lifts):
-        if integer_rank(kept + [q]) > len(kept):
-            frame.append(i)
-            kept.append(q)
-            if len(kept) == len(q):
-                break
-    return frame
+    order: a lift is kept when it is off the span of those kept before it.
+    These are the pivot columns of one _bareiss pass below the pivots over
+    the lifts taken as columns, as a column of a row echelon form has a
+    pivot exactly when it is off the span of the columns before it."""
+    return _bareiss(list(zip(*lifts)), len(lifts), reduce=False)[0]
 
 
 def _facet_scan(lifts, pivots):
@@ -204,22 +200,25 @@ def hull_vertices(table):
 class Polytope:
     """Convex hull of finitely many rational points with exact V- and H-data.
 
-    One _facet_scan over the points' lifts gives the facet rows, each with
-    the set of points on it (a bitmask over the sorted points).  A row r
-    over the projected lifts is the inequality g.x <= h in the coordinates
-    of the affine hull, g_i = r.proj(basis_i, 0) and h = -r.proj(anchor, 1)
-    scaled to a primitive integer g.
+    Each point is lifted once.  The affine hull is that of the lifts'
+    lift_frame points, and one _facet_scan over the lifts gives the facet
+    rows, each with the set of points on it (a bitmask over the sorted
+    points).  A row r over the projected lifts is the inequality g.x <= h
+    in the coordinates of the affine hull, g_i = r.proj(basis_i, 0) and
+    h = -r.proj(anchor, 1) scaled to a primitive integer g.
     """
 
     def __init__(self, points):
         pts = sorted({point(p) for p in points})
         if not pts:
             raise InputError("polytope of an empty set")
-        self.hull = AffineHull(pts)
+        if any(len(p) != len(pts[0]) for p in pts):
+            raise InputError("mixed ambient dimensions")
+        lifts = [lift(p) for p in pts]
+        self.hull = AffineHull([pts[i] for i in lift_frame(lifts)])
         self.dim = self.hull.dim
         self._pts = pts
         self._eqs = None
-        lifts = [lift(p) for p in pts]
         self._pivots = _bareiss(list(lifts), len(lifts[0]), reduce=False)[0]
         facets, vertices = _facet_scan(lifts, self._pivots)
         self.vertices = [pts[i] for i in vertices]

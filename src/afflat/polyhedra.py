@@ -135,6 +135,23 @@ def _cuts_for(s, family):
     return cuts
 
 
+def _span_cuts(family_of):
+    """cuts_of(s) -> _cuts_for(s, family_of()) for a simplex s given by its
+    vertex lifts, kept per span of the lifts, keyed by the canonical rows
+    of their nullspace; family_of runs once, on the first miss."""
+    family, cuts = [], {}
+
+    def cuts_of(s):
+        key = tuple(map(canon_primitive, nullspace(s, len(s[0]))))
+        if key not in cuts:
+            if not family:
+                family.append(family_of())
+            cuts[key] = _cuts_for(s, family[0])
+        return cuts[key]
+
+    return cuts_of
+
+
 def _refined_simplex_cells(S, cuts_of):
     """Per simplex s of S, given by its vertex lifts: simplex cells covering
     s, each inside one closed side of every cut of s's hull, cuts_of(s)
@@ -179,9 +196,8 @@ def poly_set_equal(P, Q):
 def _cover_test(Q, lifts):
     """covered(S) -> whether the simplexes S, given by their vertex lifts,
     lie in the union of Q's simplexes, whose vertex lifts are lifts.  Q's
-    testers are built here, its facet-hull family and each hull's cuts on
-    first need, keyed by the canonical nullspace rows of a simplex's lifts
-    (their span); all live as long as covered does.
+    testers are built here, its facet-hull family and the cuts of each span
+    on first need (_span_cuts); all live as long as covered does.
 
     covered answers False at once when a vertex lies in no simplex of Q.
     A simplex whose vertices all lie in one simplex of Q lies in it
@@ -192,17 +208,7 @@ def _cover_test(Q, lifts):
     the relative interior of the cell is either inside t or disjoint from
     it, and the barycenter decides whether the cell lies in Q."""
     tests = [simplex_tester(ls) for ls in lifts]
-    family = None
-    cuts = {}
-
-    def cuts_of(s):
-        nonlocal family
-        key = tuple(map(canon_primitive, nullspace(s, len(s[0]))))
-        if key not in cuts:
-            if family is None:
-                family = _face_hulls(Q, facets_only=True)
-            cuts[key] = _cuts_for(s, family)
-        return cuts[key]
+    cuts_of = _span_cuts(lambda: _face_hulls(Q, facets_only=True))
 
     def inside(s):
         # whether the barycenter of s, lifted up to the positive factor
@@ -238,13 +244,13 @@ def triangulate(P):
     faces of all simplexes, then triangulates each arrangement cell by
     placing from the lexicographically least vertex.  The cells come from
     the clip refinement: the pieces of one input simplex on the same sides
-    of every cut span one cell.
+    of every cut span one cell.  Simplexes with one span share their cuts
+    (_span_cuts).
     """
     P, _, lifts = polyhedron(P)
-    family = _close_under_intersection(_face_hulls(P))
     groups = {}
-    for i, sides, cell in _refined_simplex_cells(
-            lifts, lambda s: _cuts_for(s, family)):
+    for i, sides, cell in _refined_simplex_cells(lifts, _span_cuts(
+            lambda: _close_under_intersection(_face_hulls(P)))):
         groups.setdefault((i, sides), set()).update(cell)
     tris = set()
     for pts in groups.values():

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from afflat import affine
 from afflat.affine import (AffineSpace, affine_equivalence, affine_invariant,
                            affine_span, completion_den, extend_frame,
                            min_den_point, regular_frame)
@@ -325,3 +326,36 @@ def test_min_den_point_closed_form_large_denominators():
                              (F(0), F(5, d), F(1))])
         assert den(min_den_point(plane)) == d
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_affine_invariant_finds_the_least_denominator_once(monkeypatch):
+    # regular_frame reads d_F off the lattice basis it builds, so the
+    # invariant makes one min_den_point call, in every dimension
+    calls = []
+    real = affine.min_den_point
+    monkeypatch.setattr(affine, "min_den_point",
+                        lambda f: calls.append(f) or real(f))
+    spaces = [LINE_HALF, LINE_FIFTHS, LINE_X_HALF,
+              [(F(1, 3), F(2, 3), F(0))],
+              [(F(1, 2), F(0), F(0)), (F(0), F(1, 2), F(0)),
+               (F(0), F(0), F(1, 2))],
+              [(F(1, 6), F(0), F(1, 4)), (F(0), F(5, 6), F(1, 4))],
+              [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]]
+    for pts in spaces:
+        calls.clear()
+        f = affine_span(pts)
+        affine_invariant(f)
+        assert len(calls) == 1, pts
+
+
+def test_search_completion_scan_builds_no_basis(monkeypatch):
+    # with no integer vertex the scan tests each candidate against the
+    # integer kernel of the lifts; no basis is completed
+    def refuse(*a):
+        raise AssertionError("complete_basis called")
+
+    monkeypatch.setattr(affine, "complete_basis", refuse)
+    v = (F(1, 2), F(1, 3), F(0), F(1, 5))
+    s, l = affine._search_completion(v, [lift(v)])
+    assert l == lift(s) and l[-1] == 1
+    assert parallelepiped_extends([lift(v), l])

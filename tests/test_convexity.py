@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 
 from afflat.complexes import _vertex_enumeration
-from afflat.convexity import (AffineHull, Polytope, hull_vertices,
-                              simplex_barycentric, simplex_tester)
+from afflat.convexity import (AffineHull, Polytope, affine_frame,
+                              hull_vertices, lift_frame, simplex_barycentric,
+                              simplex_tester)
 from afflat.core import lift
 from afflat.errors import InputError
 from afflat.rationals import canon_primitive, primitive
@@ -226,6 +227,56 @@ def test_ambient_facets_against_gram_oracle():
             assert max(vals) == c
 
 
+def _greedy_frame(vectors):
+    """Indices of the vectors kept by the greedy scan: each vector whose
+    Fraction rank with the kept ones exceeds their number."""
+    kept = []
+    for i, v in enumerate(vectors):
+        if fraction_rank([vectors[j] for j in kept] + [v]) > len(kept):
+            kept.append(i)
+    return kept
+
+
+def _rand_lifts(rng, m):
+    """1-8 integer vectors of length m with many zero entries; some repeat
+    an earlier one and some are integer combinations of two earlier ones."""
+    out = []
+    for _ in range(rng.randint(1, 8)):
+        r = rng.random()
+        if out and r < 0.2:
+            out.append(rng.choice(out))
+        elif len(out) >= 2 and r < 0.45:
+            a, b = rng.sample(out, 2)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            out.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            out.append(tuple(rng.choice((0, 0, rng.randint(-3, 3)))
+                             for _ in range(m)))
+    return out
+
+
+def test_lift_frame_and_affine_frame_against_greedy_oracle():
+    # lift_frame reads the frame off one elimination; the oracle keeps a
+    # vector when the Fraction rank grows, one vector at a time
+    rng = random.Random(2501)
+    short = 0
+    for _ in range(400):
+        m = rng.randint(1, 5)
+        vecs = _rand_lifts(rng, m)
+        expect = _greedy_frame(vecs)
+        assert lift_frame(vecs) == expect, vecs
+        short += len(expect) < min(len(vecs), m)
+        # the same vectors as points over a denominator, some repeated
+        pts = []
+        for v in vecs:
+            k = rng.randint(1, 3)
+            pts.append(tuple(F(x, k) for x in v))
+        pts += [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+        assert affine_frame(pts) == \
+            [pts[i] for i in _greedy_frame([lift(p) for p in pts])], pts
+    assert short >= 100, short
+
+
 def test_vertex_enumeration_against_brute_force():
     rng = random.Random(97)
     nonempty = 0
@@ -263,6 +314,10 @@ def test_polytope_contains_rejects_wrong_dimension():
     for x in ((0,), (0, 0, 9)):
         with pytest.raises(InputError):
             tri.contains(x)
+    # points of mixed dimension are rejected, the short one first or last
+    for pts in ([(0,), (0, 0), (1, 0)], [(0, 0), (1, 0), (0, 0, 1)]):
+        with pytest.raises(InputError):
+            Polytope(pts)
 
 
 # --- Polytope in R^4 and on flats, against brute-force oracles --------------

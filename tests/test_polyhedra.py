@@ -614,6 +614,16 @@ def test_triangulate_glued_tetrahedra():
     assert poly_set_equal(t.support(), [t1, t2])
 
 
+def test_triangulate_computes_the_cuts_of_each_span_once(monkeypatch):
+    # the six simplexes of the unit 3-cube share one span, so one cut set
+    # serves them all; no cut splits them, so the cells are the simplexes
+    cuts = counting(monkeypatch, "_cuts_for")
+    P = freudenthal_cube(3)
+    t = triangulate(P)
+    assert len(cuts) == 1
+    assert list(t.maximal) == sorted(tuple(sorted(s)) for s in P)
+
+
 def test_triangulate_crossing_segments():
     a = (( F(0), F(0)), (F(1), F(1)))
     b = ((F(0), F(1)), (F(1), F(0)))
