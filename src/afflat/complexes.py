@@ -1,13 +1,17 @@
-"""Finite simplicial complexes with rational vertices, and Farey blow-ups."""
+"""Finite simplicial complexes with rational vertices, and Farey blow-ups.
+
+The face-to-face check meets the flats of two simplexes (convexity._meet)
+and reads a point and a direction basis of the meet off one nullspace of
+its rows."""
 
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .convexity import AffineHull, _barycentric_solver, simplex_tester
+from .convexity import _barycentric_solver, _flat, _meet, simplex_tester
 from .core import farey_mediant, simplex
 from .errors import InputError
-from .intlinalg import span_solver
+from .intlinalg import nullspace, span_solver
 from .rationals import lift, vadd
 
 
@@ -52,7 +56,7 @@ class Triangulation:
 
     def is_valid_complex(self):
         """Exact check that any two simplexes meet in a common face."""
-        cells = [(m, AffineHull(m), _barycentric_solver(m))
+        cells = [(m, _flat([lift(v) for v in m]), _barycentric_solver(m))
                  for m in self.maximal]
         return all(_meet_in_common_face(a, b) for a, b in combinations(cells, 2))
 
@@ -68,22 +72,30 @@ class Triangulation:
 
 def _meet_in_common_face(a, b):
     """True iff conv(a) /\\ conv(b) equals conv of the shared vertices; a and
-    b are (vertices, AffineHull, barycentric solver) triples."""
-    (va, ha, bary_a), (vb, hb, bary_b) = a, b
+    b are (vertices, flat, barycentric solver) triples."""
+    (va, fa, bary_a), (vb, fb, bary_b) = a, b
     common = sorted(set(va) & set(vb))
-    inter = ha.intersect(hb)
-    if inter is None:
+    n = len(va[0])
+    meet = _meet(fa, fb, n)
+    if meet is None:
         return not common
-    # every barycentric coordinate of either simplex is >= 0; on the
-    # intersection x = anchor + basis . mu they are affine in mu, read off
-    # at the anchor and at the points anchor + basis_j
-    base = [inter.anchor] + [vadd(inter.anchor, d) for d in inter.basis]
+    # the intersection is x = anchor + dirs . mu: k is a free column of its
+    # rows, so the last nullspace vector lifts a point and the others, with
+    # k = 0, are directions.  Every barycentric coordinate of either simplex
+    # is >= 0; on the intersection they are affine in mu, read off at the
+    # anchor and at the points anchor + dirs_j
+    *dirs, q = nullspace(meet, n + 1)
+    anchor = tuple(Fraction(x, q[-1]) for x in q[:-1])
+    dirs = [d[:-1] for d in dirs]
+    base = [anchor] + [vadd(anchor, d) for d in dirs]
     cons = []
     for bary in (bary_a, bary_b):
         lam0, *lams = [bary(p) for p in base]
         for i, h in enumerate(lam0):
             cons.append((tuple(lam[i] - h for lam in lams), h))  # g.mu + h >= 0
-    pts = [inter.embed(v) for v in _vertex_enumeration(cons, inter.dim)]
+    pts = [vadd(anchor, tuple(sum(m * d[j] for m, d in zip(mu, dirs))
+                              for j in range(n)))
+           for mu in _vertex_enumeration(cons, len(dirs))]
     if not pts:
         return not common
     if not common:

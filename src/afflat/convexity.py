@@ -1,24 +1,28 @@
-"""Exact convex geometry: affine hulls, polytopes, cells, triangulations.
+"""Exact convex geometry: affine hulls, flats, polytopes, cells,
+triangulations.
 
 Everything is fraction-free and works on the homogeneous integer lifts
-(num, k) of points num/k.  Hull equations and intersections come from one
-integer Gauss-Jordan pass (`nullspace`).  A polytope's facets come from
-one scan over its points' lifts, projected onto coordinates where their
-span projects injectively: the normal of each independent e-subset is
-sign-tested on every lift, and the points on each facet are recorded as a
-bitmask, so facet witnesses are read off integer tightness, and a point is
-a vertex when the AND of the masks of its facets holds it alone.  num/k lies
-in a polytope iff its lift satisfies the hull's equation rows and the
-scan's facet rows.  Coordinates over affinely independent points come
-from one `span_solver` over their lifts: a simplex contains num/k iff
-(num, k) is a nonnegative combination of its vertex lifts, and the same
-solve gives barycentric coordinates and a hull's coordinates.  Simplex
-clipping, the step of the one arrangement refiner, maps vertex lifts to
-lifts: signs are integer rows on them, edge crossings integer combinations
-of two, and each closed half of a simplex of any dimension, in ambient
-coordinates, is covered by simplexes of its dimension.  Facets are
-enumerated by brute force over point subsets, which is fine at the scale
-this package targets and keeps every predicate exact.
+(num, k) of points num/k.  A flat (an affine subspace) is one value, the
+sorted canonical primitive rows over lifts of its hull's equations: the
+flat of some points is one integer Gauss-Jordan pass over their lifts
+(`_flat`, a `nullspace`), and the meet of two flats one pass over their
+stacked rows (`_meet`), empty when the rows force k = 0.  A polytope's
+facets come from one scan over its points' lifts, projected onto
+coordinates where their span projects injectively: the normal of each
+independent e-subset is sign-tested on every lift, and the points on each
+facet are recorded as a bitmask, so facet witnesses are read off integer
+tightness, and a point is a vertex when the AND of the masks of its facets
+holds it alone.  num/k lies in a polytope iff its lift vanishes on the
+rows of the hull's flat and satisfies the scan's facet rows.  Coordinates
+over affinely independent points come from one `span_solver` over their
+lifts: a simplex contains num/k iff (num, k) is a nonnegative combination
+of its vertex lifts, and the same solve gives barycentric coordinates.
+Simplex clipping, the step of the one arrangement refiner, maps vertex
+lifts to lifts: signs are integer rows on them, edge crossings integer
+combinations of two, and each closed half of a simplex of any dimension,
+in ambient coordinates, is covered by simplexes of its dimension.  Facets
+are enumerated by brute force over point subsets, which is fine at the
+scale this package targets and keeps every predicate exact.
 """
 
 from fractions import Fraction
@@ -27,16 +31,15 @@ from itertools import combinations
 from math import lcm
 from operator import and_, mul
 
-from .core import unlift
 from .errors import InputError
 from .intlinalg import _bareiss, nullspace, span_solver
-from .rationals import (canon_primitive, content, lift, point, primitive, rat,
-                        vadd, vdot, vsub)
+from .rationals import (canon_primitive, content, lift, point, primitive, vdot,
+                        vsub)
 
 
 class AffineHull:
     """Affine span of rational points: an anchor plus a rational direction
-    basis, with derived coordinates and integer equations."""
+    basis, with integer equations."""
 
     def __init__(self, points):
         pts = sorted({point(p) for p in points})
@@ -51,26 +54,6 @@ class AffineHull:
         self.dim = len(self.basis)
         self._frame = frame
         self._equations = None
-        self._bary = None
-
-    def coords(self, p):
-        """Coordinates of p in the direction basis, or None if p is off-hull:
-        the barycentric coordinates of p over the anchor and the points
-        the basis was taken from, less the anchor's."""
-        self.check_dim(p)
-        if self._bary is None:
-            self._bary = _barycentric_solver(self._frame)
-        lam = self._bary(p)
-        return None if lam is None else lam[1:]
-
-    def embed(self, coords):
-        if len(coords) != self.dim:
-            raise InputError("%d coordinates given to a %d-dimensional hull"
-                             % (len(coords), self.dim))
-        p = self.anchor
-        for c, b in zip(coords, self.basis):
-            p = vadd(p, tuple(c * x for x in b))
-        return p
 
     def check_dim(self, p):
         """Raise InputError unless p is a point of the ambient space."""
@@ -85,46 +68,41 @@ class AffineHull:
         return all(vdot(a, p) == c for (a, c) in self.equations())
 
     def equations(self):
-        """Integer equations (a, c) with the hull equal to {x : a.x = c}."""
+        """Integer equations (a, c) with the hull equal to {x : a.x = c},
+        read off the flat of the frame's lifts: a row r gives the primitive
+        normal a of r[:-1] and c = a.anchor."""
         if self._equations is None:
-            if self.dim == self.ambient:
-                self._equations = []
-            else:
-                rows = [primitive(b) for b in self.basis]
-                eqs = []
-                for nrm in nullspace(rows, self.ambient):
-                    a = canon_primitive(nrm)
-                    eqs.append((a, vdot(a, self.anchor)))
-                self._equations = sorted(eqs)
+            normals = (primitive(r[:-1])
+                       for r in _flat([lift(p) for p in self._frame]))
+            self._equations = sorted((a, vdot(a, self.anchor))
+                                     for a in normals)
         return self._equations
 
-    def intersect(self, other):
-        """Intersection with another hull: a new AffineHull, or None if empty.
 
-        The solutions (num, k) of the stacked lifted equations form a
-        nullspace; the flat is nonempty iff k is a free column, whose vector
-        lifts the solution with the free coordinates at 0.  The vectors of
-        the other free columns, with k = 0, are directions."""
-        eqs = self.equations() + other.equations()
-        if not eqs:
-            return self  # both are the full space
-        null = nullspace([_lift_row(a, c) for (a, c) in eqs], self.ambient + 1)
-        if not null or not null[-1][-1]:
-            return None
-        *dirs, sol = null
-        k = sol[-1]
-        pts = [tuple(Fraction(x, k) for x in sol[:-1])]
-        pts += [tuple(Fraction(x + y, k) for x, y in zip(sol, d[:-1]))
-                for d in dirs]
-        return AffineHull(pts)
+def _flat(lifts):
+    """The flat spanned by points, given by their lifts: the sorted tuple of
+    the canonical primitive rows r over lifts, r = (a, -c) up to a positive
+    factor, of the canonical equations a.x = c of the points' affine hull
+    (() for all of R^n).  One nullspace over the lifts with the k column
+    moved first: k is a pivot, the other pivots are the greedy pivots of
+    the directions, so each vector, k moved back last, is a canonical
+    normal a of the directions with -a.anchor in place of k."""
+    null = nullspace([q[-1:] + q[:-1] for q in lifts], len(lifts[0]))
+    return tuple(sorted(canon_primitive(v[1:] + v[:1]) for v in null))
 
-    def key(self):
-        """Canonical hashable identity: the sorted canonical equations, or
-        ("full", n) for all of R^n."""
-        eqs = tuple(self.equations())
-        if self.dim == self.ambient:
-            return ("full", self.ambient)
-        return eqs
+
+def _meet(f, g, n):
+    """The flat f /\\ g of two flats of R^n (see _flat), or None when they
+    are disjoint.  One Gauss-Jordan pass over the stacked rows, with the
+    coordinate columns reversed and k last: the reduced rows are then the
+    canonical rows of the intersection, and they force k = 0, so no point,
+    when k is a pivot column."""
+    a = [r[n - 1::-1] + r[n:] for r in f + g]
+    pivots = _bareiss(a, n + 1)[0]
+    if pivots and pivots[-1] == n:
+        return None
+    return tuple(sorted(canon_primitive(r[n - 1::-1] + r[n:])
+                        for r in a[:len(pivots)]))
 
 
 def affine_frame(points):
@@ -215,7 +193,9 @@ class Polytope:
         if any(len(p) != len(pts[0]) for p in pts):
             raise InputError("mixed ambient dimensions")
         lifts = [lift(p) for p in pts]
-        self.hull = AffineHull([pts[i] for i in lift_frame(lifts)])
+        frame = lift_frame(lifts)
+        self.hull = AffineHull([pts[i] for i in frame])
+        self._frame = [lifts[i] for i in frame]
         self.dim = self.hull.dim
         self._pts = pts
         self._eqs = None
@@ -243,10 +223,10 @@ class Polytope:
 
     def contains_lift(self, q):
         """Membership of num/k for q = (num_1, ..., num_n, k), k > 0: the
-        integer rows of the hull's equations, built on first use, vanish on
-        q, and the facet rows are <= 0 on its projection."""
+        rows of the hull's flat, built on first use, vanish on q, and the
+        facet rows are <= 0 on its projection."""
         if self._eqs is None:
-            self._eqs = [_lift_row(a, c) for (a, c) in self.hull.equations()]
+            self._eqs = _flat(self._frame)
         p = [q[j] for j in self._pivots]
         return (not any(sum(map(mul, r, q)) for r in self._eqs)
                 and all(sum(map(mul, r, p)) <= 0 for r in self._rows))
@@ -272,12 +252,6 @@ class Polytope:
                 a, c = tuple(-x for x in a), -c
             out.append((a, c))
         return sorted(out)
-
-
-def _lift_row(a, c):
-    """Primitive integer row r over lifts: r.(num, k) is a positive multiple
-    of k (a.x - c) for x = num/k."""
-    return primitive(tuple(a) + (-rat(c),))
 
 
 def _barycentric_solver(vertices):
@@ -323,15 +297,6 @@ def simplex_tester(lifts):
         return all(t * d >= 0 for t in y)
 
     return contains
-
-
-def clip_simplex(simp, g, h, side):
-    """Simplexes covering simp /\\ {side*(g.x - h) >= 0} (closed half): _clip
-    on the sorted vertex lifts, its pieces unlifted."""
-    lifts = tuple(sorted(lift(v) for v in simp))
-    row = _lift_row(g, h)
-    vals = [side * sum(map(mul, row, q)) for q in lifts]
-    return [tuple(map(unlift, t)) for t in _clip(lifts, vals)]
 
 
 def _clip(lifts, vals):

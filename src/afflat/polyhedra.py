@@ -5,15 +5,18 @@ A polyhedron is a finite list of rational simplexes of arbitrary dimensions,
 possibly overlapping.  One refiner serves triangulation and set equality:
 it clips each simplex, cut by cut, into simplex cells along affine hulls of
 faces and records on which side of each cut a cell lies, all on vertex
-lifts in ambient coordinates.  Triangulation
-cuts along the intersection-closed hulls of all faces and places each
-arrangement cell.  One cover test per side (_cover_test) decides whether
-the other side lies in its union, by integer tests of vertex lifts: it
-rejects a vertex outside it, accepts whole a simplex inside one of its
-simplexes, rejects a simplex whose barycenter is outside it, and cuts the
-rest along its facet hulls only, testing each cell by its barycenter; both
-barycenter tests are one integer probe on the lifts.
-The normalization (polyhedron) lifts each vertex once and returns the
+lifts in ambient coordinates.  The hulls are flats, sorted canonical
+integer rows over lifts (convexity._flat): a face's flat, the meet of two
+flats (convexity._meet), the key of a span's cut set and the cuts
+themselves are all such rows, so the arrangement builds no Fraction.
+Triangulation cuts along the intersection-closed flats of all faces and
+places each arrangement cell.  One cover test per side (_cover_test)
+decides whether the other side lies in its union, by integer tests of
+vertex lifts: it rejects a vertex outside it, accepts whole a simplex
+inside one of its simplexes, rejects a simplex whose barycenter is outside
+it, and cuts the rest along its facet flats only, testing each cell by its
+barycenter; both barycenter tests are one integer probe on the lifts.  The
+normalization (polyhedron) lifts each vertex once and returns the
 {vertex: lift} table and each simplex's lifts with the simplexes.  The
 orbit decision reads the hull vertices off the table's lifts, and tries
 the images of an affinely independent base of them among the target's
@@ -31,13 +34,12 @@ from typing import NamedTuple
 from .affine import AffineSpace, affine_equivalence, c_invariant
 from .complexes import Triangulation
 from .cones import _plane_runs, desingularize, fan_rays
-from .convexity import (AffineHull, Polytope, _clip, _lift_row, affine_frame,
+from .convexity import (Polytope, _clip, _flat, _meet, affine_frame,
                         hull_vertices, lift_frame, placing_triangulation,
                         simplex_tester)
 from .core import UniAffMap, lift, simplex_lifts, unlift
 from .errors import InputError, InternalCheckError
-from .intlinalg import (_det_adj, integer_rank, is_part_of_basis, mat_mul,
-                        nullspace)
+from .intlinalg import _det_adj, integer_rank, is_part_of_basis, mat_mul
 from .rationals import canon_primitive
 from .segments import _runs_lambda1
 
@@ -83,70 +85,66 @@ def convex_hull(points):
     return Hull(tuple(sorted(poly.vertices)), eqs, tuple(facets))
 
 
-def _face_hulls(P, facets_only=False):
-    """Affine hulls of faces of every simplex of P, deduplicated.
+def _face_hulls(lifts, facets_only=False):
+    """The flats (convexity._flat) of the faces of every simplex, given by
+    its vertex lifts, as a set.
 
-    facets_only keeps each simplex's own hull and its codimension-one face
-    hulls; that is enough for membership-uniform refinement, since every
+    facets_only keeps each simplex's own flat and its codimension-one face
+    flats; that is enough for membership-uniform refinement, since every
     boundary point of a simplex lies on a facet hull.
     """
-    hulls = {}
-    for s in P:
+    flats = set()
+    for s in lifts:
         if facets_only:
             sizes = {len(s), len(s) - 1} - {0}
         else:
             sizes = range(1, len(s) + 1)
         for r in sizes:
-            for face in combinations(s, r):
-                h = AffineHull(face)
-                hulls.setdefault(h.key(), h)
-    return hulls
+            flats.update(map(_flat, combinations(s, r)))
+    return flats
 
 
-def _close_under_intersection(hulls):
-    """Close a family of affine subspaces under pairwise intersection."""
-    family = dict(hulls)
-    frontier = list(family.values())
+def _close_under_intersection(flats, n):
+    """Close a set of flats of R^n under pairwise intersection (_meet)."""
+    family = set(flats)
+    frontier = list(family)
     while frontier:
         new = []
-        items = list(family.values())
-        for a in frontier:
-            for b in items:
-                i = a.intersect(b)
-                if i is not None and i.key() not in family:
-                    family[i.key()] = i
-                    new.append(i)
+        items = list(family)
+        for f in frontier:
+            for g in items:
+                m = _meet(f, g, n)
+                if m is not None and m not in family:
+                    family.add(m)
+                    new.append(m)
         frontier = new
     return family
 
 
-def _cuts_for(s, family):
-    """The rows over lifts (_lift_row) of the equations of the proper
-    intersections of aff(s), s given by its vertex lifts, with the family's
-    subspaces: the hyperplanes along which cells must split so that every
-    family subspace meets cells only in faces.  They depend on the span of
-    the lifts only."""
-    hull = AffineHull(map(unlift, s))
+def _cuts_for(f, family, n):
+    """The rows of the proper intersections of the flat f of R^n with the
+    family's flats: the hyperplanes along which cells of f must split so
+    that every family flat meets cells only in faces."""
     cuts = set()
-    for sub in family.values():
-        j = hull.intersect(sub)
-        if j is not None and j.dim < hull.dim:
-            cuts.update(_lift_row(a, c) for a, c in j.equations())
+    for g in family:
+        m = _meet(f, g, n)
+        if m is not None and len(m) > len(f):
+            cuts.update(m)
     return cuts
 
 
 def _span_cuts(family_of):
-    """cuts_of(s) -> _cuts_for(s, family_of()) for a simplex s given by its
-    vertex lifts, kept per span of the lifts, keyed by the canonical rows
-    of their nullspace; family_of runs once, on the first miss."""
+    """cuts_of(s) -> _cuts_for(_flat(s), family_of(), n) for a simplex s of
+    R^n given by its vertex lifts, kept per flat of the lifts; family_of
+    runs once, on the first miss."""
     family, cuts = [], {}
 
     def cuts_of(s):
-        key = tuple(map(canon_primitive, nullspace(s, len(s[0]))))
+        key = _flat(s)
         if key not in cuts:
             if not family:
                 family.append(family_of())
-            cuts[key] = _cuts_for(s, family[0])
+            cuts[key] = _cuts_for(key, family[0], len(s[0]) - 1)
         return cuts[key]
 
     return cuts_of
@@ -190,13 +188,13 @@ def poly_set_equal(P, Q):
     Q, _, lq = polyhedron(Q)
     if len(P[0][0]) != len(Q[0][0]):
         raise InputError("ambient dimensions differ")
-    return _cover_test(Q, lq)(lp) and _cover_test(P, lp)(lq)
+    return _cover_test(lq)(lp) and _cover_test(lp)(lq)
 
 
-def _cover_test(Q, lifts):
+def _cover_test(lifts):
     """covered(S) -> whether the simplexes S, given by their vertex lifts,
-    lie in the union of Q's simplexes, whose vertex lifts are lifts.  Q's
-    testers are built here, its facet-hull family and the cuts of each span
+    lie in the union of the simplexes Q whose vertex lifts are lifts.  Q's
+    testers are built here, its facet-flat family and the cuts of each span
     on first need (_span_cuts); all live as long as covered does.
 
     covered answers False at once when a vertex lies in no simplex of Q.
@@ -208,7 +206,7 @@ def _cover_test(Q, lifts):
     the relative interior of the cell is either inside t or disjoint from
     it, and the barycenter decides whether the cell lies in Q."""
     tests = [simplex_tester(ls) for ls in lifts]
-    cuts_of = _span_cuts(lambda: _face_hulls(Q, facets_only=True))
+    cuts_of = _span_cuts(lambda: _face_hulls(lifts, facets_only=True))
 
     def inside(s):
         # whether the barycenter of s, lifted up to the positive factor
@@ -249,8 +247,9 @@ def triangulate(P):
     """
     P, _, lifts = polyhedron(P)
     groups = {}
+    n = len(P[0][0])
     for i, sides, cell in _refined_simplex_cells(lifts, _span_cuts(
-            lambda: _close_under_intersection(_face_hulls(P)))):
+            lambda: _close_under_intersection(_face_hulls(lifts), n))):
         groups.setdefault((i, sides), set()).update(cell)
     tris = set()
     for pts in groups.values():
@@ -324,8 +323,8 @@ def polyhedron_equivalence(P, Q):
     if not d:
         raise InternalCheckError("base and extension lifts are dependent")
     hull_set_q = set(hull_q)
-    covered_by_p = _cover_test(P, lifts_p)
-    covered_by_q = _cover_test(Q, lifts_q)
+    covered_by_p = _cover_test(lifts_p)
+    covered_by_q = _cover_test(lifts_q)
 
     def check_candidate(lifts):
         # images match the base's denominators, so B fixes the last

@@ -76,10 +76,14 @@ def content(v):
 
 def primitive(v):
     """Scale a nonzero rational vector to the primitive integer vector with
-    the same direction (orientation preserved)."""
-    fs = point(v)
-    den = math.lcm(*(c.denominator for c in fs))
-    w = [c.numerator * (den // c.denominator) for c in fs]
+    the same direction (orientation preserved); an integer vector is only
+    divided by its content, with no Fraction."""
+    if all(type(c) is int for c in v):
+        w = v
+    else:
+        fs = point(v)
+        den = math.lcm(*(c.denominator for c in fs))
+        w = [c.numerator * (den // c.denominator) for c in fs]
     g = content(w)
     if g == 0:
         raise InputError("zero vector has no primitive form")

@@ -16,7 +16,9 @@ from itertools import combinations, permutations, product
 
 from afflat.affine import AffineSpace
 from afflat.cones import _coset_point, _cosets
-from afflat.core import UniAffMap, den, lift
+from afflat.convexity import _clip
+from afflat.core import UniAffMap, den, lift, unlift
+from afflat.rationals import primitive
 
 
 def rand_unimodular(rng, n, steps=6, tmax=3):
@@ -154,6 +156,24 @@ def rational_nullspace(rows, cols=None):
             v[pj] = -m[i][j] / m[i][pj]
         basis.append(tuple(v))
     return basis
+
+
+def hull_coords(anchor, basis, x):
+    """Coordinates mu with x = anchor + sum_j mu_j basis_j, for linearly
+    independent basis vectors, by one Fraction solve; None when x is off
+    the flat."""
+    rows = [[b[i] for b in basis] for i in range(len(x))]
+    return rational_solve(rows, [a - b for a, b in zip(x, anchor)])
+
+
+def clip_simplex(simp, g, h, side):
+    """Simplexes covering simp /\\ {side*(g.x - h) >= 0} (closed half): the
+    package's _clip on the sorted vertex lifts and the primitive integer
+    row (g, -h) over lifts, its pieces unlifted."""
+    lifts = tuple(sorted(lift(v) for v in simp))
+    row = primitive(tuple(g) + (-Fraction(h),))
+    vals = [side * sum(a * b for a, b in zip(row, q)) for q in lifts]
+    return [tuple(map(unlift, t)) for t in _clip(lifts, vals)]
 
 
 # --- parallelepiped oracle (Minkowski criterion) -------------------------

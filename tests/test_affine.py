@@ -6,12 +6,12 @@ from itertools import product
 
 import pytest
 
-from afflat import affine
+from afflat import affine, budget
 from afflat.affine import (AffineSpace, affine_equivalence, affine_invariant,
                            affine_span, completion_den, extend_frame,
                            min_den_point, regular_frame)
 from afflat.core import den, is_regular, lift
-from afflat.errors import InputError
+from afflat.errors import InputError, SearchBudgetExceeded
 
 from helpers import (_tiny_det, fraction_rank, map_space,
                      parallelepiped_extends, rand_point,
@@ -359,3 +359,20 @@ def test_search_completion_scan_builds_no_basis(monkeypatch):
     s, l = affine._search_completion(v, [lift(v)])
     assert l == lift(s) and l[-1] == 1
     assert parallelepiped_extends([lift(v), l])
+
+
+def test_search_completion_doubles_past_empty_cubes():
+    # far from the vertex 1/2 the scan around 21/2 finds nothing in its
+    # cubes of radius 1, 2, 4 and 8: an integer s extends the lift (1, 2)
+    # iff det((1, 2), (s, 1)) = 1 - 2s is +-1, so s is 0 or 1.  Round 5
+    # (radius 16) yields it; under a cap of 4 rounds the search gives up
+    center, lifts = (F(21, 2),), [(1, 2)]
+    assert not any(abs(1 - 2 * t) == 1
+                   for t in range(math.ceil(center[0] - 8),
+                                  math.floor(center[0] + 8) + 1))
+    with budget.capped(5):
+        s, l = affine._search_completion(center, lifts)
+    assert l == lift(s) and l[-1] == 1
+    assert abs(_tiny_det([lifts[0], l])) == abs(1 - 2 * s[0]) == 1
+    with budget.capped(4), pytest.raises(SearchBudgetExceeded):
+        affine._search_completion(center, lifts)

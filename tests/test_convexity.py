@@ -5,15 +5,16 @@ from itertools import combinations
 import pytest
 
 from afflat.complexes import _vertex_enumeration
-from afflat.convexity import (AffineHull, Polytope, affine_frame,
-                              hull_vertices, lift_frame, simplex_barycentric,
-                              simplex_tester)
+from afflat.convexity import (AffineHull, Polytope, _flat, _meet,
+                              affine_frame, hull_vertices, lift_frame,
+                              simplex_barycentric, simplex_tester)
 from afflat.core import lift
 from afflat.errors import InputError
 from afflat.rationals import canon_primitive, primitive
 
-from helpers import (_simplex_has, fraction_rank, in_span_by_minors,
-                     rand_point, rational_nullspace, rational_solve)
+from helpers import (_simplex_has, fraction_rank, hull_coords,
+                     in_span_by_minors, rand_point, rational_nullspace,
+                     rational_solve)
 
 F = Fraction
 
@@ -94,40 +95,6 @@ def test_simplex_barycentric_against_span_oracle():
     assert off > 0
 
 
-def test_affine_hull_coords_rejects_wrong_length():
-    hull = AffineHull([(0, 0), (1, 1)])
-    assert hull.coords((2, 2)) == (2,)
-    for p in ((2, 2, 5), (2,)):
-        with pytest.raises(InputError, match="dimension"):
-            hull.coords(p)
-
-
-def test_affine_hull_embed_rejects_wrong_length():
-    hull = AffineHull([(0, 0), (1, 1)])
-    assert hull.embed((F(1, 2),)) == (F(1, 2), F(1, 2))
-    for c in ((1, 2, 3), (), (1, 2)):
-        with pytest.raises(InputError, match="coordinates"):
-            hull.embed(c)
-
-
-def test_affine_hull_coords_round_trip():
-    off = 0
-    for rng, verts in _simplexes(93):
-        # redundant generators: the hull picks its own basis among them
-        gens = verts + [_combination(rng, verts, -3) for _ in range(3)]
-        hull = AffineHull(gens)
-        assert hull.dim == len(verts) - 1
-        for x in _queries(rng, verts):
-            c = hull.coords(x)
-            if not in_span_by_minors(verts, x):
-                assert c is None, (verts, x)
-                off += 1
-                continue
-            assert len(c) == hull.dim
-            assert hull.embed(c) == x
-    assert off > 0
-
-
 # --- hull algebra against the Fraction Gauss-Jordan oracle -------------------
 
 def _oracle_equations(pts):
@@ -159,31 +126,41 @@ def _flats(seed, count):
         yield rng, n, _flat_points(rng, n)
 
 
+def _oracle_flat(pts):
+    """The oracle's canonical equations (a, c) of aff(pts) as canonical
+    primitive rows (a, -c) over lifts, sorted."""
+    return tuple(sorted(canon_primitive(a + (-c,))
+                        for a, c in _oracle_equations(pts)))
+
+
 def test_hull_key_is_canonical():
     for rng, n, pts in _flats(94, 300):
         hull = AffineHull(pts)
         assert hull.equations() == _oracle_equations(pts)
+        flat = _flat([lift(p) for p in pts])
+        assert flat == _oracle_flat(pts)
         diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
         assert hull.dim == fraction_rank(diffs or [(0,) * n])
+        assert len(flat) == n - hull.dim
         # the same flat from shuffled points, plus points of the flat
         more = list(pts) + [_combination(rng, pts, -3) for _ in range(2)]
         rng.shuffle(more)
-        assert AffineHull(more).key() == hull.key()
+        assert _flat([lift(p) for p in more]) == flat
 
 
 def test_hull_intersect_against_oracle():
     empty = 0
     for rng, n, pts in _flats(95, 300):
-        a = AffineHull(pts)
+        a = _flat([lift(p) for p in pts])
         # another random flat, and a translate of a: parallel, often disjoint
         shift = rand_point(rng, n, 4, 2)
         others = [_flat_points(rng, n),
                   [tuple(s + t for s, t in zip(p, shift)) for p in pts]]
-        for b in map(AffineHull, others):
-            eqs = a.equations() + b.equations()
-            got = a.intersect(b)
+        for other in others:
+            eqs = _oracle_equations(pts) + _oracle_equations(other)
+            got = _meet(a, _flat([lift(p) for p in other]), n)
             if not eqs:
-                assert got.key() == ("full", n)
+                assert got == ()
                 continue
             x = rational_solve([e[0] for e in eqs], [e[1] for e in eqs])
             if x is None:
@@ -193,9 +170,8 @@ def test_hull_intersect_against_oracle():
             null = rational_nullspace([e[0] for e in eqs], n)
             flat = [x] + [tuple(s + t for s, t in zip(x, v)) for v in null]
             assert got is not None
-            assert got.dim == len(null)
-            assert got.key() == AffineHull(flat).key()
-            assert got.equations() == _oracle_equations(flat)
+            assert len(got) == n - len(null)
+            assert got == _oracle_flat(flat)
     assert empty > 0
 
 
@@ -375,7 +351,8 @@ def test_polytope_against_oracles_in_r4_and_on_flats():
             dim, [lift(v) for v in verts])
         # each facet holds every point on its closed side and is tight on
         # dim affinely independent points, in hull and ambient coordinates
-        coords = {p: poly.hull.coords(p) for p in pts}
+        coords = {p: hull_coords(poly.hull.anchor, poly.hull.basis, p)
+                  for p in pts}
         for j, (g, h) in enumerate(poly.facets):
             vals = {p: sum(x * y for x, y in zip(g, c))
                     for p, c in coords.items()}

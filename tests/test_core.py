@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from afflat.convexity import AffineHull
+from afflat.convexity import _flat, _meet
 from afflat.core import (UniAffMap, apply, complete_to_lattice_basis,
                          coords_in_lattice_basis, den, extends_to_basis,
                          farey_mediant, is_regular, lift, simplex_map,
@@ -288,14 +288,15 @@ def rank_by_minors(rows):
     return 0
 
 
-def _flat(rows, rhs):
-    """AffineHull of {x : rows . x = rhs} from the Fraction oracle's
-    solution and nullspace, or None when the system is inconsistent."""
+def _solution_flat(rows, rhs):
+    """The flat (convexity._flat) of {x : rows . x = rhs}, spanned by the
+    Fraction oracle's solution and nullspace, or None when the system is
+    inconsistent."""
     x = rational_solve(rows, rhs)
     if x is None:
         return None
-    return AffineHull([x] + [tuple(a + b for a, b in zip(x, v))
-                             for v in rational_nullspace(rows)])
+    return _flat([lift(p) for p in [x] + [tuple(a + b for a, b in zip(x, v))
+                                          for v in rational_nullspace(rows)]])
 
 
 def _same_line(u, v):
@@ -328,14 +329,16 @@ def test_rational_elimination_against_minors():
         # solves, through intersections of the rows' hyperplanes
         x0 = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(c)]
         rhs = [dot(row, x0) for row in rows]
-        flat = _flat([[0] * c], [0])  # all of R^c
+        flat = _solution_flat([[0] * c], [0])  # all of R^c
+        assert flat == ()
         for row, b in zip(rows, rhs):
             if any(row):
-                flat = flat.intersect(_flat([row], [b]))
-        assert flat.dim == c - rank
-        assert flat.contains(x0)
-        assert flat.key() == _flat(rows, rhs).key()
+                flat = _meet(flat, _solution_flat([row], [b]), c)
+        assert len(flat) == rank
+        assert not any(dot(r, lift(x0)) for r in flat)
+        assert flat == _solution_flat(rows, rhs)
         # the sum of the rows with a shifted right-hand side is inconsistent
         total = [sum(col) for col in zip(*rows)]
         if any(total):
-            assert flat.intersect(_flat([total], [sum(rhs) + 1])) is None
+            assert _meet(flat, _solution_flat([total], [sum(rhs) + 1]),
+                         c) is None

@@ -9,7 +9,7 @@ import pytest
 from afflat import cones, polyhedra
 from afflat.affine import AffineSpace
 from afflat.cones import cone, desingularize, fan_rays, is_regular_cone
-from afflat.convexity import AffineHull, clip_simplex
+from afflat.convexity import AffineHull
 from afflat.core import UniAffMap, is_regular, lift, simplex, simplex_lifts
 from afflat.errors import InputError
 from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
@@ -17,10 +17,10 @@ from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
                               triangulate)
 from afflat.segments import hj_chain, lambda1
 
-from helpers import (_tiny_det, box_parallelepiped_points, cone_contains,
-                     fraction_rank, freudenthal_cube, in_hull_by_dets,
-                     interval_union, parallelepiped_points, rand_point,
-                     rand_unimodular, stellar_desingularize)
+from helpers import (_tiny_det, box_parallelepiped_points, clip_simplex,
+                     cone_contains, fraction_rank, freudenthal_cube,
+                     in_hull_by_dets, interval_union, parallelepiped_points,
+                     rand_point, rand_unimodular, stellar_desingularize)
 
 F = Fraction
 
@@ -412,11 +412,12 @@ def test_poly_set_equal_never_true_on_a_separating_grid_point():
     assert kept >= 10 and separated >= 25, (kept, separated)
 
 
-def counting(monkeypatch, name):
-    """Record the arguments of every call to polyhedra.<name>."""
+def counting(monkeypatch, name, owner=polyhedra):
+    """Record the arguments of every call to owner.<name> (polyhedra's by
+    default)."""
     calls = []
-    real = getattr(polyhedra, name)
-    monkeypatch.setattr(polyhedra, name,
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
 
@@ -474,6 +475,20 @@ def test_polyhedron_equivalence_builds_each_cover_test_once(monkeypatch):
     assert polyhedron_equivalence(P, P[:-1]) is None
     assert len(testers) <= len(P) + len(P[:-1]) == 11
     assert len(families) <= 2
+
+
+def test_polyhedron_equivalence_builds_no_affine_hull_and_no_fraction(
+        monkeypatch):
+    # the cover tests refine along flats kept as integer rows over lifts,
+    # so the unit 3-cube against itself less one simplex, which refines 24
+    # times, constructs no AffineHull anywhere; its vertices are Fractions
+    # already, so normalizing them builds none either, and the whole
+    # decision runs on integers
+    P = freudenthal_cube(3)
+    hulls = counting(monkeypatch, "__init__", AffineHull)
+    fractions = counting(monkeypatch, "__new__", Fraction)
+    assert polyhedron_equivalence(P, P[:-1]) is None
+    assert hulls == [] and fractions == []
 
 
 def test_polyhedron_equivalence_lifts_each_vertex_occurrence_once(

@@ -15,11 +15,11 @@ the counts of one call, which do not depend on the machine: the candidate
 maps built (polyhedra.UniAffMap calls), the simplex testers built
 (polyhedra.simplex_tester), the refinements run
 (polyhedra._refined_simplex_cells) and the cut sets derived
-(polyhedra._cuts_for, one per hull a cover test refines), the vertex
+(polyhedra._cuts_for, one per flat a cover test refines), the vertex
 lifts mapped (UniAffMap.map_lift) and the points lifted (rationals.lift,
 in every afflat module that holds it).  They are counted by wrapping
 those attributes in this process only.  The unit 4-cube is left out:
-less one simplex, it took 149 s on a 2-vCPU host.  Exits 1 when a verdict
+less one simplex, it took 27.6 s on a 2-vCPU host.  Exits 1 when a verdict
 is not the expected one.
 """
 

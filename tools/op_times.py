@@ -27,13 +27,17 @@ only relatively), and each builds the same batch.  Every op is timed on
 both sides, the side that goes first alternating from repeat to repeat
 and from op to op, so both see the same host.  Per op kind, and over all
 ops, the script prints the busy time of each side and the change/parent
-ratio, this tree being the change.
+ratio, this tree being the change.  Under each all-ops line it prints the
+spread of that ratio: the min, median and max over the repeats of the
+change/parent ratio of one repeat's all-ops times (repeat 0 being the
+checked call), so a ratio can be told apart from the noise between runs.
 """
 
 import argparse
 import importlib
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -58,9 +62,10 @@ def import_copy(package_dir, name, tmp):
 
 def paired_minima(workload, seed, rounds, repeats, sides):
     """[(kind, least seconds per side)] per op of the seed's rounds
-    0 .. rounds-1, built and timed on each afflat package of sides, and
-    the failed oracle checks per side.  The first repeat of each op is the
-    checked call; with two sides, the side that goes first alternates."""
+    0 .. rounds-1, built and timed on each afflat package of sides, the
+    failed oracle checks per side and, per repeat, the seconds per side
+    summed over all ops.  The first repeat of each op is the checked call;
+    with two sides, the side that goes first alternates."""
     workdirs = [tempfile.mkdtemp(prefix="op-times-%s-" % workload)
                 for _ in sides]
     try:
@@ -70,6 +75,7 @@ def paired_minima(workload, seed, rounds, repeats, sides):
             for _ in range(rounds):
                 batch.add_round()
         out, failed = [], [0] * len(sides)
+        sums = [[0.0] * len(sides) for _ in range(repeats)]
         for i, ops in enumerate(zip(*(b.ops for b in batches))):
             best = [None] * len(sides)
             for r in range(repeats):
@@ -83,14 +89,15 @@ def paired_minima(workload, seed, rounds, repeats, sides):
                         ops[k].call()
                         dt = time.perf_counter() - t0
                     best[k] = dt if best[k] is None else min(best[k], dt)
+                    sums[r][k] += dt
             out.append((ops[0].kind, best))
-        return out, failed
+        return out, failed, sums
     finally:
         for wd in workdirs:
             shutil.rmtree(wd, ignore_errors=True)
 
 
-def report_pairs(title, minima):
+def report_pairs(title, minima, sums):
     by = defaultdict(lambda: [0, 0.0, 0.0])
     for kind, (tp, tc) in minima:
         for key in (kind, None):
@@ -100,6 +107,10 @@ def report_pairs(title, minima):
     n, busy_p, busy_c = by.pop(None)
     print("%s: %d ops, busy parent %.3f s, change %.3f s, change/parent %.3f"
           % (title, n, busy_p, busy_c, busy_c / busy_p))
+    ratios = [tc / tp for tp, tc in sums]
+    print("  per-repeat change/parent over %d repeats: min %.3f, median "
+          "%.3f, max %.3f" % (len(ratios), min(ratios),
+                              statistics.median(ratios), max(ratios)))
     for kind, (n, tp, tc) in sorted(by.items(), key=lambda kv: -kv[1][1]):
         print("  %-28s %5d ops %9.4f s %9.4f s %6.3f"
               % (kind, n, tp, tc, tc / tp))
@@ -114,16 +125,19 @@ def against(args):
                  import_copy(os.path.join(ROOT, "src", "afflat"),
                              "afflat_change", tmp)]
         everything = []
+        total = [[0.0, 0.0] for _ in range(args.repeats)]
         for seed in args.seeds:
-            minima, failed = paired_minima(args.workload, seed, args.rounds,
-                                           args.repeats, sides)
+            minima, failed, sums = paired_minima(
+                args.workload, seed, args.rounds, args.repeats, sides)
             report_pairs("%s seed %d rounds 0-%d, min of %d, failed: "
                          "parent %d, change %d"
                          % (args.workload, seed, args.rounds - 1,
-                            args.repeats, *failed), minima)
+                            args.repeats, *failed), minima, sums)
             everything += minima
+            total = [[a + b for a, b in zip(t, u)]
+                     for t, u in zip(total, sums)]
         if len(args.seeds) > 1:
-            report_pairs("%s all seeds" % args.workload, everything)
+            report_pairs("%s all seeds" % args.workload, everything, total)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
@@ -160,8 +174,8 @@ def main():
     afflat = perfbench.import_afflat()
     everything = []
     for seed in args.seeds:
-        minima, failed = paired_minima(args.workload, seed, args.rounds,
-                                       args.repeats, [afflat])
+        minima, failed, _ = paired_minima(args.workload, seed, args.rounds,
+                                          args.repeats, [afflat])
         minima = [(kind, best) for kind, (best,) in minima]
         report("%s seed %d rounds 0-%d, min of %d, %d failed"
                % (args.workload, seed, args.rounds - 1, args.repeats,
