@@ -39,7 +39,8 @@ from .rationals import (canon_primitive, content, lift, point, primitive, vdot,
 
 class AffineHull:
     """Affine span of rational points: an anchor plus a rational direction
-    basis, with integer equations."""
+    basis, with integer equations.  Each point is lifted once; the lifts of
+    the lift_frame points are kept for the equations."""
 
     def __init__(self, points):
         pts = sorted({point(p) for p in points})
@@ -48,11 +49,12 @@ class AffineHull:
         self.ambient = len(pts[0])
         if any(len(p) != self.ambient for p in pts):
             raise InputError("mixed ambient dimensions")
-        frame = affine_frame(pts)
-        self.anchor = frame[0]
-        self.basis = [vsub(p, self.anchor) for p in frame[1:]]
+        lifts = [lift(p) for p in pts]
+        frame = lift_frame(lifts)
+        self.anchor = pts[frame[0]]
+        self.basis = [vsub(pts[i], self.anchor) for i in frame[1:]]
         self.dim = len(self.basis)
-        self._frame = frame
+        self._frame = [lifts[i] for i in frame]
         self._equations = None
 
     def check_dim(self, p):
@@ -72,8 +74,7 @@ class AffineHull:
         read off the flat of the frame's lifts: a row r gives the primitive
         normal a of r[:-1] and c = a.anchor."""
         if self._equations is None:
-            normals = (primitive(r[:-1])
-                       for r in _flat([lift(p) for p in self._frame]))
+            normals = (primitive(r[:-1]) for r in _flat(self._frame))
             self._equations = sorted((a, vdot(a, self.anchor))
                                      for a in normals)
         return self._equations
@@ -157,16 +158,15 @@ def _facet_scan(lifts, pivots):
                   every) == 1 << i]
 
 
-def hull_vertices(table):
-    """(e, vertices) for a {point: lift} table: the dimension e of the
-    points' convex hull and the lifts of its vertices in point order (that
-    of their numerators scaled to the lcm of their last entries).  One
-    _bareiss pass gives the pivots: independent points are all vertices,
-    collinear ones the first and last (point order is line order), and the
-    rest are read off one _facet_scan."""
-    k = lcm(*(q[-1] for q in table.values()))
-    lifts = sorted(table.values(),
-                   key=lambda q: [k // q[-1] * x for x in q[:-1]])
+def hull_vertices(lifts):
+    """(e, vertices) for the lifts of distinct points, in any order: the
+    dimension e of the points' convex hull and the lifts of its vertices
+    in point order (that of their numerators scaled to the lcm of their
+    last entries).  One _bareiss pass gives the pivots: independent points
+    are all vertices, collinear ones the first and last (point order is
+    line order), and the rest are read off one _facet_scan."""
+    k = lcm(*(q[-1] for q in lifts))
+    lifts = sorted(lifts, key=lambda q: [k // q[-1] * x for x in q[:-1]])
     pivots = _bareiss(list(lifts), len(lifts[0]), reduce=False)[0]
     if len(pivots) == len(lifts):
         return len(lifts) - 1, lifts

@@ -16,13 +16,16 @@ vertex lifts: it rejects a vertex outside it, accepts whole a simplex
 inside one of its simplexes, rejects a simplex whose barycenter is outside
 it, and cuts the rest along its facet flats only, testing each cell by its
 barycenter; both barycenter tests are one integer probe on the lifts.  The
-normalization (polyhedron) lifts each vertex once and returns the
-{vertex: lift} table and each simplex's lifts with the simplexes.  The
-orbit decision reads the hull vertices off the table's lifts, and tries
-the images of an affinely independent base of them among the target's
-hull vertices; each map is built once, in integers, from the adjugate of
-the base's lifts, and passes when both cover tests, built once per
-decision, accept it.
+normalization (polyhedron) lifts each vertex once and returns the set of
+distinct vertex lifts and each simplex's lifts with the simplexes.  The
+orbit decision reads the hull vertices off those lifts, and tries the
+images of an affinely independent base of them among the target's hull
+vertices; each map is built once, in integers, from the adjugate of the
+base's lifts.  A map that carries the source's simplexes onto the
+target's, compared as sets of sorted lift tuples, is accepted with no
+cover test; any other map passes when both cover tests accept it, the
+target's first and the inverse map's only after that.  A decision holds
+one cover test per side, and each builds its testers on its first call.
 """
 
 from functools import reduce
@@ -52,21 +55,21 @@ __all__ = [
 
 def polyhedron(simplexes):
     """Normalize a polyhedron: nonempty list of simplexes, common ambient.
-    Returns (simplexes, table, lifts): the simplexes as tuples of points,
-    the {vertex: lift} table and the vertex lifts of each simplex, each
-    vertex lifted once, by its simplex's normalization."""
-    simps, table, lifts = [], {}, []
+    Returns (simplexes, vertices, lifts): the simplexes as tuples of points,
+    the set of distinct vertex lifts and the vertex lifts of each simplex,
+    each vertex lifted once, by its simplex's normalization."""
+    simps, verts, lifts = [], set(), []
     for s in simplexes:
         pts, ls = simplex_lifts(s)
         simps.append(pts)
-        table.update(zip(pts, ls))
+        verts.update(ls)
         lifts.append(ls)
     if not simps:
         raise InputError("polyhedron needs at least one simplex")
     n = len(simps[0][0])
     if any(len(s[0]) != n for s in simps):
         raise InputError("mixed ambient dimensions")
-    return simps, table, lifts
+    return simps, verts, lifts
 
 
 class Hull(NamedTuple):
@@ -194,8 +197,9 @@ def poly_set_equal(P, Q):
 def _cover_test(lifts):
     """covered(S) -> whether the simplexes S, given by their vertex lifts,
     lie in the union of the simplexes Q whose vertex lifts are lifts.  Q's
-    testers are built here, its facet-flat family and the cuts of each span
-    on first need (_span_cuts); all live as long as covered does.
+    testers are built on the first call, its facet-flat family and the cuts
+    of each span on first need (_span_cuts); all live as long as covered
+    does, so a decision that never calls covered builds none of them.
 
     covered answers False at once when a vertex lies in no simplex of Q.
     A simplex whose vertices all lie in one simplex of Q lies in it
@@ -205,7 +209,7 @@ def _cover_test(lifts):
     then lies in one closed half of every cut, so for every simplex t of Q
     the relative interior of the cell is either inside t or disjoint from
     it, and the barycenter decides whether the cell lies in Q."""
-    tests = [simplex_tester(ls) for ls in lifts]
+    tests = []
     cuts_of = _span_cuts(lambda: _face_hulls(lifts, facets_only=True))
 
     def inside(s):
@@ -216,6 +220,8 @@ def _cover_test(lifts):
         return any(t(b) for t in tests)
 
     def covered(S):
+        if not tests:
+            tests.extend(map(simplex_tester, lifts))
         masks = {}
         for s in S:
             for q in s:
@@ -284,24 +290,26 @@ def polyhedron_equivalence(P, Q):
     A valid map bijects the hull vertices, so it is pinned on aff(P) by the
     images of an affinely independent base of P's hull vertices: every
     matched tuple of Q's hull vertices is tried, and the map phi it induces
-    passes when phi(P) lies in Q and phi^-1(Q) in P.  With L the matrix of
-    the base's lifts, the map of a candidate is L' adj(L) / det(L), L' the
-    lifts of the images, kept when it is integral with det +-1.  When the
-    hulls are flat, L is completed to a square matrix by the lifts of the
-    extension of aff(P)'s witness simplex, sent where the spans' witness
-    map sends them.  Hulls of different dimensions or vertex counts answer
-    None at once, and so do hull segments of different lambda_1 (read off
-    the chain's runs).  Each side's vertices are lifted once, by the
-    normalization, into one table that the hull scan, the frame and the
-    cover tests read.
+    passes when it carries P's simplexes onto Q's (so phi(P) = Q as a
+    union, and no cover test runs), or else when phi(P) lies in Q and
+    phi^-1(Q) in P.  With L the matrix of the base's lifts, the map of a
+    candidate is L' adj(L) / det(L), L' the lifts of the images, kept when
+    it is integral with det +-1.  When the hulls are flat, L is completed
+    to a square matrix by the lifts of the extension of aff(P)'s witness
+    simplex, sent where the spans' witness map sends them.  Hulls of
+    different dimensions or vertex counts answer None at once, and so do
+    hull segments of different lambda_1 (read off the chain's runs).  Each
+    side's vertices are lifted once, by the normalization; the hull scan
+    and the frame read the distinct lifts, and the simplex match and the
+    cover tests each simplex's lifts.
     """
-    P, table_p, lifts_p = polyhedron(P)
-    Q, table_q, lifts_q = polyhedron(Q)
+    P, verts_p, lifts_p = polyhedron(P)
+    Q, verts_q, lifts_q = polyhedron(Q)
     n = len(P[0][0])
     if len(Q[0][0]) != n:
         raise InputError("ambient dimensions differ")
-    e, hull_p = hull_vertices(table_p)
-    e_q, hull_q = hull_vertices(table_q)
+    e, hull_p = hull_vertices(verts_p)
+    e_q, hull_q = hull_vertices(verts_q)
     if e_q != e or len(hull_q) != len(hull_p):
         return None
     if e == 1 and (_runs_lambda1(_plane_runs(*hull_p))
@@ -310,8 +318,8 @@ def polyhedron_equivalence(P, Q):
     if e == n:
         ext, g_ext = [], []
     else:
-        FP = AffineSpace(sorted(table_p))
-        gamma = affine_equivalence(FP, AffineSpace(sorted(table_q)))
+        FP = AffineSpace(map(unlift, verts_p))
+        gamma = affine_equivalence(FP, AffineSpace(map(unlift, verts_q)))
         if gamma is None:
             return None
         ext = [lift(p) for p in c_invariant(FP)[1][e + 1:]]
@@ -323,6 +331,7 @@ def polyhedron_equivalence(P, Q):
     if not d:
         raise InternalCheckError("base and extension lifts are dependent")
     hull_set_q = set(hull_q)
+    simps_q = {tuple(sorted(s)) for s in lifts_q}
     covered_by_p = _cover_test(lifts_p)
     covered_by_q = _cover_test(lifts_q)
 
@@ -341,13 +350,16 @@ def polyhedron_equivalence(P, Q):
         # phi is injective and the hulls have equally many vertices
         if not all(phi.map_lift(q) in hull_set_q for q in hull_p):
             return None
-        # phi(P) = Q iff phi(P) lies in Q and phi^-1(Q) in P
-        if not covered_by_q([tuple(map(phi.map_lift, s)) for s in lifts_p]):
-            return None
-        phi_inv = phi.inverse()
-        if not covered_by_p([tuple(map(phi_inv.map_lift, s))
-                             for s in lifts_q]):
-            return None
+        # phi(P) = Q when phi carries P's simplexes onto Q's; else iff
+        # phi(P) lies in Q and phi^-1(Q) in P
+        mapped = [tuple(map(phi.map_lift, s)) for s in lifts_p]
+        if {tuple(sorted(s)) for s in mapped} != simps_q:
+            if not covered_by_q(mapped):
+                return None
+            phi_inv = phi.inverse()
+            if not covered_by_p([tuple(map(phi_inv.map_lift, s))
+                                 for s in lifts_q]):
+                return None
         if any(phi.map_lift(c) != m for c, m in zip(cols, imgs)):
             raise InternalCheckError("candidate map failed re-application "
                                      "check")

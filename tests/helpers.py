@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from afflat import polyhedra
 from afflat.affine import AffineSpace
 from afflat.cones import _coset_point, _cosets
 from afflat.convexity import _clip
@@ -295,6 +296,23 @@ def in_hull_by_dets(points, x):
     return any(_simplex_has(sub, x)
                for r in range(1, len(pts) + 1)
                for sub in combinations(pts, r))
+
+
+def in_union_by_dets(P, x):
+    """x lies in some simplex of P: a bounding-box test, then the Cramer
+    oracle in_hull_by_dets."""
+    return any(all(min(c) <= a <= max(c) for a, c in zip(x, zip(*s)))
+               and in_hull_by_dets(s, x) for s in P)
+
+
+def grid_points(pts, max_den):
+    """The rational points of denominator <= max_den in the bounding box of
+    pts, each once, in lexicographic order."""
+    axes = [sorted({Fraction(k, d) for d in range(1, max_den + 1)
+                    for k in range(math.ceil(min(c) * d),
+                                   math.floor(max(c) * d) + 1)})
+            for c in zip(*pts)]
+    return product(*axes)
 
 
 # --- chain step oracle ----------------------------------------------------
@@ -609,3 +627,13 @@ def freudenthal_cube(n, side=1):
             verts.append(tuple(v))
         out.append(tuple(verts))
     return out
+
+
+def counting(monkeypatch, name, owner=polyhedra):
+    """Record the arguments of every call to owner.<name> (polyhedra's by
+    default)."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls

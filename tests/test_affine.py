@@ -6,14 +6,14 @@ from itertools import product
 
 import pytest
 
-from afflat import affine, budget
+from afflat import affine, budget, convexity
 from afflat.affine import (AffineSpace, affine_equivalence, affine_invariant,
                            affine_span, completion_den, extend_frame,
                            min_den_point, regular_frame)
 from afflat.core import den, is_regular, lift
 from afflat.errors import InputError, SearchBudgetExceeded
 
-from helpers import (_tiny_det, fraction_rank, map_space,
+from helpers import (_tiny_det, counting, fraction_rank, map_space,
                      parallelepiped_extends, rand_point,
                      regular_by_parallelepiped, rand_unimodular, same_space)
 
@@ -346,6 +346,16 @@ def test_affine_invariant_finds_the_least_denominator_once(monkeypatch):
         f = affine_span(pts)
         affine_invariant(f)
         assert len(calls) == 1, pts
+
+
+def test_affine_space_lifts_each_point_once(monkeypatch):
+    # the hull keeps the lifts of its frame points and reads its equations
+    # off them, so 3 independent points in R^3 are lifted 3 times in all
+    calls = counting(monkeypatch, "lift", convexity)
+    f = AffineSpace([(F(1, 2), F(0), F(1)), (F(0), F(1, 3), F(0)),
+                     (F(1), F(1), F(1, 5))])
+    assert len(calls) == 3
+    assert f.dim == 2 and len(f.equations) == 1
 
 
 def test_search_completion_scan_builds_no_basis(monkeypatch):

@@ -347,7 +347,7 @@ def test_polytope_against_oracles_in_r4_and_on_flats():
         # a vertex lies in no simplex of the other points
         verts = [p for p in sorted(set(pts)) if not in_hull(p, set(pts) - {p})]
         assert poly.vertices == verts
-        assert hull_vertices({p: lift(p) for p in pts}) == (
+        assert hull_vertices({lift(p) for p in pts}) == (
             dim, [lift(v) for v in verts])
         # each facet holds every point on its closed side and is tight on
         # dim affinely independent points, in hull and ambient coordinates

@@ -1,8 +1,9 @@
 import math
 import random
 import sys
+import threading
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -17,9 +18,10 @@ from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
                               triangulate)
 from afflat.segments import hj_chain, lambda1
 
-from helpers import (_tiny_det, box_parallelepiped_points, clip_simplex,
-                     cone_contains, fraction_rank, freudenthal_cube,
-                     in_hull_by_dets, interval_union, parallelepiped_points,
+from helpers import (_tiny_det, apply_affine, box_parallelepiped_points,
+                     clip_simplex, cone_contains, counting, fraction_rank,
+                     freudenthal_cube, grid_points, in_hull_by_dets,
+                     in_union_by_dets, interval_union, parallelepiped_points,
                      rand_point, rand_unimodular, stellar_desingularize)
 
 F = Fraction
@@ -365,22 +367,10 @@ def mutated(rng, Q, n):
     return Q
 
 
-def in_union_by_dets(P, x):
-    """x lies in some simplex of P: a bounding-box test, then the Cramer
-    oracle helpers.in_hull_by_dets."""
-    return any(all(min(c) <= a <= max(c) for a, c in zip(x, zip(*s)))
-               and in_hull_by_dets(s, x) for s in P)
-
-
 def separating_grid_point(P, Q, max_den=4):
     """A rational point of denominator <= max_den in the bounding box of P
     and Q that lies in one union only, or None."""
-    pts = [v for s in P + Q for v in s]
-    axes = [sorted({F(k, d) for d in range(1, max_den + 1)
-                    for k in range(math.ceil(min(c) * d),
-                                   math.floor(max(c) * d) + 1)})
-            for c in zip(*pts)]
-    for x in product(*axes):
+    for x in grid_points([v for s in P + Q for v in s], max_den):
         if in_union_by_dets(P, x) != in_union_by_dets(Q, x):
             return x
     return None
@@ -410,16 +400,6 @@ def test_poly_set_equal_never_true_on_a_separating_grid_point():
             kept += got
             separated += x is not None
     assert kept >= 10 and separated >= 25, (kept, separated)
-
-
-def counting(monkeypatch, name, owner=polyhedra):
-    """Record the arguments of every call to owner.<name> (polyhedra's by
-    default)."""
-    calls = []
-    real = getattr(owner, name)
-    monkeypatch.setattr(owner, name,
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
-    return calls
 
 
 def test_poly_set_equal_accepts_own_simplexes_without_clipping(monkeypatch):
@@ -992,6 +972,119 @@ def test_polyhedron_equivalence_freudenthal_cube_hard_negative(monkeypatch):
     m = polyhedron_equivalence(P, Q)
     assert m is not None
     assert_carries_by_oracles(P, Q, (m.matrix, m.translation))
+
+
+def assert_carries_by_grid(P, Q, m, max_den=2):
+    """The map m = (matrix, translation) sends every vertex of P, and every
+    point of denominator <= max_den of P's union, into Q's union, by the
+    Cramer oracle."""
+    pts = [v for s in P for v in s]
+    for x in pts + [x for x in grid_points(pts, max_den)
+                    if in_union_by_dets(P, x)]:
+        assert in_union_by_dets(Q, apply_affine(*m, x)), (P, Q, m, x)
+
+
+def simplexwise_images(seed, count):
+    """count pairs (P, Q) in R^1-R^3: Q is P's simplexes under a random
+    unimodular map, each with its vertices shuffled, the list shuffled and
+    one simplex repeated."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        n = 1 + i % 3
+        P = [rand_simplex(rng, n, 2, 1) for _ in range(rng.randint(1, 3))]
+        g = rand_unimodular(rng, n, tmax=2)
+        Q = [tuple(rng.sample([g(v) for v in s], len(s))) for s in P]
+        Q.append(rng.choice(Q))
+        rng.shuffle(Q)
+        pairs.append((P, Q))
+    return pairs
+
+
+def test_polyhedron_equivalence_accepts_simplexwise_images_untested(
+        monkeypatch):
+    # a candidate that carries P's simplexes onto Q's carries P onto Q, so
+    # it is accepted before any cover test: no tester is built and nothing
+    # is refined (the cover tests ran on every such pair before)
+    testers = counting(monkeypatch, "simplex_tester")
+    refined = counting(monkeypatch, "_refined_simplex_cells")
+    for P, Q in simplexwise_images(71, 24):
+        m = polyhedron_equivalence(P, Q)
+        assert m is not None, (P, Q)
+        assert testers == [] and refined == [], (P, Q)
+        assert_carries_by_grid(P, Q, (m.matrix, m.translation))
+
+
+SPLIT_SQUARE = [tri((0, 0), (1, 0), (1, 1)), tri((0, 0), (0, 1), (1, 1))]
+SPLIT_SQUARE_ANTI = [tri((0, 0), (1, 0), (0, 1)), tri((1, 0), (0, 1), (1, 1))]
+
+
+def test_polyhedron_equivalence_falls_back_to_the_cover_tests(monkeypatch):
+    # the unit square split along (0,0)-(1,1) against images of the square
+    # split along (1,0)-(0,1): each of the square's 8 symmetries passes the
+    # hull check and carries the union, and 4 of them carry the simplexes,
+    # so the first one tried is accepted; the cover tests, and only they,
+    # build testers, exactly when that map does not carry the simplexes
+    testers = counting(monkeypatch, "simplex_tester")
+    rng = random.Random(72)
+    maps = [UniAffMap(((1, 0), (0, 1)), (0, 0))]
+    maps += [rand_unimodular(rng, 2, tmax=2) for _ in range(11)]
+    fallbacks = 0
+    for g in maps:
+        Q = [tuple(g(v) for v in s) for s in SPLIT_SQUARE_ANTI]
+        testers.clear()
+        m = polyhedron_equivalence(SPLIT_SQUARE, Q)
+        assert m is not None
+        assert_carries_by_grid(SPLIT_SQUARE, Q, (m.matrix, m.translation), 4)
+        image = {frozenset(apply_affine(m.matrix, m.translation, v)
+                           for v in s) for s in SPLIT_SQUARE}
+        simplexwise = image == set(map(frozenset, Q))
+        assert bool(testers) != simplexwise, g
+        fallbacks += not simplexwise
+    # the identity is tried first against the square itself
+    assert 3 <= fallbacks < len(maps)
+    # the cube less one simplex, or with one simplex repeated in its place,
+    # shares the cube's hull, and no candidate passes the cover tests
+    P = freudenthal_cube(3)
+    for Q in (P[:-1], P[:-1] + P[:1]):
+        testers.clear()
+        assert polyhedron_equivalence(P, Q) is None
+        assert polyhedron_equivalence(Q, P) is None
+        assert testers
+
+
+def test_polyhedron_equivalence_threads_get_the_serial_maps():
+    # four threads decide the same pairs at once: simplexwise images,
+    # fallbacks through the cover tests and a hard negative; the testers
+    # and cut caches a decision builds on first need are its own, so every
+    # thread gets the serial run's maps
+    pairs = simplexwise_images(73, 9) + [
+        (SPLIT_SQUARE, SPLIT_SQUARE_ANTI), (SPLIT_SQUARE, SPLIT_SQUARE),
+        (freudenthal_cube(3), freudenthal_cube(3)[:-1])]
+
+    def decide():
+        return [None if m is None else (m.matrix, m.translation)
+                for m in (polyhedron_equivalence(P, Q) for P, Q in pairs)]
+
+    serial = decide()
+    assert serial[-1] is None and None not in serial[:-1]
+    got = [None] * 4
+
+    def worker(i):
+        got[i] = decide()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [serial] * 4
 
 
 def test_polyhedron_equivalence_non_integral_candidate_maps():
