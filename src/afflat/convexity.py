@@ -12,11 +12,15 @@ coordinates where their span projects injectively: the normal of each
 independent e-subset is sign-tested on every lift, and the points on each
 facet are recorded as a bitmask, so facet witnesses are read off integer
 tightness, and a point is a vertex when the AND of the masks of its facets
-holds it alone.  num/k lies in a polytope iff its lift vanishes on the
-rows of the hull's flat and satisfies the scan's facet rows.  Coordinates
-over affinely independent points come from one `span_solver` over their
-lifts: a simplex contains num/k iff (num, k) is a nonnegative combination
-of its vertex lifts, and the same solve gives barycentric coordinates.
+holds it alone.  `hull_vertices`, which needs no facets, reads the
+vertices of a planar hull off Andrew's monotone chain instead: one pass
+each way over the lifts in point order, each turn the sign of a 3x3
+integer determinant of projected lifts.  num/k lies in a polytope iff its
+lift vanishes on the rows of the hull's flat and satisfies the scan's
+facet rows.  Coordinates over affinely independent points come from one
+`span_solver` over their lifts: a simplex contains num/k iff (num, k) is a
+nonnegative combination of its vertex lifts, and the same solve gives
+barycentric coordinates.
 Simplex clipping, the step of the one arrangement refiner, maps vertex
 lifts to lifts: signs are integer rows on them, edge crossings integer
 combinations of two, and each closed half of a simplex of any dimension,
@@ -46,11 +50,15 @@ class AffineHull:
         pts = sorted({point(p) for p in points})
         if not pts:
             raise InputError("affine hull of an empty set")
-        self.ambient = len(pts[0])
-        if any(len(p) != self.ambient for p in pts):
+        if any(len(p) != len(pts[0]) for p in pts):
             raise InputError("mixed ambient dimensions")
-        lifts = [lift(p) for p in pts]
+        self._span(pts, [lift(p) for p in pts])
+
+    def _span(self, pts, lifts):
+        """Set up the hull of the sorted distinct points pts from their
+        lifts, lifting nothing."""
         frame = lift_frame(lifts)
+        self.ambient = len(pts[0])
         self.anchor = pts[frame[0]]
         self.basis = [vsub(pts[i], self.anchor) for i in frame[1:]]
         self.dim = len(self.basis)
@@ -158,13 +166,46 @@ def _facet_scan(lifts, pivots):
                   every) == 1 << i]
 
 
+def _polygon_vertices(lifts, pivots):
+    """The vertex lifts, in point order, of the polygon spanned by lifts in
+    point order, given the 3 pivot columns of one Bareiss pass below the
+    pivots over them: Andrew's monotone chain, forward and in reverse.
+    Restricted to the pivots the lifts keep their span injectively, so the
+    determinant of three restricted lifts is the orientation of their
+    points times the positive product of their last entries and one fixed
+    sign.  Each pass drops its last kept point while that and the one
+    before it make no strict turn of that sign towards the new point; if
+    the sign is negative the passes keep the other chains, and the union is
+    still the vertex set.  Point order is lexicographic, which sweeps any
+    plane: by its first coordinate not constant on it, ties by the first
+    one independent of that."""
+    a, b, c = pivots
+    proj = [(q[a], q[b], q[c]) for q in lifts]
+    kept = set()
+    for order in (range(len(proj)), range(len(proj) - 1, -1, -1)):
+        chain = []
+        for i in order:
+            x, y, z = proj[i]
+            while len(chain) > 1:
+                u0, u1, u2 = proj[chain[-2]]
+                v0, v1, v2 = proj[chain[-1]]
+                if (u0 * (v1 * z - v2 * y) - u1 * (v0 * z - v2 * x)
+                        + u2 * (v0 * y - v1 * x)) > 0:
+                    break
+                chain.pop()
+            chain.append(i)
+        kept.update(chain)
+    return [lifts[i] for i in sorted(kept)]
+
+
 def hull_vertices(lifts):
     """(e, vertices) for the lifts of distinct points, in any order: the
     dimension e of the points' convex hull and the lifts of its vertices
     in point order (that of their numerators scaled to the lcm of their
     last entries).  One _bareiss pass gives the pivots: independent points
     are all vertices, collinear ones the first and last (point order is
-    line order), and the rest are read off one _facet_scan."""
+    line order), planar ones come from one monotone-chain pass
+    (_polygon_vertices), and the rest are read off one _facet_scan."""
     k = lcm(*(q[-1] for q in lifts))
     lifts = sorted(lifts, key=lambda q: [k // q[-1] * x for x in q[:-1]])
     pivots = _bareiss(list(lifts), len(lifts[0]), reduce=False)[0]
@@ -172,18 +213,21 @@ def hull_vertices(lifts):
         return len(lifts) - 1, lifts
     if len(pivots) == 2:
         return 1, [lifts[0], lifts[-1]]
+    if len(pivots) == 3:
+        return 2, _polygon_vertices(lifts, pivots)
     return len(pivots) - 1, [lifts[i] for i in _facet_scan(lifts, pivots)[1]]
 
 
 class Polytope:
     """Convex hull of finitely many rational points with exact V- and H-data.
 
-    Each point is lifted once.  The affine hull is that of the lifts'
-    lift_frame points, and one _facet_scan over the lifts gives the facet
-    rows, each with the set of points on it (a bitmask over the sorted
-    points).  A row r over the projected lifts is the inequality g.x <= h
-    in the coordinates of the affine hull, g_i = r.proj(basis_i, 0) and
-    h = -r.proj(anchor, 1) scaled to a primitive integer g.
+    Each point is lifted once.  The affine hull is set up from the lifts
+    (its anchor and basis are their lift_frame points), and one _facet_scan
+    over the lifts gives the facet rows, each with the set of points on it
+    (a bitmask over the sorted points).  A row r over the projected lifts
+    is the inequality g.x <= h in the coordinates of the affine hull,
+    g_i = r.proj(basis_i, 0) and h = -r.proj(anchor, 1) scaled to a
+    primitive integer g.
     """
 
     def __init__(self, points):
@@ -193,9 +237,9 @@ class Polytope:
         if any(len(p) != len(pts[0]) for p in pts):
             raise InputError("mixed ambient dimensions")
         lifts = [lift(p) for p in pts]
-        frame = lift_frame(lifts)
-        self.hull = AffineHull([pts[i] for i in frame])
-        self._frame = [lifts[i] for i in frame]
+        # the hull is set up from the lifts in hand, not re-lifted
+        self.hull = AffineHull.__new__(AffineHull)
+        self.hull._span(pts, lifts)
         self.dim = self.hull.dim
         self._pts = pts
         self._eqs = None
@@ -226,7 +270,7 @@ class Polytope:
         rows of the hull's flat, built on first use, vanish on q, and the
         facet rows are <= 0 on its projection."""
         if self._eqs is None:
-            self._eqs = _flat(self._frame)
+            self._eqs = _flat(self.hull._frame)
         p = [q[j] for j in self._pivots]
         return (not any(sum(map(mul, r, q)) for r in self._eqs)
                 and all(sum(map(mul, r, p)) <= 0 for r in self._rows))

@@ -18,7 +18,16 @@ from .errors import InputError, InternalCheckError
 from .intlinalg import (complete_basis, det_int, integer_kernel, integer_rank,
                         invert_unimodular, is_part_of_basis, mat_mul, mat_vec,
                         span_solver, xgcd)
-from .rationals import content, den, intvec, lift, point, vadd
+from .rationals import content, den, intvec, lift, lift_point, point, vadd
+
+# the public names, lift and den among them: the package imports its lifts
+# from here
+__all__ = [
+    "unlift", "lift", "den", "extends_to_basis", "simplex_lifts", "simplex",
+    "is_regular", "farey_mediant", "complete_to_lattice_basis", "UniAffMap",
+    "apply", "simplex_map", "dual_vector", "plane_basis",
+    "saturated_span_basis", "lattice_coords", "coords_in_lattice_basis",
+]
 
 
 def unlift(q):
@@ -51,16 +60,16 @@ def extends_to_basis(vectors):
 
 def simplex_lifts(vertices):
     """(points, lifts): a vertex sequence normalized to a tuple of points,
-    and the tuple of their lifts, each vertex lifted once.  The points are
-    affinely independent iff their lifts are linearly independent, which
-    is checked."""
+    and the tuple of their lifts, each vertex normalized once and its point
+    lifted.  The points are affinely independent iff their lifts are
+    linearly independent, which is checked."""
     verts = tuple(point(v) for v in vertices)
     if not verts:
         raise InputError("a simplex needs at least one vertex")
     n = len(verts[0])
     if any(len(v) != n for v in verts):
         raise InputError("mixed ambient dimensions")
-    lifts = tuple(lift(v) for v in verts)
+    lifts = tuple(lift_point(v) for v in verts)
     if integer_rank(lifts) != len(lifts):
         raise InputError("vertices are not affinely independent")
     return verts, lifts

@@ -61,7 +61,11 @@ def den(x):
 
 def lift(x):
     """Homogeneous correspondent (den(x)*x_1, ..., den(x)*x_n, den(x))."""
-    p = point(x)
+    return lift_point(point(x))
+
+
+def lift_point(p):
+    """lift(p) for a point p already normalized by point()."""
     d = math.lcm(*(c.denominator for c in p))
     return tuple(c.numerator * (d // c.denominator) for c in p) + (d,)
 

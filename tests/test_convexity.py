@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from afflat import convexity
 from afflat.complexes import _vertex_enumeration
 from afflat.convexity import (AffineHull, Polytope, _flat, _meet,
                               affine_frame, hull_vertices, lift_frame,
@@ -12,7 +13,7 @@ from afflat.core import lift
 from afflat.errors import InputError
 from afflat.rationals import canon_primitive, primitive
 
-from helpers import (_simplex_has, fraction_rank, hull_coords,
+from helpers import (_simplex_has, counting, fraction_rank, hull_coords,
                      in_span_by_minors, rand_point, rational_nullspace,
                      rational_solve)
 
@@ -305,10 +306,12 @@ def _affine_dim(pts):
 
 def _oracle_sets(seed):
     """General point sets in R^4, point sets spanning a line, a plane or a
-    3-flat of R^3 and R^4, with points repeated and off the frame, and
-    point sets in R^1 with interior and repeated points out of order; each
-    with probe points of its flat (inside and outside the hull) and off
-    it."""
+    3-flat of R^3 and R^4, with points repeated and off the frame, point
+    sets in R^1 with interior and repeated points out of order, point sets
+    in R^2 with points inside edges, vertical edges and repeated points,
+    and grids on planes of R^3 on which x1 is constant or x2 a multiple of
+    x1; each with probe points of its flat (inside and outside the hull)
+    and off it."""
     rng = random.Random(seed)
     for _ in range(8):
         pts = [rand_point(rng, 4, 3, 2) for _ in range(rng.randint(5, 7))]
@@ -330,6 +333,44 @@ def _oracle_sets(seed):
                 [(F(1, 3),), (-2,), (F(1, 3),), (F(-5, 4),), (3,), (-2,)],
                 [(F(7, 2),), (F(-1, 3),), (F(7, 2),)]):
         yield pts, [(F(1, 4),), (-1,), (-2,), (F(7, 2),), (4,)]
+    for _ in range(8):
+        # some of a box's corners and points inside its edges, the left and
+        # right edges vertical (ties in x1), random points and the midpoint
+        # of two of the points, one point repeated
+        lo = [F(rng.randint(-6, 0), rng.randint(1, 2)) for _ in range(2)]
+        hi = [x + rng.randint(1, 3) for x in lo]
+        mid = [(a + b) / 2 for a, b in zip(lo, hi)]
+        box = [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], mid[1], hi[1])]
+        pts = rng.sample(box + [(mid[0], lo[1]), (mid[0], hi[1])],
+                         rng.randint(3, 6))
+        pts += [rand_point(rng, 2, 2, 2) for _ in range(rng.randint(0, 3))]
+        p, q = rng.sample(pts, 2)
+        pts += [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2), rng.choice(pts)]
+        yield pts, ([_combination(rng, pts, -2) for _ in range(3)]
+                    + [rand_point(rng, 2, 3, 2)])
+    for const in (True, False) * 4:
+        # x1 = c0 or x2 = c x1 + c0 on the plane, so point order sorts by a
+        # later coordinate or reads x1 and x2 in step; small integer grid
+        # steps put points inside edges
+        c, c0 = (F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2))
+        frame = []
+        while len(frame) < 3 or _affine_dim(frame) < 2:
+            x = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+            if const:
+                x[0] = c0
+            else:
+                x[1] = c * x[0] + c0
+            frame = frame[-2:] + [tuple(x)]
+        base, dirs = frame[0], [[a - b for a, b in zip(v, frame[0])]
+                                for v in frame[1:]]
+        pts = []
+        for _ in range(rng.randint(4, 8)):
+            t, u = rng.randint(-2, 2), rng.randint(-2, 2)
+            pts.append(tuple(b + t * d + u * e
+                             for b, d, e in zip(base, *dirs)))
+        pts.append(rng.choice(pts))
+        yield pts, ([_combination(rng, pts, -2) for _ in range(3)]
+                    + [rand_point(rng, 3, 3, 2)])
 
 
 def test_polytope_against_oracles_in_r4_and_on_flats():
@@ -367,4 +408,25 @@ def test_polytope_against_oracles_in_r4_and_on_flats():
                                 if v == c]) == dim - 1
         for x in probes:
             assert poly.contains(x) == in_hull(x, pts), (pts, x)
-    assert flat == 40
+    assert flat == 48
+
+
+def test_planar_hull_vertices_take_no_nullspace(monkeypatch):
+    # 6 points of a plane, one inside an edge and one inside the hull, in
+    # R^2 and on a plane of R^3: one monotone-chain pass, where a facet
+    # scan takes a nullspace for each of the 15 pairs
+    calls = counting(monkeypatch, "nullspace", convexity)
+    square, others = [(0, 0), (0, 2), (2, 0), (2, 2)], [(1, 0), (1, 1)]
+    for embed in ((lambda p: p), (lambda p: (F(1, 2), p[1], p[0]))):
+        corners = sorted(map(embed, square))
+        lifts = [lift(embed(p)) for p in others + square]
+        assert hull_vertices(lifts) == (2, [lift(p) for p in corners])
+    assert not calls
+
+
+def test_polytope_lifts_each_point_once(monkeypatch):
+    # the affine hull is set up from the polytope's own lifts
+    calls = counting(monkeypatch, "lift", convexity)
+    poly = Polytope([(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1), (1, 1, 1)])
+    assert len(calls) == 4
+    assert poly.dim == 3 and len(poly.vertices) == 4

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from afflat import cones, polyhedra
+from afflat import cones, polyhedra, rationals
 from afflat.affine import AffineSpace
 from afflat.cones import cone, desingularize, fan_rays, is_regular_cone
 from afflat.convexity import AffineHull
@@ -479,14 +479,17 @@ def test_polyhedron_equivalence_lifts_each_vertex_occurrence_once(
     # distinct vertex again, 64 calls).  Against itself less one simplex,
     # every base image is tried and the cover tests refine 24 times; the
     # refiner carries the lifts through every cut, so only the hulls it
-    # takes cuts from lift points
+    # takes cuts from lift points.  A point already normalized is lifted by
+    # lift_point, which rationals.lift calls: it is counted where any other
+    # module calls it
     calls = []
-    real = lift
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("afflat.")
-                and getattr(mod, "lift", None) is real):
-            monkeypatch.setattr(mod, "lift",
-                                lambda x: calls.append(x) or real(x))
+    for name, real in (("lift", lift), ("lift_point", rationals.lift_point)):
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("afflat.")
+                    and getattr(mod, name, None) is real
+                    and (name, mod) != ("lift_point", rationals)):
+                monkeypatch.setattr(mod, name, lambda x, real=real:
+                                    calls.append(x) or real(x))
     P = freudenthal_cube(3)
     g = UniAffMap(((1, 1, 0), (0, 1, 1), (0, 0, 1)), (1, 0, -1))
     image = [tuple(g(v) for v in s) for s in P]

@@ -17,7 +17,9 @@ maps built (polyhedra.UniAffMap calls), the simplex testers built
 (polyhedra._refined_simplex_cells) and the cut sets derived
 (polyhedra._cuts_for, one per flat a cover test refines), the vertex
 lifts mapped (UniAffMap.map_lift) and the points lifted (rationals.lift,
-in every afflat module that holds it).  They are counted by wrapping
+in every afflat module that holds it, and rationals.lift_point, which
+lifts a point already normalized, in every afflat module that holds it
+but rationals, whose lift calls it).  They are counted by wrapping
 those attributes in this process only.  The unit 4-cube is left out:
 less one simplex, it took 27.6 s on a 2-vCPU host.  Exits 1 when a verdict
 is not the expected one.
@@ -51,27 +53,33 @@ CASES = [
 def counted_call(P, Q):
     """(result, {name: calls}) of one polyhedron_equivalence(P, Q), with
     the COUNTED attributes of afflat.polyhedra, UniAffMap.map_lift and
-    every afflat module's lift wrapped for the call."""
-    targets = [(polyhedra, name) for name in COUNTED]
-    targets.append((UniAffMap, "map_lift"))
-    targets += [(mod, "lift") for name, mod in list(sys.modules.items())
-                if (name == "afflat" or name.startswith("afflat."))
-                and getattr(mod, "lift", None) is rationals.lift]
-    counts = dict.fromkeys([name for _, name in targets], 0)
-    originals = [(obj, name, getattr(obj, name)) for obj, name in targets]
+    every afflat module's lift and lift_point wrapped for the call; both
+    lifts count as "lift"."""
+    targets = [(polyhedra, name, name) for name in COUNTED]
+    targets.append((UniAffMap, "map_lift", "map_lift"))
+    afflat = [mod for name, mod in list(sys.modules.items())
+              if name == "afflat" or name.startswith("afflat.")]
+    targets += [(mod, "lift", "lift") for mod in afflat
+                if getattr(mod, "lift", None) is rationals.lift]
+    targets += [(mod, "lift_point", "lift") for mod in afflat
+                if mod is not rationals
+                and getattr(mod, "lift_point", None) is rationals.lift_point]
+    counts = dict.fromkeys([key for _, _, key in targets], 0)
+    originals = [(obj, name, key, getattr(obj, name))
+                 for obj, name, key in targets]
 
-    def wrap(name, real):
+    def wrap(key, real):
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[key] += 1
             return real(*args, **kwargs)
         return counted
 
-    for obj, name, real in originals:
-        setattr(obj, name, wrap(name, real))
+    for obj, name, key, real in originals:
+        setattr(obj, name, wrap(key, real))
     try:
         res = polyhedra.polyhedron_equivalence(P, Q)
     finally:
-        for obj, name, real in originals:
+        for obj, name, _, real in originals:
             setattr(obj, name, real)
     return res, counts
 
