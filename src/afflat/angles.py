@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .affine import extend_frame
+from .affine import completion_den, extend_frame
 from .convexity import simplex_barycentric
 from .core import den, dual_vector, lift, plane_basis, unlift
 from .errors import InputError, InternalCheckError, NotInClass
@@ -177,8 +177,10 @@ def _completion(ang, q):
     return p
 
 
-def _angle_with_witness(ang):
-    """(angle invariant, witness simplex, marks) of an angle."""
+def _angle_with_witness(ang, witness=True):
+    """(angle invariant, witness simplex, marks) of an angle.  With witness
+    False, for callers that drop the witness, c is computed with no
+    extension built and the witness is the triangle (v, q_H, p_HK) alone."""
     h, k = ang
     v = h.origin
     q_h = max_regular_point(h)
@@ -187,7 +189,10 @@ def _angle_with_witness(ang):
     lam = simplex_barycentric(r, q_k)
     if lam is None:
         raise InternalCheckError("q_K left the angle plane")
-    c, ext = extend_frame(r)
+    if witness:
+        c, ext = extend_frame(r)
+    else:
+        c, ext = completion_den(r), ()
     inv = AngleInvariant(den(v), den(q_h), den(r[2]), (lam[0], lam[1]), c)
     return inv, r + ext, {"the second arm": (q_k,)}
 
@@ -196,7 +201,7 @@ def angle_invariant(ang):
     """The complete sextuple: denominators of the origin, of q_H and of
     p_HK, the first two barycentric coordinates of q_K w.r.t. the ordered
     triangle (v, q_H, p_HK), and c of the angle's plane."""
-    return _angle_with_witness(ang)[0]
+    return _angle_with_witness(ang, witness=False)[0]
 
 
 def angle_equivalence(a1, a2):

@@ -37,8 +37,8 @@ from operator import and_, mul
 
 from .errors import InputError
 from .intlinalg import _bareiss, nullspace, span_solver
-from .rationals import (canon_primitive, content, lift, point, primitive, vdot,
-                        vsub)
+from .rationals import (canon_primitive, content, lift, lift_point, point,
+                        primitive, vdot, vsub)
 
 
 class AffineHull:
@@ -52,7 +52,7 @@ class AffineHull:
             raise InputError("affine hull of an empty set")
         if any(len(p) != len(pts[0]) for p in pts):
             raise InputError("mixed ambient dimensions")
-        self._span(pts, [lift(p) for p in pts])
+        self._span(pts, [lift_point(p) for p in pts])
 
     def _span(self, pts, lifts):
         """Set up the hull of the sorted distinct points pts from their
@@ -236,7 +236,7 @@ class Polytope:
             raise InputError("polytope of an empty set")
         if any(len(p) != len(pts[0]) for p in pts):
             raise InputError("mixed ambient dimensions")
-        lifts = [lift(p) for p in pts]
+        lifts = [lift_point(p) for p in pts]
         # the hull is set up from the lifts in hand, not re-lifted
         self.hull = AffineHull.__new__(AffineHull)
         self.hull._span(pts, lifts)

@@ -3,6 +3,15 @@
 Points are plain tuples of Fraction; integer vectors are tuples of int.
 A point x also has a homogeneous integer lift (den(x)*x, den(x)), which
 the fraction-free kernels work on.  No floating point anywhere.
+
+coprime_fraction(n, d) is Fraction(n, d) for integers already in lowest
+terms (d > 0, gcd(n, d) = 1), set straight into Fraction's two slots, as
+CPython's own Fraction._from_coprime_ints does from 3.12 on.  It is exact:
+the constructor would only divide n and d by their gcd, which is 1, so the
+value is the one Fraction(n, d) builds, with the same numerator,
+denominator, hash, repr and arithmetic.  Hot loops that already know their
+integers are coprime (segments' chain expansion) use it to skip the
+constructor's type dispatch and gcd.  No other module names the slots.
 """
 
 import math
@@ -18,6 +27,15 @@ def rat(x):
     if isinstance(x, float):
         raise InputError("floating point is not accepted: %r" % (x,))
     return Fraction(x)
+
+
+def coprime_fraction(n, d):
+    """Fraction(n, d) for ints n and d > 0 with gcd(n, d) = 1, which the
+    caller guarantees and nothing checks."""
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 def point(coords):

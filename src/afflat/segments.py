@@ -13,9 +13,11 @@ filter read the runs, so they take time independent of the chain's length;
 only hj_chain expands them, each coordinate of a run by the cheapest
 construction its shape allows (_coordinate): a coordinate constant along a
 run of constant denominator is one Fraction shared by every vertex of the
-run, which is safe because Fractions are immutable, and along a run of
-denominator 1 the integer numerators take Fraction's integer path, with no
-gcd.  Other runs build each Fraction from its numerator and denominator.
+run, which is safe because Fractions are immutable; along a run of
+denominator 1 the integer numerators are already in lowest terms and go
+straight into rationals.coprime_fraction, with no gcd; other runs reduce
+each numerator and denominator by one gcd and build the Fraction the same
+way, never through Fraction's constructor.
 
 Every kind computes its invariant once, with a witness simplex and marked
 points (_side_with_witness here); _witness_decision, shared by all kinds,
@@ -26,6 +28,7 @@ map carries the marked points.
 import sys
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from typing import NamedTuple
 
 from .affine import completion_den, extend_frame
@@ -33,7 +36,7 @@ from .complexes import Triangulation
 from .cones import _plane_runs
 from .core import den, is_regular, lift, simplex_map, unlift
 from .errors import InputError, InternalCheckError, SearchBudgetExceeded
-from .rationals import point, vadd
+from .rationals import coprime_fraction, point, vadd
 
 
 class SideInvariant(NamedTuple):
@@ -65,8 +68,9 @@ def hj_chain(a, b):
     expanded from its runs: vertex j of a run is (num + j dnum) / (d + j dd)
     for the run's start lift (num, d) and step (dnum, dd).  Where dd = 0, a
     coordinate with dnum = 0 is one shared Fraction and, when d = 1, the
-    others are built from integers; the chain is a tuple of tuples of
-    Fractions either way."""
+    others are the coprime pairs (num + j dnum, 1); elsewhere each pair is
+    reduced by its gcd.  The chain is a tuple of tuples of Fractions either
+    way, every one built here."""
     a, b, runs = _chain_runs(a, b)
     size = 1 + sum(count for _, _, count in runs)
     if size > sys.maxsize:
@@ -88,14 +92,22 @@ def _progression(x, s, count):
 
 def _coordinate(x, s, d, dd, count):
     """The Fractions (x + j s) / (d + j dd), j < count, of one coordinate
-    along a run: one shared Fraction when constant, integer-built when the
-    denominator is 1."""
+    along a run: one shared Fraction when constant, built from the coprime
+    pairs (x + j s, 1) when the denominator is 1, else reduced by a gcd.
+    The denominators d + j dd are lift last entries, so positive."""
     if dd == 0:
         if s == 0:
             return repeat(Fraction(x, d), count)
         if d == 1:
-            return map(Fraction, range(x, x + count * s, s))
-    return map(Fraction, _progression(x, s, count), _progression(d, dd, count))
+            return map(coprime_fraction, range(x, x + count * s, s), repeat(1))
+    return map(_lowest_terms, _progression(x, s, count),
+               _progression(d, dd, count))
+
+
+def _lowest_terms(n, d):
+    """The Fraction n / d for d > 0, reduced by one gcd."""
+    g = gcd(n, d)
+    return coprime_fraction(n // g, d // g)
 
 
 def _runs_lambda1(runs):

@@ -351,7 +351,7 @@ def test_affine_invariant_finds_the_least_denominator_once(monkeypatch):
 def test_affine_space_lifts_each_point_once(monkeypatch):
     # the hull keeps the lifts of its frame points and reads its equations
     # off them, so 3 independent points in R^3 are lifted 3 times in all
-    calls = counting(monkeypatch, "lift", convexity)
+    calls = counting(monkeypatch, "lift_point", convexity)
     f = AffineSpace([(F(1, 2), F(0), F(1)), (F(0), F(1, 3), F(0)),
                      (F(1), F(1), F(1, 5))])
     assert len(calls) == 3

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from afflat import angles
 from afflat.affine import AffineSpace, affine_invariant
 from afflat.angles import (HalfLine, _angle_with_witness, angle,
                            angle_equivalence, angle_invariant,
@@ -261,6 +262,45 @@ def test_angle_invariance_under_group():
         m = angle_equivalence(a, im)
         assert m is not None and m(v) == g(v)
         done += 1
+
+
+def _seeded_angles(rng, count):
+    """count nontrivial angles, alternately in R^2 and R^3, with vertices of
+    denominator up to 12 so that c of a plane in R^3 varies."""
+    out = []
+    while len(out) < count:
+        n = 2 + len(out) % 2
+        v = rand_point(rng, n, 12, 1)
+        d1, d2 = (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in "hk")
+        try:
+            out.append(angle(HalfLine(v, direction=d1),
+                             HalfLine(v, direction=d2)))
+        except (NotInClass, InputError):
+            pass
+    return out
+
+
+def test_angle_invariant_is_the_witness_invariant():
+    cs = set()
+    for ang in _seeded_angles(random.Random(36), 60):
+        inv = angle_invariant(ang)
+        assert inv == _angle_with_witness(ang)[0]
+        cs.add((ang.h.dim, inv.c))
+    assert {2, 3} == {n for n, _ in cs}
+    assert len({c for n, c in cs if n == 3}) > 2
+
+
+def test_angle_invariant_builds_no_witness_extension(monkeypatch):
+    # c of the plane comes from completion_den; no regular simplex is built
+    def refuse(*a):
+        raise AssertionError("extend_frame called")
+
+    cases = _seeded_angles(random.Random(37), 20)
+    monkeypatch.setattr(angles, "extend_frame", refuse)
+    for ang in cases:
+        angle_invariant(ang)
+    with pytest.raises(AssertionError):
+        _angle_with_witness(cases[0])
 
 
 def vertical_angles():

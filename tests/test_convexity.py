@@ -426,7 +426,7 @@ def test_planar_hull_vertices_take_no_nullspace(monkeypatch):
 
 def test_polytope_lifts_each_point_once(monkeypatch):
     # the affine hull is set up from the polytope's own lifts
-    calls = counting(monkeypatch, "lift", convexity)
+    calls = counting(monkeypatch, "lift_point", convexity)
     poly = Polytope([(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1), (1, 1, 1)])
     assert len(calls) == 4
     assert poly.dim == 3 and len(poly.vertices) == 4

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,6 +12,7 @@ from afflat.core import (UniAffMap, apply, complete_to_lattice_basis,
                          unlift)
 from afflat.errors import InputError
 from afflat.intlinalg import det_int, invert_unimodular, nullspace
+from afflat.rationals import coprime_fraction
 
 from helpers import (_tiny_det, fraction_rank, parallelepiped_extends,
                      rand_point, rand_unimodular, rational_nullspace,
@@ -23,6 +25,37 @@ def test_den_examples():
     assert den((F(1, 2), F(1, 3))) == 6
     assert den((F(0), F(0))) == 1
     assert den((F(3, 5), F(0))) == 5
+
+
+def _coprime_pairs(rng):
+    """Seeded (n, d) with d > 0 and gcd(n, d) = 1: signs of both kinds,
+    d = 1, and entries below and above 2^64."""
+    pairs = [(0, 1), (1, 1), (-1, 1), (7, 3), (-7, 3), (2 ** 64 + 1, 1),
+             (-(2 ** 70) - 1, 2 ** 64)]
+    while len(pairs) < 200:
+        bits = rng.choice((4, 30, 64, 100))
+        n = rng.randint(-2 ** bits, 2 ** bits)
+        d = 1 if rng.random() < 0.2 else rng.randint(1, 2 ** bits)
+        if math.gcd(n, d) == 1:
+            pairs.append((n, d))
+    return pairs
+
+
+def test_coprime_fraction_is_the_constructors_fraction():
+    rng = random.Random(40)
+    pairs = _coprime_pairs(rng)
+    assert any(abs(n) > 2 ** 64 and d > 2 ** 64 for n, d in pairs)
+    for n, d in pairs:
+        assert d > 0 and math.gcd(n, d) == 1
+        f, ref = coprime_fraction(n, d), F(n, d)
+        assert type(f) is Fraction
+        assert (f.numerator, f.denominator) == (ref.numerator, ref.denominator)
+        assert f == ref and hash(f) == hash(ref) and repr(f) == repr(ref)
+        m, e = rng.choice(pairs)
+        other = F(m, e)
+        assert f + other == ref + other and other + f == other + ref
+        assert f * other == ref * other and other * f == other * ref
+        assert (f < other) == (ref < other) and (other < f) == (other < ref)
 
 
 def test_lift_examples():

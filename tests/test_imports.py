@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used: referenced in the
 module, or re-exported through its __all__; the package's own modules are
 imported at module level only; every private module-level function or
-class is referenced somewhere in the package; and every def nested in a
-function is referenced by that function.  Stand-ins for a
+class is referenced somewhere in the package; every def nested in a
+function is referenced by that function; and Fraction's private slots are
+named in rationals alone.  Stand-ins for a
 linter's unused-import and dead-code rules, on the parsed source (ast), with
 no package import."""
 
@@ -176,3 +177,41 @@ def test_no_unreferenced_nested_defs_in_the_package():
     found = {name: bad for name, source in package_sources().items()
              if (bad := unreferenced_nested(source))}
     assert found == {}
+
+
+FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def fraction_slot_names(source):
+    """(line, name) of each mention of Fraction's private slots in a module
+    source: as a name, an attribute or a string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in FRACTION_SLOTS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_fraction_slot_names_finds_the_slots():
+    src = ("from fractions import Fraction\n\n"
+           "def f(n):\n    x = Fraction(n)\n    x._numerator = n\n"
+           "    return getattr(x, '_denominator'), x.numerator\n\n"
+           "_numerator = 1\n")
+    assert fraction_slot_names(src) == [
+        (5, "_numerator"), (6, "_denominator"), (8, "_numerator")]
+
+
+def test_fraction_slots_are_named_in_rationals_only():
+    found = {name: bad for name, source in package_sources().items()
+             if name != "rationals.py"
+             and (bad := fraction_slot_names(source))}
+    assert found == {}
+    assert fraction_slot_names(package_sources()["rationals.py"])

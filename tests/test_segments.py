@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -66,6 +67,13 @@ def test_hj_against_hull_oracle():
              ((F(0),), (F(2),)), ((F(0),), (F(2, 5),))]
     for _ in range(30):
         cases.append(rand_segment(rng, 1, 8, 2))
+    # and segments of length up to 60
+    for _ in range(40):
+        q = rng.randint(1, 7)
+        alpha = F(rng.randint(-30 * q, 30 * q), q)
+        beta = alpha + F(rng.choice((-1, 1)) * rng.randint(1, 60 * q),
+                         rng.randint(1, 7))
+        cases.append(((alpha,), (beta,)))
     for a, b in cases:
         assert tuple(x[0] for x in hj_chain(a, b)) == hj_chain_by_hull(a, b)
 
@@ -384,6 +392,63 @@ def test_run_count_within_continued_fraction_length():
         g = rand_unimodular(rng, 2)
         a, b = g((alpha, F(1))), g((beta, F(1)))
         assert len(_chain_runs(a, b)[2]) == len(runs)
+
+
+def test_hj_closed_form_one_run_of_varying_denominator():
+    # the chain of conv(0, N/(N+1)) is k/(k+1), k <= N: one run whose
+    # denominator grows by 1, so every vertex is reduced by a gcd
+    n = 2000
+    a, b = (F(0),), (F(n, n + 1),)
+    assert _chain_runs(a, b)[2] == [((0, 1), (1, 1), n)]
+    assert hj_chain(a, b) == tuple((F(k, k + 1),) for k in range(n + 1))
+
+
+def _long_lines(rng):
+    """Segments of lattice length 1000-3000 in R^2 and R^3 with the second
+    coordinate constant, integer or not, and endpoints of small
+    denominator: runs of a shared constant, integer runs and runs reduced
+    by a gcd."""
+    out = []
+    for n in (2, 3):
+        for z in (F(rng.randint(-5, 5)), F(rng.randint(-5, 5), 2),
+                  F(rng.randint(1, 6), 7)):
+            alpha = F(rng.randint(-20, 20), rng.randint(1, 3))
+            beta = alpha + F(rng.randint(1000, 3000), rng.randint(1, 3))
+            k, m = rng.randint(1, 3), rng.randint(-4, 4)
+            a, b = ((t, z) + ((k * t + m,) if n == 3 else ())
+                    for t in (alpha, beta))
+            out += [(a, b), (b, a)]
+    return out
+
+
+def test_hj_coordinates_are_reduced_fractions():
+    shapes = set()
+    for a, b in _long_lines(random.Random(39)):
+        chain = hj_chain(a, b)
+        runs = _chain_runs(a, b)[2]
+        # each vertex as Fraction's constructor builds it from the runs
+        want = [tuple(F(x + j * s, start[-1] + j * step[-1])
+                      for x, s in zip(start[:-1], step[:-1]))
+                for start, step, count in runs for j in range(count)]
+        assert chain == tuple(want) + (b,)
+        for start, step, _ in runs:
+            shapes.update((step[-1] == 0, start[-1] == 1, s == 0)
+                          for s in step[:-1])
+        for x in chain:
+            for c in x:
+                num, d = c.numerator, c.denominator
+                assert type(c) is Fraction
+                assert d > 0 and math.gcd(num, d) == 1
+                ref = F(num, d)
+                assert c == ref and hash(c) == hash(ref)
+                assert repr(c) == repr(ref)
+        back = pickle.loads(pickle.dumps(chain))
+        assert back == chain and repr(back) == repr(chain)
+        assert all(type(c) is Fraction for x in back for c in x)
+    # shared constants over denominators 1 and > 1, integer runs, and
+    # gcd-reduced runs of constant and of varying denominator
+    assert {(True, True, True), (True, False, True), (True, True, False),
+            (True, False, False), (False, False, False)} <= shapes
 
 
 def test_lambda1_closed_form_on_long_segments():
