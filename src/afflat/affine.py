@@ -15,12 +15,12 @@ from typing import NamedTuple
 
 from . import budget
 from .convexity import AffineHull
-from .core import (coords_in_lattice_basis, den, lift, saturated_span_basis,
-                   simplex_lifts, simplex_map, unlift)
+from .core import (coords_in_lattice_basis, den, dual_vector, lift,
+                   saturated_span_basis, simplex_lifts, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
-from .intlinalg import (complete_basis, integer_kernel, is_part_of_basis,
-                        minor_gcd, solve_integer, xgcd)
-from .rationals import point, primitive
+from .intlinalg import (complete_basis, det_int, integer_kernel,
+                        is_part_of_basis, minor_gcd, solve_integer, xgcd)
+from .rationals import content, point, primitive
 
 
 class AffineInvariant(NamedTuple):
@@ -226,27 +226,57 @@ def _frame_lifts(frame):
     return pts, lifts
 
 
-def _codim_one_completion(lifts):
-    """(c, eps, u) for the lifts of a regular frame of codimension one: u
-    completes them to a lattice basis, and eps*u plus an integer combination
-    of the lifts is a completion of least last coordinate c.  The last
-    coordinates of eps*u plus combinations are the integers congruent to
-    eps*u_last modulo the gcd of the lifts' last coordinates."""
-    u = complete_basis(lifts, len(lifts) + 1)[-1]
+def _codim_one_completion(lifts, u):
+    """(c, eps) for the lifts of a regular frame of codimension one and a
+    vector u completing them to a lattice basis: eps*u plus an integer
+    combination of the lifts is a completion of least last coordinate c.
+    The last coordinates of eps*u plus combinations are the integers
+    congruent to eps*u_last modulo the gcd of the lifts' last coordinates,
+    so c depends only on +-u modulo the lifts' lattice, and every u that
+    completes them gives the same c."""
     g = 0
     for l in lifts:
         g = math.gcd(g, l[-1])
     c, neg_eps = min((((eps * u[-1] - 1) % g) + 1, -eps) for eps in (1, -1))
-    return c, -neg_eps, u
+    return c, -neg_eps
+
+
+def _maximal_minors(rows):
+    """The integer vector m with det(rows + [x]) = m.x for k rows of length
+    k + 1: m_j is (-1)^(k+j) times the minor of the rows without column j.
+    For two rows (a segment's cell in the plane) m is their cross product."""
+    k = len(rows)
+    if k == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    return [(-1) ** (k + j) * det_int([r[:j] + r[j + 1:] for r in rows])
+            for j in range(k + 1)]
+
+
+def _completion_den_of_lifts(lifts):
+    """completion_den of the frame with the given vertex lifts, with no
+    point built.  In codimension one, the maximal minors m of the lifts
+    give det(lifts + [x]) = m.x, so the frame is regular iff content(m) is
+    1, and then u = dual_vector(m), with m.u = 1, completes the lifts to a
+    lattice basis; any other frame is checked by the gcd of its minors."""
+    m = len(lifts[0])
+    if len(lifts) == m - 1:
+        minors = _maximal_minors(lifts)
+        if content(minors) != 1:
+            raise InputError("frame is not regular")
+        return _codim_one_completion(lifts, dual_vector(minors))[0]
+    if not is_part_of_basis(lifts, m):
+        raise InputError("frame is not regular")
+    return 1
 
 
 def completion_den(frame):
     """c of the frame's affine span, as extend_frame(frame)[0] but with no
-    extension built: a basis completion in codimension one, else 1."""
-    pts, lifts = _frame_lifts(frame)
-    if len(pts) == len(pts[0]):
-        return _codim_one_completion(lifts)[0]
-    return 1
+    extension built: in codimension one, the least last coordinate of the
+    completions +-u + (integer combinations of the lifts), for the u that
+    core.dual_vector gives from the lifts' vector of maximal minors; else 1.
+    Each vertex is normalized and lifted once (core.simplex_lifts)."""
+    return _completion_den_of_lifts(simplex_lifts(frame)[1])
 
 
 def extend_frame(frame):
@@ -263,7 +293,8 @@ def extend_frame(frame):
     if e == n:
         return 1, ()
     if e == n - 1:
-        c, eps, u = _codim_one_completion(lifts)
+        u = complete_basis(lifts, n + 1)[-1]
+        c, eps = _codim_one_completion(lifts, u)
         ks = _bezout_combination([l[-1] for l in lifts], c - eps * u[-1])
         stilde = tuple(eps * uc + sum(k * l[i] for k, l in zip(ks, lifts))
                        for i, uc in enumerate(u))

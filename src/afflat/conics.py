@@ -20,13 +20,12 @@ witness pair.
 
 import math
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple
 
 from . import budget
-from .angles import HalfLine, _triangle_with_witness, angle, angle_invariant
+from .angles import _TriangleParts
 from .core import den
-from .segments import _side_with_witness, _witness_decision
+from .segments import _witness_decision
 from .errors import InputError, InternalCheckError, NotInClass
 from .rationals import point, rat, vdot, vsub
 
@@ -467,38 +466,40 @@ def min_index_pairs(ell):
 
 
 def _ellipse_with_witness(ell):
-    """(ellipse invariant, witness simplex, marks)."""
+    """(ellipse invariant, witness simplex, marks).  One _TriangleParts
+    serves every pair, and a witness is built only for the first pair of
+    each invariant."""
     _, pairs = min_index_pairs(ell)
+    o = ell.center
+    parts = _TriangleParts()
     first = {}
     for x, y in pairs:
-        inv, wit, marks = _triangle_with_witness((ell.center, x, y))
-        first.setdefault(inv, (wit, marks))
+        inv = parts.invariant(o, x, y)
+        if inv not in first:
+            first[inv] = parts.triangle(o, x, y)[1:]
     invs = tuple(sorted(first))
     return (invs,) + first[invs[0]]
 
 
-def _least_triangle(ell):
+def _least_triangle(ell, parts=None):
     """The least entry (invariant, witness, marks) of _ellipse_with_witness,
     with one triangle built in full.  A triangle invariant compares the side
     x -> O, then the angle at x, then the side x -> y, so the sorted pairs
     are cut to the least of each in turn; the first survivor is the pair
-    whose triangle the full invariant takes as witness."""
+    whose triangle the full invariant takes as witness.  The parts of the
+    keys go into parts (a new _TriangleParts by default), and the witness
+    triangle is built from them."""
+    if parts is None:
+        parts = _TriangleParts()
     o = ell.center
-    side_to_o = cache(lambda x: _side_with_witness(x, o, witness=False)[0])
     pairs = min_index_pairs(ell)[1]
-    for key in (lambda x, y: side_to_o(x), lambda x, y: _angle_at(o, x, y),
-                lambda x, y: _side_with_witness(x, y, witness=False)[0]):
+    for key in (parts.side_vu, parts.angle_at_v, parts.side_vw):
         if len(pairs) == 1:
             break
-        keys = [key(x, y) for x, y in pairs]
+        keys = [key(o, x, y) for x, y in pairs]
         least = min(keys)
         pairs = [p for p, k in zip(pairs, keys) if k == least]
-    return _triangle_with_witness((o,) + pairs[0])
-
-
-def _angle_at(o, x, y):
-    """The invariant of the angle at x of the triangle (o, x, y)."""
-    return angle_invariant(angle(HalfLine(x, through=o), HalfLine(x, through=y)))
+    return parts.triangle(o, *pairs[0])
 
 
 def ellipse_invariant(ell):
@@ -527,20 +528,23 @@ def ellipse_equivalence(e1, e2):
     triangle invariant is that one: the pair that e2's full invariant would
     pick as witness, so the map is the same.  A pair whose side x -> O or
     angle at x already differs is passed before its triangle is built.
-    When no pair matches, the invariants differ.
+    When no pair matches, the invariants differ.  One _TriangleParts,
+    local to the call, keeps each side, angle and farthest regular point
+    computed for the keys, and the triangles are built from them.
     """
     _require_conjugate_pairs(e1)
     _require_conjugate_pairs(e2)
     if _area_squared(e1) != _area_squared(e2):
         return None
-    least = _least_triangle(e1)
+    parts = _TriangleParts()
+    least = _least_triangle(e1, parts)
     inv = least[0]
     o = e2.center
-    side_to_o = cache(lambda x: _side_with_witness(x, o, witness=False)[0])
     for x, y in min_index_pairs(e2)[1]:
-        if side_to_o(x) != inv.side_vu or _angle_at(o, x, y) != inv.angle:
+        if (parts.side_vu(o, x, y) != inv.side_vu
+                or parts.angle_at_v(o, x, y) != inv.angle):
             continue
-        found = _triangle_with_witness((o, x, y))
+        found = parts.triangle(o, x, y)
         if found[0] == inv:
             g = _witness_decision(least, found)
             if not conics_match_up_to_scalar(pullback(e2.conic, g), e1.conic):

@@ -319,12 +319,6 @@ def _barycentric_solver(vertices):
     return bary
 
 
-def simplex_barycentric(vertices, x):
-    """Barycentric coordinates of x w.r.t. affinely independent vertices,
-    or None when x is outside the affine span."""
-    return _barycentric_solver(vertices)(x)
-
-
 def simplex_tester(lifts):
     """Membership predicate for the simplex with the given vertex lifts:
     tester((num_1, ..., num_n, k)) is True iff num/k (k > 0) lies in it,

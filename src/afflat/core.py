@@ -187,7 +187,9 @@ def apply(g, obj):
 
 def simplex_map(V, W):
     """The unique g in GL(n,Z) |x Z^n with g(v_i) = w_i for matched regular
-    n-simplexes V, W whose vertex denominators are pairwise equal."""
+    n-simplexes V, W whose vertex denominators are pairwise equal.  g is
+    checked to carry each vertex lift of V onto that of W (map_lift): two
+    primitive lifts are equal exactly when their points are."""
     vs, lv = simplex_lifts(V)
     ws, lw = simplex_lifts(W)
     n = len(vs[0])
@@ -208,8 +210,8 @@ def simplex_map(V, W):
     if b[n] != tuple([0] * n + [1]):
         raise InternalCheckError("homogeneous map does not fix the hyperplane at infinity")
     g = UniAffMap(tuple(r[:n] for r in b[:n]), tuple(r[n] for r in b[:n]))
-    for v, w in zip(vs, ws):
-        if g(v) != w:
+    for v, w in zip(lv, lw):
+        if g.map_lift(v) != w:
             raise InternalCheckError("simplex map failed re-application check")
     return g
 

@@ -19,10 +19,14 @@ straight into rationals.coprime_fraction, with no gcd; other runs reduce
 each numerator and denominator by one gcd and build the Fraction the same
 way, never through Fraction's constructor.
 
-Every kind computes its invariant once, with a witness simplex and marked
-points (_side_with_witness here); _witness_decision, shared by all kinds,
-compares two invariants, maps one witness onto the other, and checks that the
-map carries the marked points.
+Every kind computes its invariant once, with a witness simplex and marks
+(_side_with_witness here); _witness_decision, shared by all kinds, compares
+two invariants, maps one witness onto the other, and checks that the map
+carries the marks.  Marks and intermediate points are homogeneous lifts:
+a side's marks are run starts and steps that _plane_runs already gives, c
+comes from the lift form of completion_den, and the map is checked on the
+lifts (map_lift).  Points are built only for the witness simplex, and only
+when a caller asks for it.
 """
 
 import sys
@@ -31,12 +35,12 @@ from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
-from .affine import completion_den, extend_frame
+from .affine import _completion_den_of_lifts, extend_frame
 from .complexes import Triangulation
 from .cones import _plane_runs
-from .core import den, is_regular, lift, simplex_map, unlift
+from .core import den, is_regular, simplex_map, unlift
 from .errors import InputError, InternalCheckError, SearchBudgetExceeded
-from .rationals import coprime_fraction, point, vadd
+from .rationals import coprime_fraction, lift_point, point, vadd
 
 
 class SideInvariant(NamedTuple):
@@ -60,7 +64,7 @@ def _chain_runs(a, b):
     its chain's lifts: each run holds the lifts start + j step, j < count,
     and the chain ends at b."""
     a, b = segment(a, b)
-    return a, b, _plane_runs(lift(a), lift(b))
+    return a, b, _plane_runs(lift_point(a), lift_point(b))
 
 
 def hj_chain(a, b):
@@ -171,28 +175,34 @@ def _side_with_witness(a, b, witness=True):
     """(side invariant, witness simplex, marks).  The witness extends the
     chain's first cell; the extension denominator is c of the line, as that
     depends only on the line's lattice, of which the cell's lifts are a basis.
-    The marks are the first two vertices of each run and b: a map carrying
-    them carries each run's start and step lift, hence the whole chain.
+    The marks are lifts: the first two of each run and lift(b).  A map
+    carrying them carries each run's start and step lift, hence the whole
+    chain.  den(a) and den(x_1) are the last entries of the first two.
     With witness False, for callers that drop the witness, c is computed
-    with no extension built and the witness is the first cell alone."""
-    a, b, runs = _chain_runs(a, b)
+    from the first cell's lifts, no point is built, and the witness is
+    None."""
+    a, b = segment(a, b)
+    lb = lift_point(b)
+    runs = _plane_runs(lift_point(a), lb)
     marks = []
     for start, step, _ in runs:
-        marks += [unlift(start), unlift(vadd(start, step))]
-    marks.append(b)
-    first = (a, marks[1])
+        marks += [start, vadd(start, step)]
+    marks.append(lb)
+    first = marks[:2]
     if witness:
-        c, ext = extend_frame(first)
+        wit = (a, unlift(first[1]))
+        c, ext = extend_frame(wit)
+        wit += ext
     else:
-        c, ext = completion_den(first), ()
-    inv = SideInvariant(c, _runs_lambda1(runs), den(a), den(marks[1]))
-    return inv, first + ext, {"the chain": tuple(marks)}
+        c, wit = _completion_den_of_lifts(first), None
+    inv = SideInvariant(c, _runs_lambda1(runs), first[0][-1], first[1][-1])
+    return inv, wit, {"the chain": tuple(marks)}
 
 
 def _witness_decision(found1, found2):
     """The orbit decision from two (invariant, witness simplex, marks): None
     when the invariants differ, else the map of one witness onto the other,
-    checked to carry each list of marked points onto its counterpart."""
+    checked to carry each list of marked lifts onto its counterpart."""
     inv1, wit1, marks1 = found1
     inv2, wit2, marks2 = found2
     if inv1 != inv2:
@@ -200,14 +210,15 @@ def _witness_decision(found1, found2):
     g = simplex_map(wit1, wit2)
     for what, xs in marks1.items():
         ys = marks2[what]
-        if len(xs) != len(ys) or any(g(x) != y for x, y in zip(xs, ys)):
+        if len(xs) != len(ys) or any(g.map_lift(x) != y
+                                     for x, y in zip(xs, ys)):
             raise InternalCheckError("witness map does not carry " + what)
     return g
 
 
 def side_invariant(a, b):
     """The quadruple (c of the line, lambda_1, den(a), den(x_1))."""
-    return _side_with_witness(a, b)[0]
+    return _side_with_witness(a, b, witness=False)[0]
 
 
 def segment_equivalence(seg1, seg2):

@@ -11,6 +11,7 @@ pass.
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -635,5 +636,20 @@ def counting(monkeypatch, name, owner=polyhedra):
     calls = []
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name,
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def counting_in_package(monkeypatch, real):
+    """Record the arguments of every call to the function real through any
+    name a module of the package binds it to (rationals.lift is also
+    core.lift, imported from there by the other modules)."""
+    calls = []
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("afflat."):
+            for name, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(
+                        mod, name,
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls

@@ -2,14 +2,15 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from afflat import affine, budget, convexity
-from afflat.affine import (AffineSpace, affine_equivalence, affine_invariant,
-                           affine_span, completion_den, extend_frame,
-                           min_den_point, regular_frame)
+from afflat.affine import (AffineSpace, _completion_den_of_lifts,
+                           _maximal_minors, affine_equivalence,
+                           affine_invariant, affine_span, completion_den,
+                           extend_frame, min_den_point, regular_frame)
 from afflat.core import den, is_regular, lift
 from afflat.errors import InputError, SearchBudgetExceeded
 
@@ -276,6 +277,50 @@ def test_completion_den_matches_brute_force():
                 assert completion_den(tuple(g(v) for v in frame)) == c
                 cs.append(c)
     assert max(cs) > 2
+
+
+def test_maximal_minors_expand_the_determinant():
+    # det(rows + [x]) = m.x, against the permutation-sum determinant
+    rng = random.Random(38)
+    for k in (1, 2, 3, 4):
+        for _ in range(40):
+            rows = [tuple(rng.randint(-9, 9) for _ in range(k + 1))
+                    for _ in range(k)]
+            x = tuple(rng.randint(-9, 9) for _ in range(k + 1))
+            m = _maximal_minors(rows)
+            assert sum(a * b for a, b in zip(m, x)) == _tiny_det(rows + [x])
+
+
+def test_completion_den_of_lifts_agrees_and_rejects_non_regular_frames():
+    # random frames in R^1-R^4 of every dimension below n, regular or not:
+    # the lift form gives completion_den's c and extend_frame's on regular
+    # ones, and raises completion_den's InputError on the others
+    rng = random.Random(39)
+    seen = {True: 0, False: 0}
+    for n in (1, 2, 3, 4):
+        for e in range(n):
+            for _ in range(40 if e == n - 1 else 8):
+                d = rng.randint(1, 6)
+                frame = tuple(tuple(F(rng.randint(-2 * d, 2 * d), d)
+                                    for _ in range(n)) for _ in range(e + 1))
+                lifts = [lift(p) for p in frame]
+                if fraction_rank(lifts) != e + 1:
+                    continue
+                # Smith criterion: the gcd of the maximal minors is 1
+                cols = list(zip(*lifts))
+                regular = math.gcd(*(
+                    _tiny_det([cols[i] for i in rows])
+                    for rows in combinations(range(n + 1), e + 1))) == 1
+                seen[regular] += 1
+                if regular:
+                    c = _completion_den_of_lifts(lifts)
+                    assert c == completion_den(frame) == extend_frame(frame)[0]
+                    continue
+                for form in (lambda: _completion_den_of_lifts(lifts),
+                             lambda: completion_den(frame)):
+                    with pytest.raises(InputError, match="frame is not regular"):
+                        form()
+    assert min(seen.values()) > 20
 
 
 def test_equivalence_examples():

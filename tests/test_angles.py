@@ -5,18 +5,20 @@ from itertools import product
 
 import pytest
 
-from afflat import angles
+from afflat import angles, core, rationals
 from afflat.affine import AffineSpace, affine_invariant
-from afflat.angles import (HalfLine, _angle_with_witness, angle,
+from afflat.angles import (HalfLine, _angle_with_witness, _completion,
+                           _farthest_lift, _triangle_with_witness, angle,
                            angle_equivalence, angle_invariant,
                            max_regular_point, min_den_completion, triangle,
                            triangle_equivalence, triangle_invariant)
-from afflat.core import den, lift
-from afflat.errors import InputError, NotInClass
-from afflat.segments import _side_with_witness
+from afflat.core import UniAffMap, den, lift
+from afflat.errors import InputError, InternalCheckError, NotInClass
+from afflat.rationals import content
+from afflat.segments import _side_with_witness, _witness_decision
 
-from helpers import (_tiny_det, apply_affine, rand_point, rand_unimodular,
-                     regular_by_parallelepiped)
+from helpers import (_tiny_det, apply_affine, counting_in_package, rand_point,
+                     rand_unimodular, regular_by_parallelepiped)
 
 F = Fraction
 
@@ -549,3 +551,111 @@ def test_witness_c_matches_affine_invariant():
         assert _tiny_det([list(lift(x)) for x in wit]) in (1, -1)
         assert all(den(x) == c for x in wit[len(space):])
     assert len(cs) > 3
+
+
+def test_farthest_point_check_fires_off_the_half_line(monkeypatch):
+    # plane_basis gives b with (d, 0) = a lv + g b; with -b in its place
+    # the partner k lv - b leaves the half-line, and the integer check on
+    # the lift refuses it wherever a farthest point is asked for
+    h = HalfLine((F(3, 5), F(0)), direction=(1, 0))
+    assert max_regular_point(h) == (F(2, 3), F(0))
+    real = angles.plane_basis
+
+    def flipped(p, q):
+        b, a, g = real(p, q)
+        return tuple(-x for x in b), a, g
+
+    monkeypatch.setattr(angles, "plane_basis", flipped)
+    for ang in [axes_angle()] + _seeded_angles(random.Random(42), 20):
+        with pytest.raises(InternalCheckError, match="left the half-line"):
+            angle_invariant(ang)
+    with pytest.raises(InternalCheckError, match="left the half-line"):
+        max_regular_point(h)
+
+
+def test_completion_check_fires_on_a_non_primitive_lift(monkeypatch):
+    # _completion takes two contents: of the projected second arm, then of
+    # the finished lift.  Reporting the second as that of the doubled lift
+    # (2 p has the same point, last entry 2 D) must make the check refuse it
+    calls = []
+    real = angles.content
+
+    def doubled_second(v):
+        calls.append(v)
+        return real(v) * (2 if len(calls) % 2 == 0 else 1)
+
+    for ang in _seeded_angles(random.Random(43), 20):
+        h, k = ang
+        lv = lift(h.origin)
+        lq = _farthest_lift(lv, h.direction)
+        p = _completion(lv, lq, k.direction)
+        assert content(p) == 1 and p == lift(min_den_completion(ang))
+        monkeypatch.setattr(angles, "content", doubled_second)
+        calls.clear()
+        with pytest.raises(InternalCheckError, match="not primitive"):
+            _completion(lv, lq, k.direction)
+        assert calls[-1] == p
+        monkeypatch.setattr(angles, "content", real)
+
+
+def test_angle_witness_check_fires_on_a_wrong_extension(monkeypatch):
+    # the witness extension's denominator must be the c of the invariant,
+    # which the lifts gave; an extension at another denominator is refused
+    real = angles.extend_frame
+
+    def off_by_one(frame):
+        c, ext = real(frame)
+        return c + 1, ext
+
+    monkeypatch.setattr(angles, "extend_frame", off_by_one)
+    for ang in _seeded_angles(random.Random(45), 4):
+        with pytest.raises(InternalCheckError, match="disagrees with c"):
+            _angle_with_witness(ang)
+
+
+def test_triangle_witness_decision_checks_every_mark():
+    # a triangle's marks are lifts: q_K, both side chains and the vertices;
+    # moving any one lift of any of them makes the witness map miss it
+    def moved(q):
+        return (q[0] + q[-1],) + q[1:]
+
+    rng = random.Random(44)
+    done = 0
+    while done < 6:
+        n = 2 + done % 2
+        u, v, w = (rand_point(rng, n, 5, 1) for _ in range(3))
+        try:
+            t = triangle(u, v, w)
+        except (NotInClass, InputError):
+            continue
+        g = rand_unimodular(rng, n)
+        found1 = _triangle_with_witness(t)
+        inv, wit, marks = found2 = _triangle_with_witness(
+            tuple(g(x) for x in t))
+        assert marks["the vertices"] == tuple(lift(g(x)) for x in t)
+        assert set(marks) == {"the second arm", "the first side",
+                              "the second side", "the vertices"}
+        assert _witness_decision(found1, found2) is not None
+        for what, xs in marks.items():
+            for i, q in enumerate(xs):
+                bad = dict(marks)
+                bad[what] = xs[:i] + (moved(q),) + xs[i + 1:]
+                with pytest.raises(InternalCheckError, match=what):
+                    _witness_decision(found1, (inv, wit, bad))
+        done += 1
+
+
+def test_triangle_equivalence_unlifts_only_its_witnesses(monkeypatch):
+    # a triangle in R^3 against its image: each side lifts its vertices
+    # once, carries its marks as lifts and unlifts only its witness
+    # simplex, the three points of (v, q_H, p_HK) and the one point of the
+    # codimension-one extension: 2 * 4 unlift calls and no lift call
+    t1 = ((F(1, 3), F(0), F(2, 5)), (F(1), F(1, 2), F(-1)),
+          (F(-2, 7), F(3), F(1, 4)))
+    g = UniAffMap(((1, 2, 0), (0, 1, 1), (1, 2, 1)), (1, -1, 2))
+    t2 = tuple(g(p) for p in t1)
+    unlifts = counting_in_package(monkeypatch, core.unlift)
+    lifts = counting_in_package(monkeypatch, rationals.lift)
+    m = triangle_equivalence(t1, t2)
+    assert tuple(m(p) for p in t1) == t2
+    assert (len(unlifts), len(lifts)) == (8, 0)

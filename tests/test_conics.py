@@ -15,13 +15,15 @@ from afflat.conics import (ELLIPSE, ELLIPSE_NO_POINT, NOT_ELLIPSE, _holzer_searc
                            ellipse_invariant, legendre_solve, min_index_pairs,
                            pullback, conics_match_up_to_scalar,
                            rational_points)
-from afflat import budget
+from afflat import angles, budget, core, rationals
+from afflat.angles import HalfLine
 from afflat.core import den
 from afflat.errors import InputError, NotInClass, SearchBudgetExceeded
 from afflat.segments import _witness_decision
 
-from helpers import (apply_affine, holzer_box_scan, is_sum_of_two_squares,
-                     legendre_brute, rand_point, rand_unimodular, trial_factor)
+from helpers import (apply_affine, counting, counting_in_package,
+                     holzer_box_scan, is_sum_of_two_squares, legendre_brute,
+                     rand_point, rand_unimodular, trial_factor)
 
 F = Fraction
 
@@ -686,3 +688,35 @@ def test_far_center_self_equivalence_uncapped():
     finally:
         budget.set_max_den(old)
     assert (g.matrix, g.translation) == (((1, 0), (0, 1)), (0, 0))
+
+
+def _first_equivalent_pair():
+    co1, co2 = ellipse_witness_corpus()[0]
+    return ellipse(conic(*co1)), ellipse(conic(*co2))
+
+
+def test_ellipse_decision_computes_each_farthest_point_once(monkeypatch):
+    # the keys and the triangles of one decision share the farthest regular
+    # point of each half-line x -> O and x -> y; each is computed once (one
+    # plane_basis call per computation), so there are no more computations
+    # than half-lines the two ellipses' minimal-index pairs span
+    e1, e2 = _first_equivalent_pair()
+    half_lines = {HalfLine(x, through=t) for e in (e1, e2)
+                  for x, y in min_index_pairs(e)[1] for t in (e.center, y)}
+    calls = counting(monkeypatch, "plane_basis", angles)
+    g = ellipse_equivalence(e1, e2)
+    assert (g.matrix, g.translation) == PINNED_ELLIPSE_WITNESSES[0]
+    assert len(set(calls)) == len(calls) <= len(half_lines)
+    assert len(calls) > 4
+
+
+def test_ellipse_equivalence_unlifts_only_its_witnesses(monkeypatch):
+    # the sides, angles and triangles of both ellipses run on lifts: the
+    # only points built are the two witness triangles (v, q_H, p_HK), whose
+    # planes are all of R^2, so there is no extension: 2 * 3 unlift calls
+    # and no lift call
+    e1, e2 = _first_equivalent_pair()
+    unlifts = counting_in_package(monkeypatch, core.unlift)
+    lifts = counting_in_package(monkeypatch, rationals.lift)
+    assert ellipse_equivalence(e1, e2) is not None
+    assert (len(unlifts), len(lifts)) == (6, 0)

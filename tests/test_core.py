@@ -5,12 +5,13 @@ from itertools import combinations, product
 
 import pytest
 
+from afflat import core
 from afflat.convexity import _flat, _meet
 from afflat.core import (UniAffMap, apply, complete_to_lattice_basis,
                          coords_in_lattice_basis, den, extends_to_basis,
                          farey_mediant, is_regular, lift, simplex_map,
                          unlift)
-from afflat.errors import InputError
+from afflat.errors import InputError, InternalCheckError
 from afflat.intlinalg import det_int, invert_unimodular, nullspace
 from afflat.rationals import coprime_fraction
 
@@ -212,6 +213,31 @@ def test_simplex_map_inverse_composition():
         back = simplex_map(W, V)
         ident = fwd.compose(back)
         assert ident == UniAffMap.identity(n)
+
+
+def test_simplex_map_recheck_fires_on_each_vertex(monkeypatch):
+    # plant a wrong inverse of M_V that still gives a unimodular map fixing
+    # the hyperplane at infinity, and moves the image of vertex i alone:
+    # inv + z phi_i, phi_i the i-th row of the inverse (phi_i . L_k is 1 at
+    # k = i, else 0), z with z_i = 0 and sum_j den_j z_j = 0, so that
+    # M_W z has last entry 0.  The re-application check on the lifts must
+    # catch vertex i, whichever i it is
+    real = core.invert_unimodular
+    V = ((F(1, 2), F(0)), (F(0), F(1)), (F(0), F(0)))
+    W = tuple(UniAffMap(((2, 1), (1, 1)), (3, -1))(v) for v in V)
+    assert simplex_map(V, W) is not None
+    for i in range(3):
+        def planted(m, i=i):
+            inv = real(m)
+            j, k = (x for x in range(3) if x != i)
+            z = [0] * 3
+            z[j], z[k] = m[2][k], -m[2][j]
+            return tuple(tuple(a + z[r] * b for a, b in zip(inv[r], inv[i]))
+                         for r in range(3))
+
+        monkeypatch.setattr(core, "invert_unimodular", planted)
+        with pytest.raises(InternalCheckError, match="re-application"):
+            simplex_map(V, W)
 
 
 def test_simplex_map_rejects_mismatched_dens():

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from afflat import segments
 from afflat.complexes import Triangulation, blow_up
 from afflat.core import den, farey_mediant, is_regular, lift
-from afflat.errors import InputError
-from afflat.segments import (_chain_runs, hj_chain, lambda1, lambda1_via,
-                             segment_equivalence, side_invariant)
+from afflat.errors import InputError, InternalCheckError
+from afflat.rationals import vadd
+from afflat.segments import (_chain_runs, _side_with_witness,
+                             _witness_decision, hj_chain, lambda1,
+                             lambda1_via, segment_equivalence, side_invariant)
 
 from helpers import (_tiny_det, apply_affine, hj_chain_by_hull, hj_step_oracle,
                      rand_point, rand_segment, rand_unimodular)
@@ -194,6 +197,50 @@ def test_segment_equivalence_roundtrips():
         m = segment_equivalence((a, b), (g(a), g(b)))
         assert m is not None
         assert m(a) == g(a) and m(b) == g(b)
+
+
+def moved(q):
+    """The lift of q's point moved by the first unit vector: primitive, with
+    the same last entry, and a different point."""
+    return (q[0] + q[-1],) + q[1:]
+
+
+def test_witness_decision_checks_every_mark():
+    # the marks are the lifts of each run's start and start + step, then
+    # lift(b); a map that misses any one of them is refused
+    rng = random.Random(40)
+    for n in (1, 2, 2, 3, 3):
+        a, b = rand_segment(rng, n, 7, 3)
+        g = rand_unimodular(rng, n)
+        found1 = _side_with_witness(a, b)
+        inv, wit, marks = found2 = _side_with_witness(g(a), g(b))
+        runs = _chain_runs(g(a), g(b))[2]
+        chain = marks["the chain"]
+        assert chain == tuple(q for start, step, _ in runs
+                              for q in (start, vadd(start, step))) + (
+            lift(g(b)),)
+        assert _witness_decision(found1, found2) is not None
+        for i, q in enumerate(chain):
+            bad = {"the chain": chain[:i] + (moved(q),) + chain[i + 1:]}
+            with pytest.raises(InternalCheckError, match="the chain"):
+                _witness_decision(found1, (inv, wit, bad))
+
+
+def test_side_invariant_builds_no_point(monkeypatch):
+    # without a witness the side is decided on the chain's lifts alone:
+    # nothing is unlifted and no extension is built
+    rng = random.Random(41)
+    cases = [rand_segment(rng, n, 7, 3) for n in (2, 2, 3, 3)]
+    expected = [_side_with_witness(a, b)[0] for a, b in cases]
+
+    def refuse(*a):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(segments, "unlift", refuse)
+    monkeypatch.setattr(segments, "extend_frame", refuse)
+    for (a, b), inv in zip(cases, expected):
+        assert _side_with_witness(a, b, witness=False)[1] is None
+        assert side_invariant(a, b) == inv
 
 
 def segment_witness_corpus():

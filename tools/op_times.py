@@ -31,6 +31,17 @@ ratio, this tree being the change.  Under each all-ops line it prints the
 spread of that ratio: the min, median and max over the repeats of the
 change/parent ratio of one repeat's all-ops times (repeat 0 being the
 checked call), so a ratio can be told apart from the noise between runs.
+
+--runs N (with --against) makes N such full passes, each building its
+batches afresh, and prints each pass's report under a "run i of N" line;
+then, over all seeds, the median of the N passes' change/parent ratios,
+with their min and max, over all ops and per op kind.  One pass spreads
+about +-1% between runs of one pair of trees, the width of a 1.01 bar;
+the median of a few passes is steadier.  With the default of 1 the output
+is the single pass's report alone.
+
+    python3 tools/op_times.py --workload polyhedra --against ../parent \
+        --seeds 1 2 --runs 3
 """
 
 import argparse
@@ -124,23 +135,62 @@ def against(args):
                              "afflat_parent", tmp),
                  import_copy(os.path.join(ROOT, "src", "afflat"),
                              "afflat_change", tmp)]
-        everything = []
-        total = [[0.0, 0.0] for _ in range(args.repeats)]
-        for seed in args.seeds:
-            minima, failed, sums = paired_minima(
-                args.workload, seed, args.rounds, args.repeats, sides)
-            report_pairs("%s seed %d rounds 0-%d, min of %d, failed: "
-                         "parent %d, change %d"
-                         % (args.workload, seed, args.rounds - 1,
-                            args.repeats, *failed), minima, sums)
-            everything += minima
-            total = [[a + b for a, b in zip(t, u)]
-                     for t, u in zip(total, sums)]
-        if len(args.seeds) > 1:
-            report_pairs("%s all seeds" % args.workload, everything, total)
+        passes = []
+        for run in range(args.runs):
+            if args.runs > 1:
+                print("run %d of %d" % (run + 1, args.runs))
+            passes.append(against_pass(args, sides))
+        if args.runs > 1:
+            report_median(args.workload, passes)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
+
+
+def against_pass(args, sides):
+    """One full pass of --against over every seed, reported as it goes;
+    returns the paired minima of all seeds' ops."""
+    everything = []
+    total = [[0.0, 0.0] for _ in range(args.repeats)]
+    for seed in args.seeds:
+        minima, failed, sums = paired_minima(
+            args.workload, seed, args.rounds, args.repeats, sides)
+        report_pairs("%s seed %d rounds 0-%d, min of %d, failed: "
+                     "parent %d, change %d"
+                     % (args.workload, seed, args.rounds - 1,
+                        args.repeats, *failed), minima, sums)
+        everything += minima
+        total = [[a + b for a, b in zip(t, u)]
+                 for t, u in zip(total, sums)]
+    if len(args.seeds) > 1:
+        report_pairs("%s all seeds" % args.workload, everything, total)
+    return everything
+
+
+def report_median(workload, passes):
+    """The change/parent busy ratio of each pass, over all ops and per op
+    kind: its median over the passes, with the min and max; kinds in order
+    of their parent busy time over all passes."""
+    ratios = defaultdict(list)
+    parent = defaultdict(float)
+    for minima in passes:
+        by = defaultdict(lambda: [0.0, 0.0])
+        for kind, (tp, tc) in minima:
+            for key in (kind, None):
+                by[key][0] += tp
+                by[key][1] += tc
+        for key, (tp, tc) in by.items():
+            ratios[key].append(tc / tp)
+            parent[key] += tp
+    line = "%6.3f (min %.3f, max %.3f)"
+
+    def spread(rs):
+        return statistics.median(rs), min(rs), max(rs)
+
+    print(("%s all seeds, median of %d runs: change/parent " + line)
+          % ((workload, len(passes)) + spread(ratios.pop(None))))
+    for kind in sorted(ratios, key=lambda k: -parent[k]):
+        print(("  %-28s " + line) % ((kind,) + spread(ratios[kind])))
 
 
 def report(title, minima):
@@ -166,9 +216,14 @@ def main():
     ap.add_argument("--against", metavar="PATH",
                     help="a source checkout to time this tree against, "
                          "op by op, alternating the sides")
+    ap.add_argument("--runs", type=int, default=1,
+                    help="with --against, full passes whose change/parent "
+                         "ratios are reported by their median (default 1)")
     args = ap.parse_args()
-    if args.rounds < 1 or args.repeats < 1:
-        ap.error("--rounds and --repeats must be positive")
+    if args.rounds < 1 or args.repeats < 1 or args.runs < 1:
+        ap.error("--rounds, --repeats and --runs must be positive")
+    if args.runs > 1 and not args.against:
+        ap.error("--runs needs --against")
     if args.against:
         return against(args)
     afflat = perfbench.import_afflat()
