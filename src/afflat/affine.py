@@ -14,13 +14,13 @@ from operator import mul
 from typing import NamedTuple
 
 from . import budget
-from .convexity import AffineHull
+from .convexity import _equations, _flat, _lift_in, _point_lifts, lift_frame
 from .core import (coords_in_lattice_basis, den, dual_vector, lift,
                    saturated_span_basis, simplex_lifts, simplex_map, unlift)
 from .errors import InputError, InternalCheckError
 from .intlinalg import (complete_basis, det_int, integer_kernel,
                         is_part_of_basis, minor_gcd, solve_integer, xgcd)
-from .rationals import content, point, primitive
+from .rationals import content, point, primitive, vsub
 
 
 class AffineInvariant(NamedTuple):
@@ -30,29 +30,32 @@ class AffineInvariant(NamedTuple):
 
 
 class AffineSpace:
-    """Affine span of rational points, with integer equations and a
-    saturated integer direction-lattice basis."""
+    """Affine span of rational points, given by the lifts of its frame.
+
+    Each point is lifted once, and the lifts of the lift_frame points are
+    kept: their flat gives the integer equations, so x lies in the space
+    iff no row of the flat is nonzero on lift(x), and the primitive frame
+    differences span the direction lattice, of which dirs is a saturated
+    integer basis."""
 
     def __init__(self, points):
-        pts = sorted({point(p) for p in points})
-        if not pts:
-            raise InputError("affine space needs at least one point")
+        pts, lifts = _point_lifts(points,
+                                  "affine space needs at least one point")
+        frame = lift_frame(lifts)
         self.points = pts
-        hull = AffineHull(pts)
-        self.n = hull.ambient
-        self.dim = hull.dim
-        self.anchor = hull.anchor
-        self._hull = hull
+        self.n = len(pts[0])
+        self.dim = len(frame) - 1
+        self.anchor = pts[frame[0]]
+        self._frame = [lifts[i] for i in frame]
+        self._flat = _flat(self._frame)
         # integer rows (a, c) with the space equal to {x : a.x = c}
-        self.equations = [(a, c) for (a, c) in hull.equations()]
-        if self.dim > 0:
-            dirs = [primitive(b) for b in hull.basis]
-            self.dirs = list(saturated_span_basis(dirs))
-        else:
-            self.dirs = []
+        self.equations = _equations(self._flat)
+        dirs = [primitive(vsub(pts[i], self.anchor)) for i in frame[1:]]
+        self.dirs = list(saturated_span_basis(dirs)) if dirs else []
 
     def contains(self, x):
-        return self._hull.contains(x)
+        q = _lift_in(x, self.n)
+        return not any(sum(map(mul, r, q)) for r in self._flat)
 
     def __repr__(self):
         return "AffineSpace(dim=%d, n=%d)" % (self.dim, self.n)
@@ -84,7 +87,8 @@ def min_den_point(F):
     A point of F whose denominator divides k lifts to a vector of the
     saturated lattice span(lifts of F's points) /\\ Z^{n+1} with last
     coordinate k, so d_F is the gcd of the last coordinates of a basis of
-    that lattice.  One integer solve of the system d_F x in Z^n, a.x = c
+    that lattice, saturated here from F's frame lifts, which span what all
+    the lifts span.  One integer solve of the system d_F x in Z^n, a.x = c
     gives the point, which is size-reduced along the direction lattice to
     keep its coordinates small.  No search runs, so nothing is charged to
     the search budget.
@@ -92,7 +96,7 @@ def min_den_point(F):
     if not F.equations:
         return tuple(Fraction(0) for _ in range(F.n))
     k = 0
-    for b in saturated_span_basis([lift(p) for p in F.points]):
+    for b in saturated_span_basis(F._frame):
         k = math.gcd(k, b[-1])
     rhs = [k * c for _, c in F.equations]
     if any(t.denominator != 1 for t in rhs):

@@ -1,4 +1,4 @@
-"""Exact convex geometry: affine hulls, flats, polytopes, cells,
+"""Exact convex geometry: flats, frames, polytopes, cells,
 triangulations.
 
 Everything is fraction-free and works on the homogeneous integer lifts
@@ -6,21 +6,23 @@ Everything is fraction-free and works on the homogeneous integer lifts
 sorted canonical primitive rows over lifts of its hull's equations: the
 flat of some points is one integer Gauss-Jordan pass over their lifts
 (`_flat`, a `nullspace`), and the meet of two flats one pass over their
-stacked rows (`_meet`), empty when the rows force k = 0.  A polytope's
-facets come from one scan over its points' lifts, projected onto
-coordinates where their span projects injectively: the normal of each
-independent e-subset is sign-tested on every lift, and the points on each
-facet are recorded as a bitmask, so facet witnesses are read off integer
-tightness, and a point is a vertex when the AND of the masks of its facets
-holds it alone.  `hull_vertices`, which needs no facets, reads the
-vertices of a planar hull off Andrew's monotone chain instead: one pass
-each way over the lifts in point order, each turn the sign of a 3x3
-integer determinant of projected lifts.  num/k lies in a polytope iff its
-lift vanishes on the rows of the hull's flat and satisfies the scan's
-facet rows.  Coordinates over affinely independent points come from one
-`span_solver` over their lifts: a simplex contains num/k iff (num, k) is a
-nonnegative combination of its vertex lifts, and the same solve gives
-barycentric coordinates.
+stacked rows (`_meet`), empty when the rows force k = 0.  The lifts of a
+frame of points (`lift_frame`) have the points' flat, and
+`affine.AffineSpace` and `Polytope` keep only those; each row reads as one
+equation a.x = c (`_equations`).  A polytope's facets come from one scan
+over its points' lifts, projected onto coordinates where their span
+projects injectively: the normal of each independent e-subset is
+sign-tested on every lift, and the points on each facet are recorded as a
+bitmask, so facet witnesses are read off integer tightness, and a point is
+a vertex when the AND of the masks of its facets holds it alone.
+`hull_vertices`, which needs no facets, reads the vertices of a planar
+hull off Andrew's monotone chain instead: one pass each way over the lifts
+in point order, each turn the sign of a 3x3 integer determinant of
+projected lifts.  num/k lies in a polytope iff its lift vanishes on the
+rows of the hull's flat and satisfies the scan's facet rows.  Coordinates
+over affinely independent points come from one `span_solver` over their
+lifts: a simplex contains num/k iff (num, k) is a nonnegative combination
+of its vertex lifts, and the same solve gives barycentric coordinates.
 Simplex clipping, the step of the one arrangement refiner, maps vertex
 lifts to lifts: signs are integer rows on them, edge crossings integer
 combinations of two, and each closed half of a simplex of any dimension,
@@ -41,51 +43,25 @@ from .rationals import (canon_primitive, content, lift, lift_point, point,
                         primitive, vdot, vsub)
 
 
-class AffineHull:
-    """Affine span of rational points: an anchor plus a rational direction
-    basis, with integer equations.  Each point is lifted once; the lifts of
-    the lift_frame points are kept for the equations."""
+def _point_lifts(points, empty):
+    """(pts, lifts): the distinct points, normalized and sorted, and their
+    lifts, each point lifted once.  Raises InputError with the message empty
+    when there is no point, and when the points' dimensions differ."""
+    pts = sorted({point(p) for p in points})
+    if not pts:
+        raise InputError(empty)
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise InputError("mixed ambient dimensions")
+    return pts, [lift_point(p) for p in pts]
 
-    def __init__(self, points):
-        pts = sorted({point(p) for p in points})
-        if not pts:
-            raise InputError("affine hull of an empty set")
-        if any(len(p) != len(pts[0]) for p in pts):
-            raise InputError("mixed ambient dimensions")
-        self._span(pts, [lift_point(p) for p in pts])
 
-    def _span(self, pts, lifts):
-        """Set up the hull of the sorted distinct points pts from their
-        lifts, lifting nothing."""
-        frame = lift_frame(lifts)
-        self.ambient = len(pts[0])
-        self.anchor = pts[frame[0]]
-        self.basis = [vsub(pts[i], self.anchor) for i in frame[1:]]
-        self.dim = len(self.basis)
-        self._frame = [lifts[i] for i in frame]
-        self._equations = None
-
-    def check_dim(self, p):
-        """Raise InputError unless p is a point of the ambient space."""
-        if len(p) != self.ambient:
-            raise InputError("point of dimension %d given to a hull in R^%d"
-                             % (len(p), self.ambient))
-
-    def contains(self, p):
-        # the equations cut out exactly the hull, so no solve is needed
-        p = point(p)
-        self.check_dim(p)
-        return all(vdot(a, p) == c for (a, c) in self.equations())
-
-    def equations(self):
-        """Integer equations (a, c) with the hull equal to {x : a.x = c},
-        read off the flat of the frame's lifts: a row r gives the primitive
-        normal a of r[:-1] and c = a.anchor."""
-        if self._equations is None:
-            normals = (primitive(r[:-1]) for r in _flat(self._frame))
-            self._equations = sorted((a, vdot(a, self.anchor))
-                                     for a in normals)
-        return self._equations
+def _lift_in(p, n):
+    """lift(p), raising InputError unless p is a point of R^n."""
+    q = lift(p)
+    if len(q) != n + 1:
+        raise InputError("point of dimension %d given to a hull in R^%d"
+                         % (len(q) - 1, n))
+    return q
 
 
 def _flat(lifts):
@@ -98,6 +74,17 @@ def _flat(lifts):
     normal a of the directions with -a.anchor in place of k."""
     null = nullspace([q[-1:] + q[:-1] for q in lifts], len(lifts[0]))
     return tuple(sorted(canon_primitive(v[1:] + v[:1]) for v in null))
+
+
+def _equations(flat):
+    """The canonical equations (a, c) of a flat (see _flat), a.x = c with a
+    primitive, sorted: a row r over lifts is t (a, -c) for t > 0, the
+    content of r[:-1]."""
+    eqs = []
+    for r in flat:
+        t = content(r[:-1])
+        eqs.append((tuple(x // t for x in r[:-1]), Fraction(-r[-1], t)))
+    return sorted(eqs)
 
 
 def _meet(f, g, n):
@@ -221,34 +208,32 @@ def hull_vertices(lifts):
 class Polytope:
     """Convex hull of finitely many rational points with exact V- and H-data.
 
-    Each point is lifted once.  The affine hull is set up from the lifts
-    (its anchor and basis are their lift_frame points), and one _facet_scan
-    over the lifts gives the facet rows, each with the set of points on it
-    (a bitmask over the sorted points).  A row r over the projected lifts
-    is the inequality g.x <= h in the coordinates of the affine hull,
-    g_i = r.proj(basis_i, 0) and h = -r.proj(anchor, 1) scaled to a
-    primitive integer g.
+    Each point is lifted once, and the lifts of its lift_frame points are
+    kept: they span what all the lifts span, so one _bareiss pass over these
+    e + 1 lifts gives the pivot columns, and their flat, built on first
+    use, the hull's equations.  One _facet_scan over all the lifts gives the
+    facet rows, each with the set of points on it (a bitmask over the
+    sorted points).  A row r over the projected lifts is the inequality
+    g.x <= h in the hull coordinates over the frame points v_0, ..., v_e
+    (anchor v_0, basis v_i - v_0), g_i = r.proj(v_i - v_0, 0) and
+    h = -r.proj(v_0, 1) scaled to a primitive integer g.
     """
 
     def __init__(self, points):
-        pts = sorted({point(p) for p in points})
-        if not pts:
-            raise InputError("polytope of an empty set")
-        if any(len(p) != len(pts[0]) for p in pts):
-            raise InputError("mixed ambient dimensions")
-        lifts = [lift_point(p) for p in pts]
-        # the hull is set up from the lifts in hand, not re-lifted
-        self.hull = AffineHull.__new__(AffineHull)
-        self.hull._span(pts, lifts)
-        self.dim = self.hull.dim
+        pts, lifts = _point_lifts(points, "polytope of an empty set")
+        frame = lift_frame(lifts)
+        self.dim = len(frame) - 1
         self._pts = pts
+        self._frame = [lifts[i] for i in frame]
         self._eqs = None
-        self._pivots = _bareiss(list(lifts), len(lifts[0]), reduce=False)[0]
+        self._pivots = _bareiss(list(self._frame), len(lifts[0]),
+                                reduce=False)[0]
         facets, vertices = _facet_scan(lifts, self._pivots)
         self.vertices = [pts[i] for i in vertices]
-        anchor = [(self.hull.anchor + (1,))[j] for j in self._pivots]
-        basis = [[(b + (0,))[j] for j in self._pivots]
-                 for b in self.hull.basis]
+        v0 = pts[frame[0]]
+        anchor = [(v0 + (1,))[j] for j in self._pivots]
+        basis = [[(vsub(pts[i], v0) + (0,))[j] for j in self._pivots]
+                 for i in frame[1:]]
         rows = []
         for r, on in facets.items():
             g = [sum(map(mul, r, b)) for b in basis]
@@ -265,19 +250,27 @@ class Polytope:
         on = self._on[j]
         return [p for i, p in enumerate(self._pts) if on >> i & 1]
 
+    def _hull_flat(self):
+        """The flat of the points (see _flat), built from the frame lifts on
+        first use."""
+        if self._eqs is None:
+            self._eqs = _flat(self._frame)
+        return self._eqs
+
+    def equations(self):
+        """The canonical equations (a, c) of the affine hull, a.x = c."""
+        return _equations(self._hull_flat())
+
     def contains_lift(self, q):
         """Membership of num/k for q = (num_1, ..., num_n, k), k > 0: the
-        rows of the hull's flat, built on first use, vanish on q, and the
-        facet rows are <= 0 on its projection."""
-        if self._eqs is None:
-            self._eqs = _flat(self.hull._frame)
+        rows of the hull's flat vanish on q, and the facet rows are <= 0 on
+        its projection."""
         p = [q[j] for j in self._pivots]
-        return (not any(sum(map(mul, r, q)) for r in self._eqs)
+        return (not any(sum(map(mul, r, q)) for r in self._hull_flat())
                 and all(sum(map(mul, r, p)) <= 0 for r in self._rows))
 
     def contains(self, p):
-        self.hull.check_dim(p)
-        return self.contains_lift(lift(p))
+        return self.contains_lift(_lift_in(p, len(self._pts[0])))
 
     def ambient_facets(self):
         """Facet inequalities (a, c) in ambient coordinates, a.x <= c within
@@ -285,12 +278,12 @@ class Polytope:
         the hull's direction space, the one nullspace vector of the hull's
         equation normals and the facet's edge directions, and c is a.v for
         a point v on the facet."""
-        normals = [a for a, _ in self.hull.equations()]
+        normals = [a for a, _ in self.equations()]
         out = []
         for j in range(len(self.facets)):
             on = self.on_facet(j)
             rows = normals + [primitive(vsub(p, on[0])) for p in on[1:]]
-            a = primitive(nullspace(rows, self.hull.ambient)[0])
+            a = primitive(nullspace(rows, len(on[0]))[0])
             c = vdot(a, on[0])
             if any(vdot(a, p) > c for p in self._pts):
                 a, c = tuple(-x for x in a), -c

@@ -82,7 +82,7 @@ def convex_hull(points):
     """Exact V- and H-representations of the convex hull (within its own
     affine hull)."""
     poly = Polytope(points)
-    eqs = tuple(poly.hull.equations())
+    eqs = tuple(poly.equations())
     facets = sorted((tuple(t * c.denominator for t in a), c.numerator)
                     for a, c in poly.ambient_facets())
     return Hull(tuple(sorted(poly.vertices)), eqs, tuple(facets))

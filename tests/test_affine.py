@@ -394,13 +394,31 @@ def test_affine_invariant_finds_the_least_denominator_once(monkeypatch):
 
 
 def test_affine_space_lifts_each_point_once(monkeypatch):
-    # the hull keeps the lifts of its frame points and reads its equations
-    # off them, so 3 independent points in R^3 are lifted 3 times in all
+    # the space keeps the lifts of its frame points and reads its equations
+    # off them, so 3 independent points in R^3 are lifted 3 times in all;
+    # min_den_point saturates those kept lifts and lifts no point of F
     calls = counting(monkeypatch, "lift_point", convexity)
     f = AffineSpace([(F(1, 2), F(0), F(1)), (F(0), F(1, 3), F(0)),
                      (F(1), F(1), F(1, 5))])
     assert len(calls) == 3
     assert f.dim == 2 and len(f.equations) == 1
+    lifts = counting(monkeypatch, "lift", affine)
+    assert f.contains(affine.min_den_point(f))
+    assert not lifts
+
+
+def test_mixed_ambient_dimensions_raise_input_error():
+    # the points of one space or polytope share their ambient dimension,
+    # and so do the points asked about
+    mixed = [(F(0), F(1)), (F(1), F(0), F(2))]
+    for build in (AffineSpace, convexity.Polytope):
+        with pytest.raises(InputError, match="mixed ambient dimensions"):
+            build(mixed)
+        space = build([(F(0), F(1)), (F(1, 2), F(0))])
+        assert space.contains((F(1, 4), F(1, 2)))
+        for x in [(F(0),), (F(0), F(1), F(0))]:
+            with pytest.raises(InputError, match="point of dimension"):
+                space.contains(x)
 
 
 def test_search_completion_scan_builds_no_basis(monkeypatch):

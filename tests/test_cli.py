@@ -111,6 +111,14 @@ def test_malformed_input_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_mixed_ambient_dimensions_exit_2(tmp_path):
+    f = write(tmp_path, "f.json", {"points": [["0", "1"], ["1", "0", "2"]]})
+    proc = run_cli(["invariant", "--kind", "affine", f])
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"error": "mixed ambient dimensions"}
+    assert "Traceback" not in proc.stderr
+
+
 def test_not_in_class_exit_3(tmp_path):
     angle = write(tmp_path, "tri.json",
                   {"v": ["0", "0"], "h": ["1", "0"], "k": ["-1", "0"]})

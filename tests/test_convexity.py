@@ -6,7 +6,7 @@ import pytest
 
 from afflat import convexity
 from afflat.complexes import _vertex_enumeration
-from afflat.convexity import (AffineHull, Polytope, _barycentric_solver,
+from afflat.convexity import (Polytope, _barycentric_solver, _equations,
                               _flat, _meet, affine_frame, hull_vertices,
                               lift_frame, simplex_tester)
 from afflat.core import lift
@@ -137,13 +137,13 @@ def _oracle_flat(pts):
 
 def test_hull_key_is_canonical():
     for rng, n, pts in _flats(94, 300):
-        hull = AffineHull(pts)
-        assert hull.equations() == _oracle_equations(pts)
         flat = _flat([lift(p) for p in pts])
         assert flat == _oracle_flat(pts)
+        assert _equations(flat) == _oracle_equations(pts)
+        dim = len(affine_frame(pts)) - 1
         diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
-        assert hull.dim == fraction_rank(diffs or [(0,) * n])
-        assert len(flat) == n - hull.dim
+        assert dim == fraction_rank(diffs or [(0,) * n])
+        assert len(flat) == n - dim
         # the same flat from shuffled points, plus points of the flat
         more = list(pts) + [_combination(rng, pts, -3) for _ in range(2)]
         rng.shuffle(more)
@@ -177,9 +177,17 @@ def test_hull_intersect_against_oracle():
     assert empty > 0
 
 
-def _oracle_ambient_facets(poly):
+def _hull_frame(pts):
+    """(anchor, basis) of Polytope(pts)'s hull coordinates: its frame
+    points v_0, ..., v_e give v_0 and the v_i - v_0."""
+    frame = affine_frame(sorted(set(pts)))
+    return frame[0], [tuple(a - b for a, b in zip(v, frame[0]))
+                      for v in frame[1:]]
+
+
+def _oracle_ambient_facets(poly, pts):
     """One Fraction solve of the Gram system per facet."""
-    basis, anchor = poly.hull.basis, poly.hull.anchor
+    anchor, basis = _hull_frame(pts)
     gram = [[sum(x * y for x, y in zip(b1, b2)) for b2 in basis]
             for b1 in basis]
     out = []
@@ -198,7 +206,7 @@ def test_ambient_facets_against_gram_oracle():
     for _, _, pts in _flats(96, 200):
         poly = Polytope(pts)
         facets = poly.ambient_facets()
-        assert facets == _oracle_ambient_facets(poly)
+        assert facets == _oracle_ambient_facets(poly, pts)
         # every point satisfies every facet, and each facet is tight somewhere
         for a, c in facets:
             vals = [sum(x * y for x, y in zip(a, p)) for p in pts]
@@ -393,8 +401,8 @@ def test_polytope_against_oracles_in_r4_and_on_flats():
             dim, [lift(v) for v in verts])
         # each facet holds every point on its closed side and is tight on
         # dim affinely independent points, in hull and ambient coordinates
-        coords = {p: hull_coords(poly.hull.anchor, poly.hull.basis, p)
-                  for p in pts}
+        anchor, basis = _hull_frame(pts)
+        coords = {p: hull_coords(anchor, basis, p) for p in pts}
         for j, (g, h) in enumerate(poly.facets):
             vals = {p: sum(x * y for x, y in zip(g, c))
                     for p, c in coords.items()}
@@ -423,6 +431,16 @@ def test_planar_hull_vertices_take_no_nullspace(monkeypatch):
         lifts = [lift(embed(p)) for p in others + square]
         assert hull_vertices(lifts) == (2, [lift(p) for p in corners])
     assert not calls
+
+
+def test_polytope_pivot_pass_reads_the_frame_lifts_only(monkeypatch):
+    # 5 points in R^3: lift_frame reads the 4 rows of their lifts taken as
+    # columns, and the pivot pass the 4 frame lifts, not all 5 lifts
+    passes = counting(monkeypatch, "_bareiss", convexity)
+    poly = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                     (F(1, 4), F(1, 4), F(1, 4))])
+    assert [len(a) for a, *_ in passes] == [4, 4]
+    assert poly.dim == 3 and len(poly.vertices) == 4
 
 
 def test_polytope_lifts_each_point_once(monkeypatch):

@@ -10,7 +10,6 @@ import pytest
 from afflat import cones, polyhedra, rationals
 from afflat.affine import AffineSpace
 from afflat.cones import cone, desingularize, fan_rays, is_regular_cone
-from afflat.convexity import AffineHull
 from afflat.core import UniAffMap, is_regular, lift, simplex, simplex_lifts
 from afflat.errors import InputError
 from afflat.polyhedra import (convex_hull, poly_set_equal, polyhedron,
@@ -461,11 +460,11 @@ def test_polyhedron_equivalence_builds_no_affine_hull_and_no_fraction(
         monkeypatch):
     # the cover tests refine along flats kept as integer rows over lifts,
     # so the unit 3-cube against itself less one simplex, which refines 24
-    # times, constructs no AffineHull anywhere; its vertices are Fractions
+    # times, constructs no AffineSpace anywhere; its vertices are Fractions
     # already, so normalizing them builds none either, and the whole
     # decision runs on integers
     P = freudenthal_cube(3)
-    hulls = counting(monkeypatch, "__init__", AffineHull)
+    hulls = counting(monkeypatch, "__init__", AffineSpace)
     fractions = counting(monkeypatch, "__new__", Fraction)
     assert polyhedron_equivalence(P, P[:-1]) is None
     assert hulls == [] and fractions == []
@@ -527,7 +526,7 @@ def test_clip_simplex_pieces_tile_both_halves():
         vol = abs(edge_det(s, coords))
         kind = rng.randrange(4)
         if kind == 3:  # through the whole simplex, when it is flat
-            eqs = AffineHull(s).equations()
+            eqs = AffineSpace(s).equations
             w = [rng.randint(-2, 2) for _ in eqs]
             g = tuple(sum(wi * a[j] for wi, (a, _) in zip(w, eqs))
                       for j in range(n))
