@@ -17,7 +17,8 @@ coordinates of q_K come from one span_solver over the lifts of
 built only where a public result needs them: max_regular_point and
 min_den_completion, and the witness simplex when one is asked for.  A
 decision over many triangles that share vertices (conics) keeps their
-sides, angles and farthest points in one _TriangleParts, local to it.
+sides, angles and farthest points in one _TriangleParts, local to it and
+keyed by the vertices' lifts.
 """
 
 import math
@@ -31,7 +32,7 @@ from .errors import InputError, InternalCheckError, NotInClass
 from .intlinalg import integer_rank, span_solver
 from .rationals import (content, lift_point, point, primitive, vadd, vscale,
                         vsub)
-from .segments import SideInvariant, _side_with_witness, _witness_decision
+from .segments import SideInvariant, _side_of_lifts, _witness_decision
 
 
 class HalfLine:
@@ -261,18 +262,25 @@ def angle_equivalence(a1, a2):
 
 def triangle(u, v, w):
     """Oriented rational triangle u -> v -> w; the angle vertex is v."""
-    return _triangle_lifts(u, v, w)[0]
+    pts, lifts = _triangle_lifts(u, v, w)
+    _check_triangle(lifts)
+    return pts
 
 
 def _triangle_lifts(u, v, w):
-    """(points, lifts) of triangle(u, v, w), each vertex lifted once."""
+    """(points, lifts) of the vertices u, v, w, each normalized and lifted
+    once; their rank is left to the caller (_check_triangle)."""
     pts = (point(u), point(v), point(w))
     if len({len(p) for p in pts}) != 1:
         raise InputError("vertex dimensions differ")
-    lifts = tuple(map(lift_point, pts))
+    return pts, tuple(map(lift_point, pts))
+
+
+def _check_triangle(lifts):
+    """Raise NotInClass unless the lifts of three points are independent,
+    that is, unless the points form a triangle."""
     if integer_rank(lifts) != 3:
         raise NotInClass("degenerate triangle: vertices are collinear")
-    return pts, lifts
 
 
 def _direction(lv, lu):
@@ -288,19 +296,22 @@ class _TriangleParts:
     triangles by their side v -> u, angle at v and side v -> w, one field
     at a time, builds the witness of the triangle it keeps from the parts
     it has already computed, and angles at one vertex share the farthest
-    regular point of each half-line.  The points are tuples of Fractions
-    (rationals.point).  An instance lives only as long as the call that
-    makes it, so nothing is kept between calls."""
+    regular point of each half-line.  Vertices are given, and parts keyed,
+    by their lifts (rationals.lift_point): sides come from
+    segments._side_of_lifts, an angle checks its triangle's rank on the
+    lifts, and points are built only for a witness simplex.  An instance
+    lives only as long as the call that makes it, so nothing is kept
+    between calls."""
 
     def __init__(self):
         self._sides = {}
         self._angles = {}
         self._far = {}
 
-    def _side(self, v, x):
-        found = self._sides.get((v, x))
+    def _side(self, lv, lx):
+        found = self._sides.get((lv, lx))
         if found is None:
-            found = self._sides[v, x] = _side_with_witness(v, x, witness=False)
+            found = self._sides[lv, lx] = _side_of_lifts(lv, lx)
         return found
 
     def _farthest(self, lv, d):
@@ -309,43 +320,42 @@ class _TriangleParts:
             q = self._far[lv, d] = _farthest_lift(lv, d)
         return q
 
-    def _angle(self, u, v, w):
-        """(vertex lifts, angle invariant, lifts of (v, q_H, p_HK), lift of
-        q_K) of the triangle's angle at v."""
-        found = self._angles.get((u, v, w))
+    def _angle(self, lu, lv, lw):
+        """(angle invariant, lifts of (v, q_H, p_HK), lift of q_K) of the
+        triangle's angle at v."""
+        found = self._angles.get((lu, lv, lw))
         if found is None:
-            lifts = _triangle_lifts(u, v, w)[1]
-            lu, lv, lw = lifts
-            found = self._angles[u, v, w] = (lifts,) + _angle_lifts(
+            _check_triangle((lu, lv, lw))
+            found = self._angles[lu, lv, lw] = _angle_lifts(
                 lv, _direction(lv, lu), _direction(lv, lw), self._farthest)
         return found
 
-    def side_vu(self, u, v, w):
-        return self._side(v, u)[0]
+    def side_vu(self, lu, lv, lw):
+        return self._side(lv, lu)[0]
 
-    def angle_at_v(self, u, v, w):
-        return self._angle(u, v, w)[1]
+    def angle_at_v(self, lu, lv, lw):
+        return self._angle(lu, lv, lw)[0]
 
-    def side_vw(self, u, v, w):
-        return self._side(v, w)[0]
+    def side_vw(self, lu, lv, lw):
+        return self._side(lv, lw)[0]
 
-    def invariant(self, u, v, w):
+    def invariant(self, lu, lv, lw):
         """The triangle invariant; the angle first, as it checks that the
         vertices form a triangle."""
-        ang = self.angle_at_v(u, v, w)
-        return TriangleInvariant(self.side_vu(u, v, w), ang,
-                                 self.side_vw(u, v, w))
+        ang = self.angle_at_v(lu, lv, lw)
+        return TriangleInvariant(self.side_vu(lu, lv, lw), ang,
+                                 self.side_vw(lu, lv, lw))
 
-    def triangle(self, u, v, w):
+    def triangle(self, lu, lv, lw):
         """(triangle invariant, witness simplex, marks); the witness is the
         angle's, so the sides' c is computed with no extension built."""
-        lifts, ang, r, q_k = self._angle(u, v, w)
-        side_vu, _, marks_vu = self._side(v, u)
-        side_vw, _, marks_vw = self._side(v, w)
+        ang, r, q_k = self._angle(lu, lv, lw)
+        side_vu, _, marks_vu = self._side(lv, lu)
+        side_vw, _, marks_vw = self._side(lv, lw)
         marks = {"the second arm": (q_k,),
                  "the first side": marks_vu["the chain"],
                  "the second side": marks_vw["the chain"],
-                 "the vertices": lifts}
+                 "the vertices": (lu, lv, lw)}
         return (TriangleInvariant(side_vu, ang, side_vw),
                 _angle_witness(r, ang.c), marks)
 
@@ -353,20 +363,19 @@ class _TriangleParts:
 def _triangle_with_witness(tri):
     """(triangle invariant, witness simplex, marks), from the sides v->u,
     v->w and the angle at v."""
-    return _TriangleParts().triangle(*map(point, tri))
+    return _TriangleParts().triangle(*_triangle_lifts(*tri)[1])
 
 
 def triangle_invariant(tri):
     """Side-angle-side invariant (side v->u, angle at v, side v->w)."""
-    return _TriangleParts().invariant(*map(point, tri))
+    return _TriangleParts().invariant(*_triangle_lifts(*tri)[1])
 
 
 def triangle_equivalence(t1, t2):
     """A map carrying (u, v, w) onto (u', v', w'), or None when the triangle
-    invariants differ."""
-    u1, v1, w1 = triangle(*t1)
-    u2, v2, w2 = triangle(*t2)
-    if len(u1) != len(u2):
+    invariants differ.  Each triangle is normalized, lifted and ranked
+    once; the witness simplexes have the ambient dimensions."""
+    found1, found2 = _triangle_with_witness(t1), _triangle_with_witness(t2)
+    if len(found1[1][0]) != len(found2[1][0]):
         raise InputError("ambient dimensions differ")
-    return _witness_decision(_triangle_with_witness((u1, v1, w1)),
-                             _triangle_with_witness((u2, v2, w2)))
+    return _witness_decision(found1, found2)

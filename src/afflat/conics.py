@@ -3,19 +3,23 @@ Legendre equation, conjugate diameters, the minimal-index semi-diameter
 pairs, the complete ellipse invariant, and orbit decision.
 
 Ambient dimension is 2 throughout.  Whether an ellipse has a rational
-point is Legendre's theorem on one factorization of its coefficients; the
-point itself comes from a Holzer-box scan, run only when one exists, that
-visits only the x of each row whose congruence class modulo the third
-coefficient can complete a solution.
-Rational points are enumerated one denominator at a time, in integers
-(one isqrt per x of the ellipse's range), so the minimal-index search adds
-denominator j's points and tests, by integer dot products, only the pairs
-that involve them.  As for the other kinds, the invariant and its witness
-come from one pass: the minimal-index pairs are found once, and the witness
-is that of the first sorted pair with the least invariant.  The decision
-compares areas first, builds only the first ellipse's least triangle, cut
-down field by field, and walks the second ellipse's pairs only up to that
-witness pair.
+point is Legendre's theorem on one factorization of its coefficients
+(trial division, ended early by a Miller-Rabin proof that the cofactor is
+prime); the point itself comes from a Holzer-box scan, run only when one
+exists, that visits only the x of each row whose congruence class modulo
+the third coefficient can complete a solution.
+Each ellipse holds one integer form (_IntegerForm) that its decisions
+read.  Rational points are enumerated one denominator at a time, in
+integers (one isqrt per x of the ellipse's range), and the minimal-index
+search reads each point's two conjugates off it, so it scans only up to
+half the least index and never tests two points against each other.  The
+pairs are lifts, and so are the sides, angles and triangles built from
+them (angles._TriangleParts); points are built only for a witness.  As
+for the other kinds, the invariant and its witness come from one pass:
+the minimal-index pairs are found once, and the witness is that of the
+first sorted pair with the least invariant.  The decision compares areas
+first, builds only the first ellipse's least triangle, cut down field by
+field, and walks the second ellipse's pairs only up to that witness pair.
 """
 
 import math
@@ -24,10 +28,10 @@ from typing import NamedTuple
 
 from . import budget
 from .angles import _TriangleParts
-from .core import den
+from .core import unlift
 from .segments import _witness_decision
 from .errors import InputError, InternalCheckError, NotInClass
-from .rationals import point, rat, vdot, vsub
+from .rationals import lift_point, point, rat, vdot, vsub
 
 
 class Conic(NamedTuple):
@@ -84,18 +88,72 @@ def legendre_solve(p, q, r):
     return ints
 
 
+# trial divisors up to this bound run before any primality test, so a
+# coefficient below four times its square is factored by trial division
+# alone
+_TRIAL_BOUND = 1000
+# Miller-Rabin with the first 13 prime bases decides primality of every
+# n < 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 86
+# (2017)); the first 12 bases stop at 318665857834031151167461, a strong
+# pseudoprime to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _factor(n):
-    """{prime: exponent} of n >= 1, by trial division by 2 and odd k."""
+    """{prime: exponent} of n >= 1, by trial division by 2, 3 and the
+    k = +-1 (mod 6) from 5 on.  Once k passes _TRIAL_BOUND, a cofactor that
+    _known_prime proves prime ends the division; it is tested when k passes
+    the bound and again after each division that shrinks it, but only
+    while k is at most half its root: closer to the root, the divisions
+    left cost less than the test."""
     out = {}
-    k = 2
-    while k * k <= n:
+    for k in (2, 3):
         while n % k == 0:
             out[k] = out.get(k, 0) + 1
             n //= k
-        k += 1 if k == 2 else 2
+    k, step, untested = 5, 2, True
+    while k * k <= n:
+        if untested and k > _TRIAL_BOUND and 4 * k * k <= n:
+            if _known_prime(n):
+                break
+            untested = False
+        if n % k == 0:
+            while n % k == 0:
+                out[k] = out.get(k, 0) + 1
+                n //= k
+            untested = True
+        k += step
+        step = 6 - step
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _known_prime(n):
+    """Whether n is a prime below _MR_BOUND, by the strong probable-prime
+    test to each of _MR_BASES, which no composite below the bound passes;
+    False for every n >= _MR_BOUND, whose primality it leaves open."""
+    if n < 2 or n >= _MR_BOUND:
+        return False
+    if n in _MR_BASES:
+        return True
+    if n % 2 == 0:
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _legendre_point(p, q, r):
@@ -271,8 +329,47 @@ def _classify_with_witness(co):
     return ELLIPSE, w, (o, qmat, m, co)
 
 
+class _IntegerForm(NamedTuple):
+    """The integers an ellipse's decisions run on, for its normalized conic
+    (p - O)^T Q (p - O) - m scaled by the lcm L of its denominators.
+
+    coeffs: (a, b, c, d, e, f), L times the conic's coefficients.
+    center: the lift (On, od) of the center O = On / od.
+    s: the square root of 4ac - b^2, the determinant of 2 L Q =
+       ((2a, b), (b, 2c)), or None when that is not a square: the ellipse
+       then has no rational conjugate pairs.
+    spread: (n, d) with n / d = m Q11 / det Q, the greatest (x - O_x)^2 on
+       the ellipse.
+    area: (n, d) with n / d = m^2 / det Q over 4: the squared area over pi^2,
+       up to the factor 4 that every ellipse shares.
+    Both are read off L m od^2, which is -od^2 times the scaled conic at
+    O."""
+    coeffs: tuple
+    center: tuple
+    s: object
+    spread: tuple
+    area: tuple
+
+
+def _integer_form(co, o):
+    """The _IntegerForm of the normalized conic co with center o."""
+    scale = math.lcm(*(t.denominator for t in co))
+    a, b, c, d, e, f = coeffs = tuple(t.numerator * (scale // t.denominator)
+                                      for t in co)
+    on0, on1, od = center = lift_point(o)
+    detq = 4 * a * c - b * b
+    s = math.isqrt(detq)
+    level = -((a * on0 + b * on1 + d * od) * on0
+              + (c * on1 + e * od) * on1 + f * od * od)
+    return _IntegerForm(coeffs, center, s if s * s == detq else None,
+                        (4 * level * c, od * od * detq),
+                        (level * level, od ** 4 * detq))
+
+
 class RationalEllipse:
-    """An ellipse with rational coefficients and a rational witness point."""
+    """An ellipse with rational coefficients and a rational witness point.
+    conic, center, qmat, level and witness are exact rationals; the
+    decisions read _form, the same ellipse in integers (_IntegerForm)."""
 
     def __init__(self, co):
         cls, witness, (o, qmat, m, normalized) = _classify_with_witness(co)
@@ -283,16 +380,17 @@ class RationalEllipse:
         self.qmat = qmat
         self.level = m
         self.witness = witness
+        self._form = _integer_form(normalized, o)
 
     def has_conjugate_pairs(self):
         """Whether any rational conjugate semi-diameter pair exists.
 
         The conjugate diameter of the one through a rational point x has
         endpoints +-t rot90(Q x) with t^2 = 1/det(Q), independently of x,
-        so rational pairs exist iff det(Q) is the square of a rational.
+        so rational pairs exist iff det(Q) is the square of a rational,
+        that is iff the integer form has its s.
         """
-        detq = self.qmat[0][0] * self.qmat[1][1] - self.qmat[0][1] * self.qmat[1][0]
-        return _rational_sqrt(detq) is not None
+        return self._form.s is not None
 
     def on_curve(self, p):
         return self.conic(p) == 0
@@ -328,20 +426,20 @@ def _rational_points_at(ell, j):
 
 def _numerators_at(ell, j):
     """The (i, k) with (i/j, k/j) on the ellipse and gcd(i, k, j) = 1, sorted.
-    With the conic scaled to integer coefficients, k solves
+    With the conic's integer coefficients (_IntegerForm), k solves
     c k^2 + B k + C = 0 for B = b i + e j and C = a i^2 + d j i + f j^2,
-    and c > 0, so each i of the ellipse's x-range needs one isqrt."""
-    o, qmat, m = ell.center, ell.qmat, ell.level
-    detq = qmat[0][0] * qmat[1][1] - qmat[0][1] * qmat[1][0]
-    xspread2 = m * qmat[1][1] / detq  # max (x - Ox)^2 on the ellipse
-    s = math.isqrt(math.floor(j * j * xspread2)) + 1
-    base = o[0] * j
-    scale = math.lcm(*(t.denominator for t in ell.conic))
-    a, b, c, d, e, f = (int(t * scale) for t in ell.conic)
+    and c > 0, so each i of the ellipse's x-range, |i - j O_x| < s with
+    s^2 > j^2 max (x - O_x)^2, needs one isqrt."""
+    form = ell._form
+    a, b, c, d, e, f = form.coeffs
+    on0, _, od = form.center
+    sn, sd = form.spread
+    s = math.isqrt(j * j * sn // sd) + 1
+    dj, ej, fjj, c4 = d * j, e * j, f * j * j, 4 * c
     found = []
-    for i in range(math.ceil(base - s), math.floor(base + s) + 1):
-        B = b * i + e * j
-        disc = B * B - 4 * c * ((a * i + d * j) * i + f * j * j)
+    for i in range(-((s * od - on0 * j) // od), (on0 * j + s * od) // od + 1):
+        B = b * i + ej
+        disc = B * B - c4 * ((a * i + dj) * i + fjj)
         if disc < 0:
             continue
         r = math.isqrt(disc)
@@ -424,56 +522,74 @@ def _require_conjugate_pairs(ell):
 
 def min_index_pairs(ell):
     """(d, pairs): the least index d = den(x) + den(y) over conjugate
-    semi-diameter pairs, and all ordered pairs attaining it.
-
-    Conjugacy (x - O)^T Q (y - O) = 0 is tested in integers: a point
-    (i, k)/j gives u = od (i, k) - j On, a positive multiple of x - O for
-    the center O = On/od, and Q is scaled by the lcm of its denominators.
+    semi-diameter pairs, and all ordered pairs attaining it, sorted.
 
     Raises NotInClass when the ellipse has no rational conjugate pairs at
     all (non-square det(Q)); the published termination argument silently
-    assumes that case away."""
+    assumes that case away.  The points are those of _min_index_lifts."""
+    best, pairs = _min_index_lifts(ell)
+    return best, [(unlift(x), unlift(y)) for x, y in pairs]
+
+
+def _min_index_lifts(ell):
+    """min_index_pairs with each point given by its lift (core.lift).
+
+    Each point x of the ellipse has exactly two conjugates y, the ends of
+    its conjugate diameter, y - O = +-rot90(Q (x - O)) / sqrt(det Q), and
+    they are read off x in integers: with the form's center On / od and
+    root s of det q for q = ((2a, b), (b, 2c)) (_IntegerForm), the point
+    (i, k)/j gives u = od (i, k) - j On = od j (x - O), w = rot90(q u),
+    and y = (j s On +- w) / (od j s), reduced by one gcd.  So the points of
+    denominator j are scanned for j = 1, 2, ..., each paired with its two
+    conjugates, and a pair is recorded from the point of smaller
+    denominator (in both orders when the other one's is larger); the
+    smaller denominator of a pair of index d is at most d/2, so the scan
+    stops at the first j with 2j greater than the least index found.
+    Every scanned j is charged to the budget.  The pairs are sorted in the
+    order of their points, compared over a common denominator."""
     _require_conjugate_pairs(ell)
-    od = math.lcm(*(t.denominator for t in ell.center))
-    on0, on1 = (int(t * od) for t in ell.center)
-    qd = math.lcm(*(t.denominator for row in ell.qmat for t in row))
-    (q00, q01), (_, q11) = ((int(t * qd) for t in row) for row in ell.qmat)
-    pts = []  # (point, its denominator, u)
+    form = ell._form
+    a, b, c = form.coeffs[:3]
+    on0, on1, od = form.center
+    s = form.s
     pairs = []
     best = None
-    j = 0
-    while True:
-        j += 1
+    j = 1
+    while best is None or 2 * j <= best:
         budget.check(j, "semi-diameter index search")
-        new = [((Fraction(i, j), Fraction(k, j)), j,
-                (od * i - j * on0, od * k - j * on1))
-               for i, k in _numerators_at(ell, j)]
-        pts.extend(new)
-        # only pairs with a point of denominator j are new; Q is symmetric,
-        # so (y, x) is a pair whenever (x, y) is
-        for x, _, (u0, u1) in new:
-            qu0, qu1 = q00 * u0 + q01 * u1, q01 * u0 + q11 * u1
-            for y, dy, (v0, v1) in pts:
-                if qu0 * v0 + qu1 * v1 == 0:
-                    pairs.append((x, y))
-                    if dy < j:
-                        pairs.append((y, x))
-                    if best is None or j + dy < best:
-                        best = j + dy
-        if best is not None and j >= best - 1:
-            final = [(x, y) for x, y in pairs if den(x) + den(y) == best]
-            return best, sorted(final)
+        t0, t1, dy = j * s * on0, j * s * on1, od * j * s
+        for i, k in _numerators_at(ell, j):
+            x = (i, k, j)
+            u0, u1 = od * i - j * on0, od * k - j * on1
+            w0, w1 = -(b * u0 + 2 * c * u1), 2 * a * u0 + b * u1
+            for n0, n1 in ((t0 + w0, t1 + w1), (t0 - w0, t1 - w1)):
+                g = math.gcd(n0, n1, dy)
+                y = (n0 // g, n1 // g, dy // g)
+                index = j + y[2]
+                if y[2] < j or (best is not None and index > best):
+                    continue  # recorded from y, or not minimal
+                if best is None or index < best:
+                    best, pairs = index, []
+                pairs.append((x, y))
+                if y[2] > j:
+                    pairs.append((y, x))
+        j += 1
+    common = math.lcm(*(p[2] for pair in pairs for p in pair))
+
+    def key(pair):
+        return tuple(t * (common // p[2]) for p in pair for t in p[:2])
+
+    return best, sorted(pairs, key=key)
 
 
 def _ellipse_with_witness(ell):
     """(ellipse invariant, witness simplex, marks).  One _TriangleParts
     serves every pair, and a witness is built only for the first pair of
     each invariant."""
-    _, pairs = min_index_pairs(ell)
-    o = ell.center
+    o = ell._form.center
     parts = _TriangleParts()
     first = {}
-    for x, y in pairs:
+    for x, y in _min_index_lifts(ell)[1]:
         inv = parts.invariant(o, x, y)
         if inv not in first:
             first[inv] = parts.triangle(o, x, y)[1:]
@@ -491,8 +607,8 @@ def _least_triangle(ell, parts=None):
     triangle is built from them."""
     if parts is None:
         parts = _TriangleParts()
-    o = ell.center
-    pairs = min_index_pairs(ell)[1]
+    o = ell._form.center
+    pairs = _min_index_lifts(ell)[1]
     for key in (parts.side_vu, parts.angle_at_v, parts.side_vw):
         if len(pairs) == 1:
             break
@@ -508,13 +624,6 @@ def ellipse_invariant(ell):
     return _ellipse_with_witness(ell)[0]
 
 
-def _area_squared(ell):
-    """m^2 / det(Q): the squared area over pi^2, the same for every conic
-    equation of the ellipse and kept by every map of determinant +-1."""
-    q = ell.qmat
-    return ell.level ** 2 / (q[0][0] * q[1][1] - q[0][1] * q[1][0])
-
-
 def ellipse_equivalence(e1, e2):
     """A unimodular affine map of the first ellipse onto the second, or
     None when the invariants differ; verified by conic pullback.
@@ -522,32 +631,37 @@ def ellipse_equivalence(e1, e2):
     An ellipse is fixed by its center and one pair of conjugate
     semi-diameters, so a map carrying one minimal-index triangle (O, x, y)
     of e1 onto one of e2 carries e1 onto e2.  Once both ellipses are known
-    to have conjugate pairs, differing areas answer None with no search.
-    Otherwise only e1's least triangle is built (_least_triangle), and e2's
-    minimal-index pairs are walked in sorted order to the first whose
-    triangle invariant is that one: the pair that e2's full invariant would
-    pick as witness, so the map is the same.  A pair whose side x -> O or
-    angle at x already differs is passed before its triangle is built.
-    When no pair matches, the invariants differ.  One _TriangleParts,
-    local to the call, keeps each side, angle and farthest regular point
-    computed for the keys, and the triangles are built from them.
+    to have conjugate pairs, differing areas, compared by
+    cross-multiplication of their integer forms, answer None with no
+    search.  Otherwise only e1's least triangle is built (_least_triangle),
+    and e2's minimal-index pairs (lifts, _min_index_lifts) are walked in
+    sorted order to the first whose triangle invariant is that one: the
+    pair that e2's full invariant would pick as witness, so the map is the
+    same.  A pair whose side x -> O or angle at x already differs is passed
+    before its triangle is built.  When no pair matches, the invariants
+    differ.  One _TriangleParts, local to the call, keeps each side, angle
+    and farthest regular point computed for the keys, and the triangles
+    are built from them.  The map's pullback of e2's integer coefficients
+    must be a multiple of e1's.
     """
     _require_conjugate_pairs(e1)
     _require_conjugate_pairs(e2)
-    if _area_squared(e1) != _area_squared(e2):
+    (n1, d1), (n2, d2) = e1._form.area, e2._form.area
+    if n1 * d2 != n2 * d1:
         return None
     parts = _TriangleParts()
     least = _least_triangle(e1, parts)
     inv = least[0]
-    o = e2.center
-    for x, y in min_index_pairs(e2)[1]:
+    o = e2._form.center
+    for x, y in _min_index_lifts(e2)[1]:
         if (parts.side_vu(o, x, y) != inv.side_vu
                 or parts.angle_at_v(o, x, y) != inv.angle):
             continue
         found = parts.triangle(o, x, y)
         if found[0] == inv:
             g = _witness_decision(least, found)
-            if not conics_match_up_to_scalar(pullback(e2.conic, g), e1.conic):
+            if not conics_match_up_to_scalar(
+                    pullback(Conic(*e2._form.coeffs), g), e1._form.coeffs):
                 raise InternalCheckError("witness map does not carry the ellipse")
             return g
     return None
@@ -571,14 +685,10 @@ def pullback(co, g):
 
 
 def conics_match_up_to_scalar(c1, c2):
-    ratio = None
-    for u, v in zip(c1, c2):
-        if (u == 0) != (v == 0):
-            return False
-        if u != 0:
-            r = v / u
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return ratio is not None
+    """Whether the coefficients c2 are a nonzero multiple of c1, by
+    cross-multiplication with c1's first nonzero coefficient, so exact on
+    integers and Fractions alike."""
+    i = next((i for i, u in enumerate(c1) if u != 0), None)
+    if i is None or c2[i] == 0:
+        return False
+    return all(u * c2[i] == v * c1[i] for u, v in zip(c1, c2))

@@ -20,8 +20,9 @@ each numerator and denominator by one gcd and build the Fraction the same
 way, never through Fraction's constructor.
 
 Every kind computes its invariant once, with a witness simplex and marks
-(_side_with_witness here); _witness_decision, shared by all kinds, compares
-two invariants, maps one witness onto the other, and checks that the map
+(_side_with_witness here, or _side_of_lifts for a caller that already holds
+the endpoints' lifts); _witness_decision, shared by all kinds, compares two
+invariants, maps one witness onto the other, and checks that the map
 carries the marks.  Marks and intermediate points are homogeneous lifts:
 a side's marks are run starts and steps that _plane_runs already gives, c
 comes from the lift form of completion_den, and the map is checked on the
@@ -182,14 +183,20 @@ def _side_with_witness(a, b, witness=True):
     from the first cell's lifts, no point is built, and the witness is
     None."""
     a, b = segment(a, b)
-    lb = lift_point(b)
-    runs = _plane_runs(lift_point(a), lb)
+    return _side_of_lifts(lift_point(a), lift_point(b), a if witness else None)
+
+
+def _side_of_lifts(la, lb, a=None):
+    """_side_with_witness of the segment from the point of lift la to that
+    of lb, two distinct primitive lifts; the witness is built when a, the
+    point of la, is given."""
+    runs = _plane_runs(la, lb)
     marks = []
     for start, step, _ in runs:
         marks += [start, vadd(start, step)]
     marks.append(lb)
     first = marks[:2]
-    if witness:
+    if a is not None:
         wit = (a, unlift(first[1]))
         c, ext = extend_frame(wit)
         wit += ext

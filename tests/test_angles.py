@@ -17,8 +17,8 @@ from afflat.errors import InputError, InternalCheckError, NotInClass
 from afflat.rationals import content
 from afflat.segments import _side_with_witness, _witness_decision
 
-from helpers import (_tiny_det, apply_affine, counting_in_package, rand_point,
-                     rand_unimodular, regular_by_parallelepiped)
+from helpers import (_tiny_det, apply_affine, counting, counting_in_package,
+                     rand_point, rand_unimodular, regular_by_parallelepiped)
 
 F = Fraction
 
@@ -659,3 +659,22 @@ def test_triangle_equivalence_unlifts_only_its_witnesses(monkeypatch):
     m = triangle_equivalence(t1, t2)
     assert tuple(m(p) for p in t1) == t2
     assert (len(unlifts), len(lifts)) == (8, 0)
+
+
+def test_triangle_equivalence_ranks_each_triangle_once(monkeypatch):
+    # each triangle is normalized and lifted once, and its lifts go to the
+    # parts, whose angle checks their rank: one integer_rank call each
+    t1 = ((F(1, 3), F(0), F(2, 5)), (F(1), F(1, 2), F(-1)),
+          (F(-2, 7), F(3), F(1, 4)))
+    g = UniAffMap(((1, 2, 0), (0, 1, 1), (1, 2, 1)), (1, -1, 2))
+    t2 = tuple(g(p) for p in t1)
+    ranks = counting(monkeypatch, "integer_rank", angles)
+    m = triangle_equivalence(t1, t2)
+    assert tuple(m(p) for p in t1) == t2
+    assert len(ranks) == 2
+    # a collinear first triangle is reported before the second is read
+    flat = ((0, 0), (1, 1), (2, 2))
+    with pytest.raises(NotInClass):
+        triangle_equivalence(flat, ((0, 0), (1,), (0, 1)))
+    with pytest.raises(InputError, match="ambient"):
+        triangle_equivalence(t1, ((0, 0), (1, 0), (0, 1)))

@@ -164,6 +164,19 @@ def test_budget_exit_5(tmp_path):
     assert json.loads(proc.stdout)["d"] == 97
 
 
+def test_index_search_under_cap_8_stops_at_half_the_index(tmp_path):
+    # (x - 1/7)^2 + y^2 = 1 has least index 14, so its search scans the
+    # denominators 1..7 and answers under the cap 8
+    ell = write(tmp_path, "e.json", {"a": "1", "b": "0", "c": "1",
+                                     "d": "-2/7", "e": "0", "f": "-48/49"})
+    proc = run_cli(["equiv", "--kind", "ellipse", ell, ell],
+                   env_extra={"AFFLAT_MAX_DEN": "8"})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "equivalent": True,
+        "map": {"matrix": [[1, 0], [0, 1]], "translation": [0, 0]}}
+
+
 def test_polyhedron_tiny_segment_against_its_translate(tmp_path):
     # conv((1/999983, 0), (0, 1/999983)) against its translate by (0, 1)
     # under the default cap: no lattice point of the hull is scanned

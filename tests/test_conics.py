@@ -15,7 +15,7 @@ from afflat.conics import (ELLIPSE, ELLIPSE_NO_POINT, NOT_ELLIPSE, _holzer_searc
                            ellipse_invariant, legendre_solve, min_index_pairs,
                            pullback, conics_match_up_to_scalar,
                            rational_points)
-from afflat import angles, budget, core, rationals
+from afflat import angles, budget, conics, core, rationals
 from afflat.angles import HalfLine
 from afflat.core import den
 from afflat.errors import InputError, NotInClass, SearchBudgetExceeded
@@ -720,3 +720,148 @@ def test_ellipse_equivalence_unlifts_only_its_witnesses(monkeypatch):
     lifts = counting_in_package(monkeypatch, rationals.lift)
     assert ellipse_equivalence(e1, e2) is not None
     assert (len(unlifts), len(lifts)) == (6, 0)
+
+
+def _index_search_oracle(co, o, x, y):
+    """Test-side (best, pairs) of the ellipse co with center o and conjugate
+    semi-diameters (o, x), (o, y): the points of each denominator j from
+    the box scan (_box_points_at), each paired with every point found so
+    far by Fraction conjugacy (p - o)^T Q (r - o) = 0, Q read off co's
+    quadratic part, until j reaches the least index found less one."""
+    qa, qb, qc = co.a, co.b / 2, co.c
+
+    def conjugate(p, r):
+        (u0, u1), (v0, v1) = ((s[0] - o[0], s[1] - o[1]) for s in (p, r))
+        return qa * u0 * v0 + qb * (u0 * v1 + u1 * v0) + qc * u1 * v1 == 0
+
+    pts, pairs, best, j = [], [], None, 0
+    while best is None or j < best - 1:
+        j += 1
+        for p in _box_points_at(co, o, x, y, j):
+            for r in pts:
+                if conjugate(p, r):
+                    pairs += [(p, r), (r, p)]
+                    best = min(best or j + den(r), j + den(r))
+            pts.append(p)
+    return best, sorted(pair for pair in pairs
+                        if den(pair[0]) + den(pair[1]) == best)
+
+
+def _index_search_corpus():
+    """(conic, center, two semi-diameter ends): the circles
+    (x - 1/q)^2 + y^2 = 1 for q in 2, 3, 5, 7, 9, 11; one ellipse whose
+    least index 11 comes from a pair of denominators 5 and 6, found only
+    after a pair of index 13 (a scan stopped once 3j passed the index
+    found would answer 13); then 36 seeded ellipses from a center of
+    denominator <= 4 and two independent semi-diameters of entries in
+    -1, -1/2, 0, 1/2, 1."""
+    cases = []
+    for q in (2, 3, 5, 7, 9, 11):
+        o = (F(1, q), F(0))
+        cases.append((conic(1, 0, 1, F(-2, q), 0, F(1, q * q) - 1), o,
+                      _shifted(o, (1, 0)), _shifted(o, (0, 1))))
+    o = (F(2, 5), F(-23, 30))
+    x = _shifted(o, (F(3, 2), F(1, 3)))
+    y = _shifted(o, (F(-29, 15), F(19, 10)))
+    cases.append((ellipse_from_semidiameters(o, x, y), o, x, y))
+    rng = random.Random(91)
+    while len(cases) < 43:
+        d = rng.randint(1, 4)
+        o = (F(rng.randint(-d, d), d), F(rng.randint(-d, d), d))
+        u, v = ((F(rng.randint(-2, 2), 2), F(rng.randint(-2, 2), 2))
+                for _ in range(2))
+        if u[0] * v[1] - u[1] * v[0]:
+            x, y = _shifted(o, u), _shifted(o, v)
+            cases.append((ellipse_from_semidiameters(o, x, y), o, x, y))
+    return cases
+
+
+def test_min_index_pairs_against_box_scan_and_conjugacy():
+    # each point's two conjugates, read off it in integers, and the scan
+    # stopped at half the least index, against the full scan of the box
+    # with every pair tested in Fractions
+    sizes = set()
+    for co, o, x, y in _index_search_corpus():
+        best, pairs = min_index_pairs(ellipse(co))
+        assert (best, pairs) == _index_search_oracle(co, o, x, y)
+        sizes.add((best, len(pairs)))
+    assert len(sizes) >= 8
+
+
+def test_index_search_stops_at_half_the_least_index(monkeypatch):
+    # (x - 1/101)^2 + y^2 = 1 has least index 202: the denominators are
+    # scanned up to 101, not to 201
+    E = ellipse(conic(1, 0, 1, F(-2, 101), 0, F(-10200, 10201)))
+    scanned = counting(monkeypatch, "_numerators_at", conics)
+    best, pairs = min_index_pairs(E)
+    assert best == 202 and len(pairs) == 24
+    assert [j for _, j in scanned] == list(range(1, 102))
+
+
+def test_index_search_budget_under_cap_8():
+    # under cap 8 the circles centered at (1/5, 0) and (1/7, 0) (least
+    # indices 10 and 14) answer, as their scans stop at 5 and 7; every
+    # point of the one centered at (1/9, 0) has a denominator divisible by
+    # 9, so its scan still passes the cap
+    def circle(q):
+        return ellipse(conic(1, 0, 1, F(-2, q), 0, F(1, q * q) - 1))
+
+    with budget.capped(8):
+        for q in (5, 7):
+            g = ellipse_equivalence(circle(q), circle(q))
+            assert (g.matrix, g.translation) == (((1, 0), (0, 1)), (0, 0))
+        with pytest.raises(SearchBudgetExceeded,
+                           match="semi-diameter index search"):
+            ellipse_equivalence(circle(9), circle(9))
+
+
+def test_ellipse_equivalence_builds_points_only_for_its_witnesses(monkeypatch):
+    # the pairs, keys and triangles of both ellipses are lifts; points are
+    # normalized and lifted only by the witness simplexes' extension and
+    # core.simplex_map: 18 point and 12 lift_point calls
+    e1, e2 = _first_equivalent_pair()
+    points = counting_in_package(monkeypatch, rationals.point)
+    lifts = counting_in_package(monkeypatch, rationals.lift_point)
+    g = ellipse_equivalence(e1, e2)
+    assert (g.matrix, g.translation) == PINNED_ELLIPSE_WITNESSES[0]
+    assert (len(points), len(lifts)) == (18, 12)
+
+
+# strong pseudoprimes: to base 2; to the bases 2, 3, 5, 7; to every prime
+# base up to 23; and to every prime base up to 37, the first twelve
+STRONG_PSEUDOPRIMES = (2047, 3215031751, 3825123056546413051,
+                       318665857834031151167461)
+
+
+def test_factor_against_trial_division(monkeypatch):
+    # trial division ends once its cofactor is proven prime; the cofactors
+    # left after small divisors are large primes, prime squares, products
+    # of primes above the trial bound, and the prime 100000000000031, which
+    # trial division alone took about a second to factor
+    rng = random.Random(92)
+    corpus = [1, 2, 97, 1000003, 1020007, 1009 * 1013 * 1019,
+              1009 ** 2 * 2, 999983 ** 2, 2 ** 40, 100000000000031,
+              3215031751]
+    for _ in range(40):
+        small = math.prod(rng.choice((1, 2, 3, 5, 7, 11, 13)) ** rng.randint(0, 3)
+                          for _ in range(3))
+        corpus.append(small * rng.randint(2, 10 ** 9))
+    for n in corpus:
+        assert conics._factor(n) == trial_factor(n), n
+    # a prime near 1e6, the benchmark's Legendre coefficients, is factored
+    # by trial division alone: its root is less than twice the trial bound
+    tests = counting(monkeypatch, "_known_prime", conics)
+    assert conics._factor(1020007) == {1020007: 1} and tests == []
+    assert conics._factor(100000000000031) == {100000000000031: 1}
+    assert tests == [(100000000000031,)]
+
+
+def test_known_prime_is_exact_below_its_bound():
+    for n in range(-2, 3000):
+        assert conics._known_prime(n) == (n > 1 and trial_factor(n) == {n: 1})
+    for n in STRONG_PSEUDOPRIMES:
+        assert not conics._known_prime(n)
+    assert conics._known_prime(100000000000031)
+    assert conics._known_prime(2 ** 61 - 1)
+    # at and above the bound primality is left open: trial division goes on
+    assert not conics._known_prime(2 ** 89 - 1)
